@@ -5,8 +5,10 @@
 # they are reported measurements.  Two observations worth keeping in view:
 #   * relative entropy between uniformly smoothed pure states is a function
 #     of fidelity alone (smoothing preserves the spectrum), so on the
-#     Veronese chart its cubic term vanishes even though the submanifold is
-#     metrically curved, and
+#     Veronese chart its asymmetry vanishes identically.  Its cubic term
+#     does not: T_theta,phi,phi = k sin(theta) cos(theta), with
+#     k = (1 - eps) ln((3 - 2 eps) / eps), is zero only on the equator
+#     theta = pi/2, which is where it is evaluated below, and
 #   * on mixed-state charts (Bloch ball interior, diagonal qutrit simplex)
 #     the relative-entropy cubic term is plainly non-zero, while the
 #     symmetric Jensen-Shannon divergence has none anywhere.

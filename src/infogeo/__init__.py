@@ -51,7 +51,6 @@ from .quantum import (
     PureState,
     VeroneseChart,
     bargmann_phase,
-    chart_point,
     density_from_json,
     density_to_json,
     fubini_study_distance,

@@ -628,16 +628,28 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     if args.subcommand == "replay":
-        with open(args.report, "r", encoding="utf-8") as fh:
-            original = json.load(fh)
-        cfg = dict(original["config"])
-        if args.format:
-            cfg["format"] = args.format
+        text = _replay(args.report, args.format)
     else:
-        cfg = build_config(args)
-    report = run_config(cfg)
-    _write(render(report), args.out)
+        text = render(run_config(build_config(args)))
+    _write(text, args.out)
     return 0
+
+
+def _replay(path: str, fmt: str | None) -> str:
+    """Re-run and render the report in ``path`` from its embedded config."""
+    with open(path, "r", encoding="utf-8") as fh:
+        original = json.load(fh)
+    if not isinstance(original, dict) or not isinstance(original.get("config"), dict):
+        raise UsageError(f"replay {path}: not a report with a config object")
+    cfg = dict(original["config"])
+    if fmt:
+        cfg["format"] = fmt
+    try:
+        return render(run_config(cfg))
+    except KeyError as exc:
+        if exc.args[0] in cfg:
+            raise
+        raise UsageError(f"replay {path}: config lacks field {exc.args[0]!r}") from exc
 
 
 def main(argv=None) -> int:

@@ -9,9 +9,18 @@ chart divergence), these routines recover the Taylor coefficients of
 by central differences in the second argument, plus the antisymmetric probe
 D(p || p + h v) - D(p + h v || p) whose leading term is cubic in h.
 
-Stencils: second-order central differences throughout; the fully mixed third
-partial uses the 8-corner stencil on the (i, j, k) cube.  All stencils are
-symmetric in their indices by construction, so the recorded
+Stencils: one rule serves both orders.  The partial derivative for a sorted
+index tuple is the tensor product of 1-D second-order central differences,
+one per distinct axis, of the order with which the axis occurs:
+
+    first   {+1: 1/2, -1: -1/2}
+    second  {+1: 1, 0: -2, -1: 1}
+    third   {+2: 1/2, +1: -1, -1: 1, -2: -1/2}
+
+A plan, cached per (dimension, order), holds the index tuples, the distinct
+integer offsets and a weight matrix W, so every stencil point is checked
+against the domain first, then evaluated once, and T = W f / h^order.  Each
+value fills every permutation of its index tuple, so the recorded
 pre-symmetrization residual is structurally zero.
 
 Richardson extrapolation is opt-in.  When enabled, the tensor is computed at
@@ -22,6 +31,7 @@ times the value truncation theory predicts from the (h, h/2) disagreement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -103,115 +113,73 @@ class ConvergenceReport:
     cubic_oracle: np.ndarray | None = None
 
 
-def _check_stencil(div, p: np.ndarray, offsets) -> None:
-    for u in offsets:
-        if not div.contains(p + u):
+# 1-D second-order central differences, {offset in steps: weight}
+_CENTRAL = {
+    1: {+1: 0.5, -1: -0.5},
+    2: {+1: 1.0, 0: -2.0, -1: 1.0},
+    3: {+2: 0.5, +1: -1.0, -1: 1.0, -2: -0.5},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_plan(d: int, order: int):
+    """Stencil of every order-``order`` partial derivative in ``d`` dimensions.
+
+    Returns the sorted index tuples, the distinct integer offsets (one row
+    each) and the weight matrix W with T[tuples[r]] = (W @ f)[r] / h^order,
+    where f holds D(p || p + h offset) over the offsets.  A tuple's stencil
+    is the tensor product of the 1-D rules of its distinct axes, the rule's
+    order being how often the axis occurs.
+    """
+    tuples = tuple(itertools.combinations_with_replacement(range(d), order))
+    rows = []
+    for idx in tuples:
+        axes = sorted(set(idx))
+        row = {}
+        for terms in itertools.product(*(_CENTRAL[idx.count(a)].items() for a in axes)):
+            offset = [0] * d
+            weight = 1.0
+            for a, (step, w) in zip(axes, terms):
+                offset[a] = step
+                weight *= w
+            row[tuple(offset)] = weight
+        rows.append(row)
+    # descending, so a mixed row adds f(++), f(+-), f(-+), f(--) in that order:
+    # the summation order that keeps metrics bit-identical to the 4-corner rule
+    offsets = sorted(set().union(*rows), reverse=True)
+    weights = np.array([[row.get(o, 0.0) for o in offsets] for row in rows])
+    offsets = np.array(offsets, dtype=float)
+    offsets.flags.writeable = weights.flags.writeable = False
+    return tuples, offsets, weights
+
+
+def _tensor_at(div, p: np.ndarray, h: float, order: int) -> np.ndarray:
+    """Order-``order`` derivative tensor of D(p || .) at p, step h."""
+    tuples, offsets, weights = _stencil_plan(div.dimension, order)
+    points = p + h * offsets
+    for q in points:
+        if not div.contains(q):
             raise DomainError(
                 f"{div.family_id}: finite-difference stencil leaves the domain "
-                f"at {p + u}"
+                f"at {q}"
             )
-
-
-def _metric_at(div, p: np.ndarray, h: float) -> np.ndarray:
-    d = div.dimension
-    eye = np.eye(d)
-    offsets = [np.zeros(d)]
-    offsets += [s * h * eye[i] for i in range(d) for s in (+1, -1)]
-    offsets += [
-        (si * eye[i] + sj * eye[j]) * h
-        for i in range(d)
-        for j in range(i + 1, d)
-        for si in (+1, -1)
-        for sj in (+1, -1)
-    ]
-    _check_stencil(div, p, offsets)
-
-    def f(u):
-        return div.divergence(p, p + u)
-
-    f0 = f(np.zeros(d))
-    g = np.empty((d, d))
-    for i in range(d):
-        e = h * eye[i]
-        g[i, i] = (f(e) + f(-e) - 2.0 * f0) / h**2
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei, ej = h * eye[i], h * eye[j]
-            g[i, j] = g[j, i] = (
-                f(ei + ej) - f(ei - ej) - f(-ei + ej) + f(-ei - ej)
-            ) / (4.0 * h**2)
-    return g
-
-
-def _cubic_at(div, p: np.ndarray, h: float) -> np.ndarray:
-    d = div.dimension
-    eye = np.eye(d)
-    offsets = []
-    for i in range(d):
-        offsets += [s * h * eye[i] for s in (+2, +1, -1, -2)]
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                offsets += [
-                    (si * eye[i] + sj * eye[j]) * h
-                    for si in (+1, 0, -1)
-                    for sj in (+1, -1)
-                ]
-    for i, j, k in itertools.combinations(range(d), 3):
-        offsets += [
-            (si * eye[i] + sj * eye[j] + sk * eye[k]) * h
-            for si in (+1, -1)
-            for sj in (+1, -1)
-            for sk in (+1, -1)
-        ]
-    _check_stencil(div, p, offsets)
-
-    def f(u):
-        return div.divergence(p, p + u)
-
-    t = np.zeros((d, d, d))
-    for i in range(d):
-        e = h * eye[i]
-        t[i, i, i] = (f(2 * e) - 2.0 * f(e) + 2.0 * f(-e) - f(-2 * e)) / (2.0 * h**3)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            ei, ej = h * eye[i], h * eye[j]
-            # d_i^2 d_j: second difference along i, first difference along j
-            val = (
-                f(ei + ej)
-                + f(-ei + ej)
-                - 2.0 * f(ej)
-                - f(ei - ej)
-                - f(-ei - ej)
-                + 2.0 * f(-ej)
-            ) / (2.0 * h**3)
-            t[i, i, j] = t[i, j, i] = t[j, i, i] = val
-    for i, j, k in itertools.combinations(range(d), 3):
-        val = 0.0
-        for si in (+1, -1):
-            for sj in (+1, -1):
-                for sk in (+1, -1):
-                    val += si * sj * sk * f(
-                        (si * eye[i] + sj * eye[j] + sk * eye[k]) * h
-                    )
-        val /= 8.0 * h**3
-        for perm in itertools.permutations((i, j, k)):
-            t[perm] = val
+    f = np.array([div.divergence(p, q) for q in points], dtype=float)
+    values = weights @ f / h**order
+    t = np.empty((div.dimension,) * order)
+    for idx, value in zip(tuples, values):
+        for perm in itertools.permutations(idx):
+            t[perm] = value
     return t
 
 
-def _richardson(tensor_at, h: float, diff_order: int):
+def _richardson(div, p: np.ndarray, h: float, order: int):
     """Three-level Richardson for an O(h^2) stencil, with a sanity check."""
-    t1 = tensor_at(h)
-    t2 = tensor_at(h / 2.0)
-    t3 = tensor_at(h / 4.0)
+    t1, t2, t3 = (_tensor_at(div, p, s, order) for s in (h, h / 2.0, h / 4.0))
     d1 = float(np.max(np.abs(t1 - t2)))
     d2 = float(np.max(np.abs(t2 - t3)))
     # disagreements at the rounding-noise floor of the finest level carry no
     # information about the truncation ladder (zero tensors live there)
-    noise_floor = 1e-16 / (h / 4.0) ** diff_order
+    noise_floor = 1e-16 / (h / 4.0) ** order
     # expected d2 ~ d1/4; tolerate 10x before declaring the ladder unusable
     if d2 > 2.5 * d1 and d2 > 10.0 * noise_floor:
         raise ConditioningError(
@@ -221,6 +189,19 @@ def _richardson(tensor_at, h: float, diff_order: int):
     return (4.0 * t3 - t2) / 3.0, d2
 
 
+def _extract(div, p, h: float, richardson: bool, order: int):
+    """Shared prelude: (point, tensor, finest step, Richardson disagreement)."""
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if not div.contains(p):
+        raise DomainError(f"{div.family_id}: base point {p} outside domain")
+    if richardson:
+        t, disagreement = _richardson(div, p, h, order)
+        return p, t, h / 4.0, disagreement
+    return p, _tensor_at(div, p, h, order), h, None
+
+
 def extract_metric(div, p, h: float = 1e-2, richardson: bool = False) -> MetricTensor:
     """Quadratic coefficient g_ij of D(p || p + u), by central differences.
 
@@ -228,20 +209,7 @@ def extract_metric(div, p, h: float = 1e-2, richardson: bool = False) -> MetricT
     when the result is not positive semidefinite within 1e-8, and
     ConditioningError when Richardson levels disagree implausibly.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if not div.contains(p):
-        raise DomainError(f"{div.family_id}: base point {p} outside domain")
-    disagreement = None
-    if richardson:
-        g, disagreement = _richardson(lambda s: _metric_at(div, p, s), h, 2)
-        method = "central-2nd+richardson"
-    else:
-        g = _metric_at(div, p, h)
-        method = "central-2nd"
-    residual = float(np.max(np.abs(g - g.T)))
-    g = 0.5 * (g + g.T)
+    p, g, _, disagreement = _extract(div, p, h, richardson, 2)
     min_eig = float(np.linalg.eigvalsh(g).min())
     if min_eig < -1e-8:
         raise NumericalError(
@@ -251,9 +219,9 @@ def extract_metric(div, p, h: float = 1e-2, richardson: bool = False) -> MetricT
         components=g,
         base_point=p,
         step=h,
-        method=method,
+        method="central-2nd+richardson" if richardson else "central-2nd",
         family_id=div.family_id,
-        presym_residual=residual,
+        presym_residual=0.0,
         min_eigenvalue=min_eig,
         richardson_disagreement=disagreement,
     )
@@ -266,39 +234,21 @@ def extract_cubic(div, p, h: float = 5e-2, richardson: bool = False) -> CubicTen
     of the largest component of a clearly non-zero tensor; the remedy is a
     larger step.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if not div.contains(p):
-        raise DomainError(f"{div.family_id}: base point {p} outside domain")
-    disagreement = None
-    if richardson:
-        t, disagreement = _richardson(lambda s: _cubic_at(div, p, s), h, 3)
-        h_min = h / 4.0
-        method = "central-3rd+richardson"
-    else:
-        t = _cubic_at(div, p, h)
-        h_min = h
-        method = "central-3rd"
-    sym = np.zeros_like(t)
-    for perm in itertools.permutations(range(3)):
-        sym += np.transpose(t, perm)
-    sym /= 6.0
-    residual = float(np.max(np.abs(t - sym)))
+    p, t, h_min, disagreement = _extract(div, p, h, richardson, 3)
     noise = 1e-16 / h_min**3
-    largest = float(np.max(np.abs(sym)))
+    largest = float(np.max(np.abs(t)))
     if largest > 1e-9 and noise > 0.01 * largest:
         raise NoisePanic(
             f"rounding-noise estimate {noise:.3e} exceeds 1% of the largest "
             f"component {largest:.3e}; increase h"
         )
     return CubicTensor(
-        components=sym,
+        components=t,
         base_point=p,
         step=h,
-        method=method,
+        method="central-3rd+richardson" if richardson else "central-3rd",
         family_id=div.family_id,
-        presym_residual=residual,
+        presym_residual=0.0,
         noise_estimate=noise,
         richardson_disagreement=disagreement,
     )

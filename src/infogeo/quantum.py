@@ -36,7 +36,6 @@ __all__ = [
     "DiagonalQutritChart",
     "VeroneseChart",
     "ChartDivergence",
-    "chart_point",
     "make_chart_divergence",
     "parse_amplitudes",
     "density_to_json",
@@ -148,12 +147,16 @@ def _checked_eigh(m: np.ndarray):
     return w, v
 
 
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -Tr[rho log rho] in nats, with 0 log 0 = 0."""
-    w, _ = _checked_eigh(_as_matrix(rho))
+def _entropy(matrix: np.ndarray) -> float:
+    w, _ = _checked_eigh(matrix)
     w = np.clip(w, 0.0, None)
     nz = w[w > 0.0]
     return float(-(nz * np.log(nz)).sum())
+
+
+def von_neumann_entropy(rho) -> float:
+    """S(rho) = -Tr[rho log rho] in nats, with 0 log 0 = 0."""
+    return _entropy(_as_matrix(rho))
 
 
 def _relative_entropy_strict(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -192,14 +195,7 @@ def quantum_jsd(rho, sigma) -> float:
     rho, sigma = _as_matrix(rho), _as_matrix(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} != {sigma.shape}")
-
-    def entropy(m):
-        w, _ = _checked_eigh(m)
-        w = np.clip(w, 0.0, None)
-        nz = w[w > 0.0]
-        return float(-(nz * np.log(nz)).sum())
-
-    value = entropy(0.5 * (rho + sigma)) - 0.5 * (entropy(rho) + entropy(sigma))
+    value = _entropy(0.5 * (rho + sigma)) - 0.5 * (_entropy(rho) + _entropy(sigma))
     return max(0.0, value)
 
 
@@ -334,11 +330,6 @@ _CHARTS = {
     "diag-qutrit": DiagonalQutritChart,
     "veronese": VeroneseChart,
 }
-
-
-def chart_point(chart, x) -> DensityMatrix:
-    """The (smoothed) density matrix a chart assigns to coordinates x."""
-    return chart.point(x)
 
 
 class ChartDivergence:

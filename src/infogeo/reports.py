@@ -27,7 +27,6 @@ SCHEMA_VERSION = 1
 __all__ = [
     "SCHEMA_VERSION",
     "jsonable",
-    "rational_fields",
     "wrap_report",
     "dump_json",
     "strip_timestamp",
@@ -57,20 +56,6 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def rational_fields(report_dict: dict, keys) -> dict:
-    """Flatten Fraction fields into 'name' (p/q string) + 'name_decimal'."""
-    out = dict(report_dict)
-    for key in keys:
-        frac = out[key]
-        if isinstance(frac, dict):  # already converted by jsonable
-            out[key] = frac["rational"]
-            out[key + "_decimal"] = frac["decimal"]
-        else:
-            out[key] = str(frac)
-            out[key + "_decimal"] = float(frac)
-    return out
 
 
 def wrap_report(kind: str, config: dict, result) -> dict:

@@ -58,7 +58,7 @@ class LegDistribution:
                          exactly Gaussian and 1 + x > 0 always holds
 
     Draws violating 1 + x > 0 are redrawn; the count is reported and the
-    simulation aborts when more than 1% of all draws were rejected.
+    simulation aborts as soon as more than 1% of all draws were rejected.
     A zero scale is the degenerate point mass at the location.
     """
 
@@ -114,13 +114,24 @@ class LegDistribution:
             )
         return np.exp(self.location + self.scale * rng.standard_normal(n)) - 1.0
 
-    def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, int]:
-        """Draw n returns satisfying 1 + x > 0; returns (draws, n_rejected)."""
+    def sample(
+        self, rng: np.random.Generator, n: int, budget: float = math.inf
+    ) -> tuple[np.ndarray, int]:
+        """Draw n returns satisfying 1 + x > 0; returns (draws, n_rejected).
+
+        Raises RejectionOverflow as soon as more than ``budget`` draws were
+        rejected, so a leg with no mass above -1 cannot redraw forever.
+        """
         x = self._draw(rng, n)
         rejected = 0
         bad = x <= -1.0
         while np.any(bad):
             rejected += int(bad.sum())
+            if rejected > budget:
+                raise RejectionOverflow(
+                    f"leg {self.spec()}: {rejected} draws violated 1 + x > 0, "
+                    f"over the remaining rejection budget of {budget:g}"
+                )
             x[bad] = self._draw(rng, int(bad.sum()))
             bad = x <= -1.0
         return x, rejected
@@ -189,6 +200,7 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
     bare = _Accumulator()
     leg_sums = np.zeros((3, 3))  # per leg: sum x, sum x^2, sum x^3
     rejected = 0
+    max_rejected = 0.01 * 3 * samples
     identity_err = 0.0
 
     done = 0
@@ -198,7 +210,7 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
         rng = _chunk_rng(seed, index)
         x = np.empty((3, n))
         for i, leg in enumerate(legs):
-            x[i], rej = leg.sample(rng, n)
+            x[i], rej = leg.sample(rng, n, budget=max_rejected - rejected)
             rejected += rej
             leg_sums[i] += [x[i].sum(), (x[i] ** 2).sum(), (x[i] ** 3).sum()]
         log_sum = np.log1p(x).sum(axis=0)
@@ -213,11 +225,6 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
         bare.add(s3 / 3.0)
         done += n
         index += 1
-
-    if rejected > 0.01 * 3 * samples:
-        raise RejectionOverflow(
-            f"{rejected} of {3 * samples} draws violated 1 + x > 0"
-        )
 
     skew = []
     for i in range(3):

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import infogeo
 from infogeo.cli import main
 from infogeo.reports import strip_timestamp
 
@@ -234,3 +239,57 @@ def test_replay_reproduces_bytes(tmp_path, capsys):
 
 def test_replay_missing_file_exits_1(capsys):
     assert main(["replay", "/nonexistent/report.json"]) == 1
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        [1, 2],  # not an object
+        {"schema_version": 1, "kind": "gap", "result": {}},  # no config
+    ],
+)
+def test_replay_of_non_report_exits_1(tmp_path, capsys, document):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    assert main(["replay", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("geo: replay "), err
+
+
+def test_replay_of_config_missing_a_field_exits_1(tmp_path, capsys):
+    path = tmp_path / "div.json"
+    argv = ["divergence", "--family", "exponential", "--p", "1", "--q", "2"]
+    assert main(argv + ["--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    del doc["config"]["family"]
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("geo: replay "), err
+    assert "'family'" in err[0]
+
+
+# --- bounded time ------------------------------------------------------------
+
+
+def _run_geo(argv, timeout):
+    """Run ``geo`` in a child process against this package's source."""
+    src = str(Path(infogeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from infogeo.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+@pytest.mark.parametrize("leg", ["gaussian:-2,0", "gaussian:-5,0.1"])
+def test_triangle_leg_without_mass_above_minus_one_exits_1(leg):
+    res = _run_geo(
+        ["triangle", "--legs", leg, "gaussian:0,0.01", "gaussian:0,0.01",
+         "--samples", "1000", "--seed", "1"],
+        timeout=20,
+    )
+    assert res.returncode == 1
+    err = res.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("geo: "), err

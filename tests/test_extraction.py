@@ -234,17 +234,62 @@ def test_convergence_gaussian_metric_is_exact_at_all_steps():
         assert rung.metric_error < 1e-12
 
 
+# --- stencil evaluations -----------------------------------------------------
+
+
+class _CountingDivergence:
+    """Forwards to a family and records every (p, q) ``divergence`` sees."""
+
+    def __init__(self, family):
+        self.family = family
+        self.family_id = family.family_id
+        self.dimension = family.dimension
+        self.calls = []
+
+    def contains(self, x):
+        return self.family.contains(x)
+
+    def divergence(self, p, q):
+        self.calls.append((tuple(p), tuple(q)))
+        return self.family.divergence(p, q)
+
+
+@pytest.mark.parametrize(
+    "family, p, metric_calls, cubic_calls",
+    [
+        (ExponentialScale(), [1.0], 9, 12),
+        (GaussianFull(), [0.2, 1.3], 27, 36),
+        (Categorical(4), [0.2, 0.3, 0.25], 57, 96),
+    ],
+)
+def test_each_stencil_point_is_evaluated_once_per_level(family, p, metric_calls, cubic_calls):
+    for extract, h, calls in [
+        (extract_metric, 1e-2, metric_calls),
+        (extract_cubic, 2e-2, cubic_calls),
+    ]:
+        div = _CountingDivergence(family)
+        extract(div, p, h=h, richardson=True)
+        assert len(div.calls) == calls
+        per_level = calls // 3
+        for level in range(3):
+            chunk = div.calls[level * per_level : (level + 1) * per_level]
+            assert len(set(chunk)) == per_level, (extract.__name__, level)
+
+
 # --- failure modes -----------------------------------------------------------
 
 
 def test_stencil_domain_errors():
-    family = ExponentialScale()
+    family = _CountingDivergence(ExponentialScale())
     with pytest.raises(DomainError):
         extract_metric(family, [0.005], h=1e-2)  # stencil reaches theta < 0
     with pytest.raises(DomainError):
         extract_cubic(family, [0.08], h=5e-2)  # 2h reach exits the domain
     with pytest.raises(DomainError):
+        extract_cubic(family, [0.08], h=5e-2, richardson=True)
+    with pytest.raises(DomainError):
         extract_metric(family, [-1.0])
+    assert family.calls == []  # the domain is checked before any evaluation
 
 
 def test_noise_panic_on_tiny_steps():

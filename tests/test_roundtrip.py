@@ -1,6 +1,8 @@
 """Triangle statistics, path work sums, and the spread estimator."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -107,6 +109,27 @@ def test_triangle_deterministic_and_seed_sensitive():
 def test_triangle_rejection_overflow():
     with pytest.raises(RejectionOverflow):
         triangle_simulate(["gaussian:0,1.5"] * 3, samples=2_000, seed=2)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("leg", ["gaussian:-2,0", "gaussian:-5,0.1"])
+def test_triangle_leg_without_mass_above_minus_one_overflows(leg):
+    legs = ["gaussian:0,0.01", leg, "gaussian:0,0.01"]
+    with _deadline(5), pytest.raises(RejectionOverflow):
+        triangle_simulate(legs, samples=1_000, seed=1)
 
 
 def test_triangle_validation():
