@@ -10,8 +10,9 @@
 #     k = (1 - eps) ln((3 - 2 eps) / eps), is zero only on the equator
 #     theta = pi/2, which is where it is evaluated below, and
 #   * on mixed-state charts (Bloch ball interior, diagonal qutrit simplex)
-#     the relative-entropy cubic term is plainly non-zero, while the
-#     symmetric Jensen-Shannon divergence has none anywhere.
+#     the cubic term is plainly non-zero for both divergences, the symmetric
+#     Jensen-Shannon one included: symmetry makes the asymmetry
+#     D(p || q) - D(q || p) vanish, not the cubic tensor T.
 import math
 
 import numpy as np

@@ -27,7 +27,6 @@ from .families import (
     NaturalView,
     Point,
     bregman_divergence,
-    evaluate,
     make_family,
     natural_chart,
     natural_view,

@@ -19,6 +19,8 @@ import math
 import os
 import sys
 import tempfile
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .roundtrip import (
 )
 
 FORMATS = ("json", "csv", "plot-csv")
-STOCHASTIC = ("estimate", "triangle", "spread")
 
 BREGMAN_REFERENCE_RATIO = -1.0 / 6.0  # asymmetric coefficient / forward cubic
 NAIVE_SIGN_FLIP_RATIO = 1.0 / 3.0  # what a bare dx -> -dx substitution suggests
@@ -64,368 +65,99 @@ def _parse_floats(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _resolve_divergence(spec: str, eps: float, margin: float):
-    if spec.startswith(("qre:", "qjsd:")):
-        return make_chart_divergence(spec, eps=eps)
-    if spec.startswith("natural:"):
-        return natural_view(make_family(spec[len("natural:"):], margin=margin))
-    return make_family(spec, margin=margin)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="geo", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
-
-    def common(p):
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("gap", help="exact collective-vs-sequential fidelity gap")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--table", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("estimate", help="Monte-Carlo single-copy fidelity")
-    p.add_argument("--copies", type=int, default=1)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--guess", choices=("outcome", "fixed"), default="outcome")
-    common(p)
-
-    p = sub.add_parser("divergence", help="evaluate D(p || q)")
-    p.add_argument("--family", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--margin", type=float, default=1e-9)
-    common(p)
-
-    p = sub.add_parser("tensor", help="extract the metric or cubic tensor")
-    p.add_argument("--family", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--order", choices=("metric", "cubic"), default="metric")
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--richardson", action="store_true")
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--margin", type=float, default=1e-9)
-    common(p)
-
-    p = sub.add_parser("asymmetry", help="probe D(p||p+hv) - D(p+hv||p)")
-    p.add_argument("--family", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--dir", required=True)
-    p.add_argument("--steps", required=True)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--margin", type=float, default=1e-9)
-    common(p)
-
-    p = sub.add_parser("convergence", help="error decay across a step ladder")
-    p.add_argument("--family", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--steps", required=True)
-    p.add_argument("--richardson", action="store_true")
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--margin", type=float, default=1e-9)
-    common(p)
-
-    p = sub.add_parser("triangle", help="three-leg round-trip simulation")
-    p.add_argument("--legs", nargs=3, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
-        "--sweep-shape",
-        default=None,
-        help="start,stop,count sweep of the first leg's shape parameter",
-    )
-    common(p)
-
-    p = sub.add_parser("demon", help="path work sum, forward and reversed")
-    p.add_argument("--family", required=True)
-    p.add_argument("--path", default=None, help="CSV file, one waypoint per line")
-    p.add_argument("--waypoints", default=None, help="inline 'a,b;c,d;...' path")
-    p.add_argument("--method", choices=("fd", "oracle"), default="fd")
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--tensor-at", choices=("start", "midpoint"), default="start")
-    p.add_argument("--margin", type=float, default=1e-9)
-    common(p)
-
-    p = sub.add_parser("spread", help="average surcharge over sampled trades")
-    p.add_argument("--family", required=True)
-    p.add_argument("--sampler", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--method", choices=("fd", "oracle"), default="fd")
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--margin", type=float, default=1e-9)
-    common(p)
-
-    p = sub.add_parser("holonomy", help="Bargmann phase of a loop of states")
-    p.add_argument("--loop", required=True, help="JSON file: array of amplitude arrays")
-    common(p)
-
-    p = sub.add_parser("veronese", help="embed a qubit in the spin-1 symmetric subspace")
-    p.add_argument("--state", required=True)
-    common(p)
-
-    p = sub.add_parser("replay", help="re-run a report from its embedded config")
-    p.add_argument("report", help="path to a previously emitted JSON report")
-    common(p)
-
-    return parser
-
-
-# ---------------------------------------------------------------------------
-# Config construction: every field resolved explicitly, no silent defaults
-# ---------------------------------------------------------------------------
-
-
-def _amplitudes_to_pairs(state) -> list[list[float]]:
-    return [[a.real, a.imag] for a in state.amplitudes]
+def _amplitude(a) -> complex:
+    if isinstance(a, str):
+        return complex(a.replace("i", "j"))
+    if isinstance(a, (list, tuple)):
+        return complex(a[0], a[1])
+    return complex(a)
 
 
 def _load_loop(path: str) -> list[list[list[float]]]:
+    """The states in a JSON file, as [re, im] pairs."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    loop = []
-    for entry in raw:
-        amps = []
-        for a in entry:
-            if isinstance(a, str):
-                amps.append(complex(a.replace("i", "j")))
-            elif isinstance(a, (list, tuple)):
-                amps.append(complex(a[0], a[1]))
-            else:
-                amps.append(complex(a))
-        loop.append([[a.real, a.imag] for a in amps])
-    return loop
+        return reports.jsonable([[_amplitude(a) for a in entry] for entry in json.load(fh)])
 
 
-def _load_waypoints(args) -> list[list[float]]:
-    if (args.path is None) == (args.waypoints is None):
-        raise UsageError("demon needs exactly one of --path or --waypoints")
-    if args.path is not None:
-        rows = []
-        with open(args.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    rows.append(_parse_floats(line))
-        return rows
-    return [_parse_floats(part) for part in args.waypoints.split(";") if part.strip()]
-
-
-def build_config(args) -> dict:
-    # the output path is where the document goes, not part of its content,
-    # so it stays out of the embedded config on purpose
-    fmt = args.format or os.environ.get("GEO_DEFAULT_FORMAT") or "json"
-    if fmt not in FORMATS:
-        raise UsageError(f"unsupported format {fmt!r} (GEO_DEFAULT_FORMAT?)")
-    cfg = {"subcommand": args.subcommand, "format": fmt}
-
-    if args.subcommand == "gap":
-        if (args.n is None) == (args.table is None):
-            raise UsageError("gap needs exactly one of --n or --table")
-        cfg.update(n=args.n, table=args.table)
-    elif args.subcommand == "estimate":
-        if args.copies != 1:
-            raise UsageError(
-                "only single-copy simulation is implemented; exact fidelities "
-                "for more copies come from 'geo gap'"
-            )
-        cfg.update(
-            copies=args.copies,
-            trials=args.trials,
-            seed=args.seed,
-            guess=args.guess,
-        )
-    elif args.subcommand == "divergence":
-        cfg.update(
-            family=args.family,
-            p=_parse_floats(args.p),
-            q=_parse_floats(args.q),
-            eps=args.eps,
-            margin=args.margin,
-        )
-    elif args.subcommand == "tensor":
-        h = args.h if args.h is not None else (1e-2 if args.order == "metric" else 5e-2)
-        cfg.update(
-            family=args.family,
-            at=_parse_floats(args.at),
-            order=args.order,
-            h=h,
-            richardson=bool(args.richardson),
-            eps=args.eps,
-            margin=args.margin,
-        )
-    elif args.subcommand == "asymmetry":
-        cfg.update(
-            family=args.family,
-            at=_parse_floats(args.at),
-            direction=_parse_floats(args.dir),
-            steps=_parse_floats(args.steps),
-            eps=args.eps,
-            margin=args.margin,
-        )
-    elif args.subcommand == "convergence":
-        cfg.update(
-            family=args.family,
-            at=_parse_floats(args.at),
-            steps=_parse_floats(args.steps),
-            richardson=bool(args.richardson),
-            eps=args.eps,
-            margin=args.margin,
-        )
-    elif args.subcommand == "triangle":
-        sweep = None
-        if args.sweep_shape is not None:
-            parts = _parse_floats(args.sweep_shape)
-            if len(parts) != 3 or int(parts[2]) < 2:
-                raise UsageError("--sweep-shape wants start,stop,count with count >= 2")
-            sweep = [parts[0], parts[1], int(parts[2])]
-        cfg.update(
-            legs=[LegDistribution.parse(leg).spec() for leg in args.legs],
-            samples=args.samples,
-            seed=args.seed,
-            sweep_shape=sweep,
-        )
-    elif args.subcommand == "demon":
-        h = args.h
-        if h is None and args.method == "fd":
-            h = 5e-2  # the finite-difference default, resolved explicitly
-        cfg.update(
-            family=args.family,
-            waypoints=_load_waypoints(args),
-            method=args.method,
-            h=h,
-            tensor_at=args.tensor_at,
-            margin=args.margin,
-        )
-    elif args.subcommand == "spread":
-        family = make_family(args.family, margin=args.margin)
-        h = args.h
-        if h is None and args.method == "fd":
-            h = 5e-2
-        cfg.update(
-            family=args.family,
-            sampler=TradeSampler.parse(args.sampler, family.dimension).spec(),
-            samples=args.samples,
-            seed=args.seed,
-            method=args.method,
-            h=h,
-            margin=args.margin,
-        )
-    elif args.subcommand == "holonomy":
-        cfg.update(loop=_load_loop(args.loop))
-    elif args.subcommand == "veronese":
-        state = parse_amplitudes(args.state)
-        cfg.update(state=_amplitudes_to_pairs(state))
-    else:
-        raise UsageError("missing subcommand; try 'geo --help'")
-    return cfg
+def _parse_sweep(text: str) -> list:
+    parts = _parse_floats(text)
+    if len(parts) != 3 or int(parts[2]) < 2:
+        raise UsageError("--sweep-shape wants start,stop,count with count >= 2")
+    return [parts[0], parts[1], int(parts[2])]
 
 
 # ---------------------------------------------------------------------------
-# Dispatch: config dict in, (kind, result dict) out
+# Config fields: what a value must be, and how its CLI argument becomes one
 # ---------------------------------------------------------------------------
 
 
-def _tensor_result(cfg: dict) -> dict:
-    div = _resolve_divergence(cfg["family"], cfg["eps"], cfg["margin"])
-    at = np.asarray(cfg["at"], dtype=float)
-    if cfg["order"] == "metric":
-        rec = extract_metric(div, at, h=cfg["h"], richardson=cfg["richardson"])
-        oracle = div.fisher(at) if hasattr(div, "fisher") else None
-    else:
-        rec = extract_cubic(div, at, h=cfg["h"], richardson=cfg["richardson"])
-        oracle = div.forward_cubic(at) if hasattr(div, "forward_cubic") else None
-    comps = rec.components
-    rank = comps.ndim
-    packed_idx = []
-    packed_val = []
-    for idx in np.ndindex(*comps.shape):
-        if list(idx) == sorted(idx):
-            packed_idx.append(list(idx))
-            packed_val.append(float(comps[idx]))
-    if hasattr(div, "chart"):
-        chart = div.chart.chart_id
-    elif rec.family_id.endswith(":natural"):
-        chart = "natural"
-    else:
-        chart = "default"
-    result = {
-        "family": rec.family_id,
-        "chart": chart,
-        "base_point": list(rec.base_point),
-        "h": rec.step,
-        "method": rec.method,
-        "rank": rank,
-        "components": comps.tolist(),
-        "packed": {"indices": packed_idx, "values": packed_val},
-        "presym_residual": rec.presym_residual,
-        "richardson_disagreement": rec.richardson_disagreement,
-    }
-    if cfg["order"] == "metric":
-        result["min_eigenvalue"] = rec.min_eigenvalue
-    else:
-        result["noise_estimate"] = rec.noise_estimate
-    if oracle is not None:
-        oracle = np.asarray(oracle, dtype=float)
-        denom = float(np.max(np.abs(oracle)))
-        delta = float(np.max(np.abs(comps - oracle)))
-        result["oracle"] = oracle.tolist()
-        result["oracle_delta"] = delta / denom if denom > 0 else delta
-    return result
+class Field(NamedTuple):
+    """One config field.
+
+    ``test`` is what a replayed value must pass (``what`` names it in the
+    error).  ``parse`` turns the parsed CLI argument of the field's name into
+    the config value, and is skipped when that argument is None; ``options``
+    are the argparse options the field implies for that argument.
+    """
+
+    what: str
+    test: Callable[[object], bool]
+    parse: Callable = lambda value: value
+    options: dict = {}
 
 
-def _asymmetry_result(cfg: dict) -> dict:
-    div = _resolve_divergence(cfg["family"], cfg["eps"], cfg["margin"])
-    probe = asymmetry_probe(
-        div, np.asarray(cfg["at"]), np.asarray(cfg["direction"]), cfg["steps"]
-    )
-    result = {
-        "family": probe.family_id,
-        "base_point": list(probe.base_point),
-        "direction": list(probe.direction),
-        "steps": list(probe.steps),
-        "values": list(probe.values),
-        "identically_symmetric": probe.degenerate,
-        "slope": probe.slope,
-        "coefficient": probe.coefficient,
-        "cubic_vvv": probe.cubic_vvv,
-        "ratio": probe.ratio,
-        "bregman_reference_ratio": BREGMAN_REFERENCE_RATIO,
-        "naive_sign_flip_ratio": NAIVE_SIGN_FLIP_RATIO,
-        "ratio_note": RATIO_NOTE,
-    }
-    if probe.ratio is not None:
-        result["ratio_minus_reference"] = probe.ratio - BREGMAN_REFERENCE_RATIO
-        result["ratio_minus_naive"] = probe.ratio - NAIVE_SIGN_FLIP_RATIO
-    return result
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _convergence_result(cfg: dict) -> dict:
-    div = _resolve_divergence(cfg["family"], cfg["eps"], cfg["margin"])
-    rep = convergence_report(
-        div, np.asarray(cfg["at"]), cfg["steps"], richardson=cfg["richardson"]
-    )
-    return {
-        "family": rep.family_id,
-        "base_point": list(rep.base_point),
-        "metric_oracle": None if rep.metric_oracle is None else rep.metric_oracle.tolist(),
-        "cubic_oracle": None if rep.cubic_oracle is None else rep.cubic_oracle.tolist(),
-        "metric_order": rep.metric_order,
-        "cubic_order": rep.cubic_order,
-        "rungs": [
-            {
-                "h": r.h,
-                "metric": r.metric.tolist(),
-                "cubic": r.cubic.tolist(),
-                "metric_error": r.metric_error,
-                "cubic_error": r.cubic_error,
-            }
-            for r in rep.rungs
-        ],
-    }
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+def _optional(kind: Field) -> Field:
+    test = kind.test
+    return Field(f"{kind.what} or null", lambda v: v is None or test(v), kind.parse, kind.options)
+
+
+def _one_of(*values) -> Field:
+    return Field(f"one of {values}", lambda v: v in values, options={"choices": values})
+
+
+TEXT = Field("a string", lambda v: isinstance(v, str))
+INT = Field("an integer", lambda v: _is_number(v) and isinstance(v, int), options={"type": int})
+NUMBER = Field("a number", _is_number, options={"type": float})
+FLAG = Field("true or false", lambda v: isinstance(v, bool), options={"action": "store_true"})
+NUMBERS = Field("a list of numbers", _list_of(_is_number), _parse_floats)
+FORMAT = _one_of(*FORMATS)
+LEGS = Field(
+    "leg specs", _list_of(TEXT.test), lambda legs: [LegDistribution.parse(x).spec() for x in legs]
+)
+SWEEP = _optional(Field("[start, stop, count]", _list_of(_is_number), _parse_sweep))
+POINTS = Field("a list of points", _list_of(_list_of(_is_number)))
+STATE = Field(
+    "a list of [re, im] pairs",
+    _list_of(_is_pair),
+    lambda text: reports.jsonable(parse_amplitudes(text).amplitudes),
+)
+LOOP = Field("a list of states", _list_of(_list_of(_is_pair)), _load_loop)
+
+
+# ---------------------------------------------------------------------------
+# Runners: config dict in, (kind, result) out
+# ---------------------------------------------------------------------------
+
+
+def _resolve_divergence(cfg: dict):
+    spec = cfg["family"]
+    if spec.startswith(("qre:", "qjsd:")):
+        return make_chart_divergence(spec, eps=cfg["eps"])
+    if spec.startswith("natural:"):
+        return natural_view(make_family(spec[len("natural:"):], margin=cfg["margin"]))
+    return make_family(spec, margin=cfg["margin"])
 
 
 def _gap_row(rep) -> dict:
@@ -441,84 +173,397 @@ def _gap_row(rep) -> dict:
     return row
 
 
-def _triangle_row(rep) -> dict:
-    return reports.jsonable(rep)
+def _run_gap(cfg: dict):
+    if (cfg["n"] is None) == (cfg["table"] is None):
+        raise UsageError("gap needs exactly one of --n or --table")
+    if cfg["n"] is not None:
+        return "gap", _gap_row(gap_report(cfg["n"]))
+    return "gap-table", {"rows": [_gap_row(r) for r in gap_table(cfg["table"])]}
+
+
+def _run_estimate(cfg: dict):
+    if cfg["copies"] != 1:
+        raise UsageError(
+            "only single-copy simulation is implemented; exact fidelities "
+            "for more copies come from 'geo gap'"
+        )
+    return "estimate", mc_single_copy_fidelity(cfg["trials"], cfg["seed"], guess=cfg["guess"])
+
+
+def _run_divergence(cfg: dict):
+    div = _resolve_divergence(cfg)
+    return "divergence", {"family": div.family_id, "value": div.divergence(cfg["p"], cfg["q"])}
+
+
+def _run_tensor(cfg: dict):
+    div = _resolve_divergence(cfg)
+    at = np.asarray(cfg["at"], dtype=float)
+    if cfg["order"] == "metric":
+        extract, closed_form = extract_metric, "fisher"
+    else:
+        extract, closed_form = extract_cubic, "forward_cubic"
+    rec = extract(div, at, h=cfg["h"], richardson=cfg["richardson"])
+    oracle = getattr(div, closed_form)(at) if hasattr(div, closed_form) else None
+    comps = rec.components
+    packed = [idx for idx in np.ndindex(*comps.shape) if list(idx) == sorted(idx)]
+    if hasattr(div, "chart"):
+        chart = div.chart.chart_id
+    elif rec.family_id.endswith(":natural"):
+        chart = "natural"
+    else:
+        chart = "default"
+    result = reports.jsonable(rec)
+    result["family"] = result.pop("family_id")
+    result["h"] = result.pop("step")
+    result["chart"] = chart
+    result["rank"] = comps.ndim
+    result["packed"] = {
+        "indices": [list(idx) for idx in packed],
+        "values": [float(comps[idx]) for idx in packed],
+    }
+    if oracle is not None:
+        oracle = np.asarray(oracle, dtype=float)
+        denom = float(np.max(np.abs(oracle)))
+        delta = float(np.max(np.abs(comps - oracle)))
+        result["oracle"] = oracle.tolist()
+        result["oracle_delta"] = delta / denom if denom > 0 else delta
+    return "tensor", result
+
+
+def _run_asymmetry(cfg: dict):
+    probe = asymmetry_probe(
+        _resolve_divergence(cfg),
+        np.asarray(cfg["at"]),
+        np.asarray(cfg["direction"]),
+        cfg["steps"],
+    )
+    result = reports.jsonable(probe)
+    result["family"] = result.pop("family_id")
+    result["identically_symmetric"] = result.pop("degenerate")
+    result["bregman_reference_ratio"] = BREGMAN_REFERENCE_RATIO
+    result["naive_sign_flip_ratio"] = NAIVE_SIGN_FLIP_RATIO
+    result["ratio_note"] = RATIO_NOTE
+    if probe.ratio is not None:
+        result["ratio_minus_reference"] = probe.ratio - BREGMAN_REFERENCE_RATIO
+        result["ratio_minus_naive"] = probe.ratio - NAIVE_SIGN_FLIP_RATIO
+    return "asymmetry", result
+
+
+def _run_convergence(cfg: dict):
+    rep = convergence_report(
+        _resolve_divergence(cfg),
+        np.asarray(cfg["at"]),
+        cfg["steps"],
+        richardson=cfg["richardson"],
+    )
+    result = reports.jsonable(rep)
+    result["family"] = result.pop("family_id")
+    return "convergence", result
+
+
+def _run_triangle(cfg: dict):
+    legs = [LegDistribution.parse(s) for s in cfg["legs"]]
+    if not cfg["sweep_shape"]:
+        return "triangle", triangle_simulate(legs, cfg["samples"], cfg["seed"])
+    start, stop, count = cfg["sweep_shape"]
+    if legs[0].kind != "skewnormal":
+        raise UsageError("--sweep-shape requires a skewnormal first leg")
+    rows = []
+    for shape in np.linspace(start, stop, int(count)):
+        swept = LegDistribution("skewnormal", legs[0].location, legs[0].scale, float(shape))
+        row = reports.jsonable(triangle_simulate([swept, *legs[1:]], cfg["samples"], cfg["seed"]))
+        row["shape"] = float(shape)
+        rows.append(row)
+    return "triangle-sweep", {"rows": rows}
+
+
+def _run_demon(cfg: dict):
+    family = make_family(cfg["family"], margin=cfg["margin"])
+    options = {name: cfg[name] for name in ("method", "h", "tensor_at")}
+    return "demon", demon_work(family, cfg["waypoints"], **options)
+
+
+def _run_spread(cfg: dict):
+    family = make_family(cfg["family"], margin=cfg["margin"])
+    sampler = TradeSampler.parse(cfg["sampler"], family.dimension)
+    options = {name: cfg[name] for name in ("method", "h")}
+    return "spread", spread_estimate(family, sampler, cfg["samples"], cfg["seed"], **options)
+
+
+def _run_holonomy(cfg: dict):
+    loop = [[complex(re, im) for re, im in state] for state in cfg["loop"]]
+    return "holonomy", {"phase": bargmann_phase(loop), "n_vertices": len(loop)}
+
+
+def _run_veronese(cfg: dict):
+    embedded = veronese_embed([complex(re, im) for re, im in cfg["state"]])
+    return "veronese", {"input": cfg["state"], "embedded": embedded.amplitudes}
+
+
+# ---------------------------------------------------------------------------
+# Resolvers for fields that depend on more than their own argument
+# ---------------------------------------------------------------------------
+
+
+def _default_fd_step(cfg: dict) -> None:
+    if cfg["h"] is None and cfg["method"] == "fd":
+        cfg["h"] = 5e-2  # the finite-difference default, resolved explicitly
+
+
+def _resolve_tensor(args, cfg: dict) -> None:
+    if cfg["h"] is None:
+        cfg["h"] = 1e-2 if cfg["order"] == "metric" else 5e-2
+
+
+def _resolve_demon(args, cfg: dict) -> None:
+    _default_fd_step(cfg)
+    if (args.path is None) == (args.waypoints is None):
+        raise UsageError("demon needs exactly one of --path or --waypoints")
+    if args.path is not None:
+        with open(args.path, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+        cfg["waypoints"] = [_parse_floats(x) for x in lines if x and not x.startswith("#")]
+    else:
+        cfg["waypoints"] = [_parse_floats(x) for x in args.waypoints.split(";") if x.strip()]
+
+
+def _resolve_spread(args, cfg: dict) -> None:
+    family = make_family(args.family, margin=args.margin)
+    cfg["sampler"] = TradeSampler.parse(args.sampler, family.dimension).spec()
+    _default_fd_step(cfg)
+
+
+# ---------------------------------------------------------------------------
+# The subcommand table
+# ---------------------------------------------------------------------------
+
+
+class Table(NamedTuple):
+    """The column CSV form of a report kind whose result holds a row list."""
+
+    columns: tuple
+    row: Callable[[dict], tuple]
+    comment: str
+    rows: str = "rows"
+
+
+def _log10_errors(rung: dict) -> tuple:
+    return (
+        math.log10(rung["h"]),
+        "" if not rung["metric_error"] else math.log10(rung["metric_error"]),
+        "" if not rung["cubic_error"] else math.log10(rung["cubic_error"]),
+    )
+
+
+class Subcommand(NamedTuple):
+    """One ``geo`` subcommand.
+
+    ``args`` are ``(flag, field, argparse options)`` triples; an argument with
+    a field resolves to the config field of its argparse name, and a replayed
+    config must have every such field.  ``resolve(args, cfg)`` fills in the
+    fields that need more than their own argument.  ``run(cfg)`` returns
+    ``(kind, result)``; ``tables`` maps ``(kind, format)`` to a column form.
+    Replay has no runner: its config comes from the report it re-runs.
+    """
+
+    help: str
+    args: tuple
+    run: Callable | None = None
+    resolve: Callable | None = None
+    tables: dict = {}
+
+    @property
+    def config_fields(self) -> dict:
+        return {
+            options.get("dest", flag.lstrip("-").replace("-", "_")): kind
+            for flag, kind, options in self.args
+            if kind is not None
+        }
+
+
+REQUIRED = {"required": True}
+FAMILY = ("--family", TEXT, REQUIRED)
+AT = ("--at", NUMBERS, REQUIRED)
+STEPS = ("--steps", NUMBERS, REQUIRED)
+SAMPLES = ("--samples", INT, REQUIRED)
+SEED = ("--seed", INT, REQUIRED)
+RICHARDSON = ("--richardson", FLAG, {})
+METHOD = ("--method", _one_of("fd", "oracle"), {"default": "fd"})
+FD_STEP = ("--h", _optional(NUMBER), {})
+EPS = ("--eps", NUMBER, {"default": 1e-3})
+MARGIN = ("--margin", NUMBER, {"default": 1e-9})
+OUTPUT = (("--format", FORMAT, {}), ("--out", None, {}))
+
+SUBCOMMANDS = {
+    "gap": Subcommand(
+        "exact collective-vs-sequential fidelity gap",
+        args=(("--n", _optional(INT), {}), ("--table", _optional(INT), {})),
+        run=_run_gap,
+        tables={
+            ("gap-table", "csv"): Table(
+                ("N", "s", "f_col", "f_seq", "gap", "f_col_dec", "f_seq_dec", "gap_dec"),
+                itemgetter(
+                    "n_copies", "spin", "f_col", "f_seq", "gap",
+                    "f_col_decimal", "f_seq_decimal", "gap_decimal",
+                ),
+                "exact rationals as p/q plus decimal twins",
+            ),
+            ("gap-table", "plot-csv"): Table(
+                ("N", "f_col", "f_seq", "gap"),
+                itemgetter("n_copies", "f_col_decimal", "f_seq_decimal", "gap_decimal"),
+                "copies N vs collective/sequential fidelities and their gap",
+            ),
+        },
+    ),
+    "estimate": Subcommand(
+        "Monte-Carlo single-copy fidelity",
+        args=(
+            ("--copies", INT, {"default": 1}),
+            ("--trials", INT, REQUIRED),
+            SEED,
+            ("--guess", _one_of("outcome", "fixed"), {"default": "outcome"}),
+        ),
+        run=_run_estimate,
+    ),
+    "divergence": Subcommand(
+        "evaluate D(p || q)",
+        args=(FAMILY, ("--p", NUMBERS, REQUIRED), ("--q", NUMBERS, REQUIRED), EPS, MARGIN),
+        run=_run_divergence,
+    ),
+    "tensor": Subcommand(
+        "extract the metric or cubic tensor",
+        args=(
+            FAMILY,
+            AT,
+            ("--order", _one_of("metric", "cubic"), {"default": "metric"}),
+            ("--h", NUMBER, {}),
+            RICHARDSON,
+            EPS,
+            MARGIN,
+        ),
+        resolve=_resolve_tensor,
+        run=_run_tensor,
+    ),
+    "asymmetry": Subcommand(
+        "probe D(p||p+hv) - D(p+hv||p)",
+        args=(
+            FAMILY,
+            AT,
+            ("--dir", NUMBERS, {"dest": "direction", "metavar": "DIR", "required": True}),
+            STEPS,
+            EPS,
+            MARGIN,
+        ),
+        run=_run_asymmetry,
+    ),
+    "convergence": Subcommand(
+        "error decay across a step ladder",
+        args=(FAMILY, AT, STEPS, RICHARDSON, EPS, MARGIN),
+        run=_run_convergence,
+        tables={
+            ("convergence", "plot-csv"): Table(
+                ("log10_h", "log10_metric_error", "log10_cubic_error"),
+                _log10_errors,
+                "step size vs oracle error for the metric and cubic tensors",
+                rows="rungs",
+            ),
+        },
+    ),
+    "triangle": Subcommand(
+        "three-leg round-trip simulation",
+        args=(
+            ("--legs", LEGS, {"nargs": 3, "required": True}),
+            SAMPLES,
+            SEED,
+            (
+                "--sweep-shape",
+                SWEEP,
+                {"help": "start,stop,count sweep of the first leg's shape parameter"},
+            ),
+        ),
+        run=_run_triangle,
+        tables={
+            ("triangle-sweep", "plot-csv"): Table(
+                ("shape", "bare_cubic_mean", "bare_cubic_se"),
+                itemgetter("shape", "bare_cubic_mean", "bare_cubic_se"),
+                "first-leg shape vs mean cubic contribution (1/3) sum x^3",
+            ),
+        },
+    ),
+    "demon": Subcommand(
+        "path work sum, forward and reversed",
+        args=(
+            FAMILY,
+            ("--path", None, {"help": "CSV file, one waypoint per line"}),
+            ("--waypoints", POINTS, {"help": "inline 'a,b;c,d;...' path"}),
+            METHOD,
+            FD_STEP,
+            ("--tensor-at", _one_of("start", "midpoint"), {"default": "start"}),
+            MARGIN,
+        ),
+        resolve=_resolve_demon,
+        run=_run_demon,
+    ),
+    "spread": Subcommand(
+        "average surcharge over sampled trades",
+        args=(FAMILY, ("--sampler", TEXT, REQUIRED), SAMPLES, SEED, METHOD, FD_STEP, MARGIN),
+        resolve=_resolve_spread,
+        run=_run_spread,
+    ),
+    "holonomy": Subcommand(
+        "Bargmann phase of a loop of states",
+        args=(
+            ("--loop", LOOP, {"required": True, "help": "JSON file: array of amplitude arrays"}),
+        ),
+        run=_run_holonomy,
+    ),
+    "veronese": Subcommand(
+        "embed a qubit in the spin-1 symmetric subspace",
+        args=(("--state", STATE, REQUIRED),),
+        run=_run_veronese,
+    ),
+    "replay": Subcommand(
+        "re-run a report from its embedded config",
+        args=(("report", None, {"help": "path to a previously emitted JSON report"}),),
+    ),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="geo", description=__doc__)
+    sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
+    for name, command in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kind, options in (*command.args, *OUTPUT):
+            p.add_argument(flag, **(kind.options if kind else {}), **options)
+    return parser
+
+
+def build_config(args) -> dict:
+    """Resolve every config field explicitly; no silent defaults."""
+    command = SUBCOMMANDS.get(args.subcommand)
+    if command is None or command.run is None:
+        raise UsageError("missing subcommand; try 'geo --help'")
+    # the output path is where the document goes, not part of its content,
+    # so it stays out of the embedded config on purpose
+    fmt = args.format or os.environ.get("GEO_DEFAULT_FORMAT") or "json"
+    if fmt not in FORMATS:
+        raise UsageError(f"unsupported format {fmt!r} (GEO_DEFAULT_FORMAT?)")
+    cfg = {"subcommand": args.subcommand, "format": fmt}
+    for name, kind in command.config_fields.items():
+        value = getattr(args, name)
+        cfg[name] = None if value is None else kind.parse(value)
+    if command.resolve is not None:
+        command.resolve(args, cfg)
+    return cfg
 
 
 def dispatch(cfg: dict):
-    sub = cfg["subcommand"]
-    if sub == "gap":
-        if cfg["n"] is not None:
-            return "gap", _gap_row(gap_report(cfg["n"]))
-        return "gap-table", {"rows": [_gap_row(r) for r in gap_table(cfg["table"])]}
-    if sub == "estimate":
-        est = mc_single_copy_fidelity(cfg["trials"], cfg["seed"], guess=cfg["guess"])
-        return "estimate", reports.jsonable(est)
-    if sub == "divergence":
-        div = _resolve_divergence(cfg["family"], cfg["eps"], cfg["margin"])
-        value = div.divergence(cfg["p"], cfg["q"])
-        return "divergence", {"family": div.family_id, "value": value}
-    if sub == "tensor":
-        return "tensor", _tensor_result(cfg)
-    if sub == "asymmetry":
-        return "asymmetry", _asymmetry_result(cfg)
-    if sub == "convergence":
-        return "convergence", _convergence_result(cfg)
-    if sub == "triangle":
-        legs = [LegDistribution.parse(s) for s in cfg["legs"]]
-        if cfg.get("sweep_shape"):
-            start, stop, count = cfg["sweep_shape"]
-            if legs[0].kind != "skewnormal":
-                raise UsageError("--sweep-shape requires a skewnormal first leg")
-            rows = []
-            for shape in np.linspace(start, stop, int(count)):
-                swept = LegDistribution(
-                    "skewnormal", legs[0].location, legs[0].scale, float(shape)
-                )
-                rep = triangle_simulate(
-                    [swept, legs[1], legs[2]], cfg["samples"], cfg["seed"]
-                )
-                row = _triangle_row(rep)
-                row["shape"] = float(shape)
-                rows.append(row)
-            return "triangle-sweep", {"rows": rows}
-        return "triangle", _triangle_row(
-            triangle_simulate(legs, cfg["samples"], cfg["seed"])
-        )
-    if sub == "demon":
-        family = make_family(cfg["family"], margin=cfg["margin"])
-        rep = demon_work(
-            family,
-            cfg["waypoints"],
-            method=cfg["method"],
-            h=cfg["h"],
-            tensor_at=cfg["tensor_at"],
-        )
-        return "demon", reports.jsonable(rep)
-    if sub == "spread":
-        family = make_family(cfg["family"], margin=cfg["margin"])
-        sampler = TradeSampler.parse(cfg["sampler"], family.dimension)
-        rep = spread_estimate(
-            family,
-            sampler,
-            cfg["samples"],
-            cfg["seed"],
-            method=cfg["method"],
-            h=cfg["h"],
-        )
-        return "spread", reports.jsonable(rep)
-    if sub == "holonomy":
-        loop = [[complex(re, im) for re, im in state] for state in cfg["loop"]]
-        phase = bargmann_phase(loop)
-        return "holonomy", {"phase": phase, "n_vertices": len(loop)}
-    if sub == "veronese":
-        state = [complex(re, im) for re, im in cfg["state"]]
-        embedded = veronese_embed(state)
-        return "veronese", {
-            "input": cfg["state"],
-            "embedded": _amplitudes_to_pairs(embedded),
-        }
-    raise UsageError(f"unknown subcommand {sub!r}")
+    """Run a resolved config; returns ``(kind, result)``."""
+    command = SUBCOMMANDS.get(cfg["subcommand"])
+    if command is None or command.run is None:
+        raise UsageError(f"unknown subcommand {cfg['subcommand']!r}")
+    return command.run(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -526,77 +571,18 @@ def dispatch(cfg: dict):
 # ---------------------------------------------------------------------------
 
 
-def _plot_csv(kind: str, report: dict) -> str:
-    result = report["result"]
-    if kind == "gap-table":
-        rows = [
-            (r["n_copies"], r["f_col_decimal"], r["f_seq_decimal"], r["gap_decimal"])
-            for r in result["rows"]
-        ]
-        return reports.table_csv(
-            ["N", "f_col", "f_seq", "gap"],
-            rows,
-            comment="copies N vs collective/sequential fidelities and their gap",
-        )
-    if kind == "convergence":
-        rows = []
-        for r in result["rungs"]:
-            rows.append(
-                (
-                    math.log10(r["h"]),
-                    "" if not r["metric_error"] else math.log10(r["metric_error"]),
-                    "" if not r["cubic_error"] else math.log10(r["cubic_error"]),
-                )
-            )
-        return reports.table_csv(
-            ["log10_h", "log10_metric_error", "log10_cubic_error"],
-            rows,
-            comment="step size vs oracle error for the metric and cubic tensors",
-        )
-    if kind == "triangle-sweep":
-        rows = [
-            (r["shape"], r["bare_cubic_mean"], r["bare_cubic_se"])
-            for r in result["rows"]
-        ]
-        return reports.table_csv(
-            ["shape", "bare_cubic_mean", "bare_cubic_se"],
-            rows,
-            comment="first-leg shape vs mean cubic contribution (1/3) sum x^3",
-        )
-    raise UsageError(f"plot-csv is not defined for report kind {kind!r}")
-
-
-def _gap_table_csv(report: dict) -> str:
-    rows = [
-        (
-            r["n_copies"],
-            r["spin"],
-            r["f_col"],
-            r["f_seq"],
-            r["gap"],
-            r["f_col_decimal"],
-            r["f_seq_decimal"],
-            r["gap_decimal"],
-        )
-        for r in report["result"]["rows"]
-    ]
-    return reports.table_csv(
-        ["N", "s", "f_col", "f_seq", "gap", "f_col_dec", "f_seq_dec", "gap_dec"],
-        rows,
-        comment="exact rationals as p/q plus decimal twins",
-    )
-
-
 def render(report: dict) -> str:
     fmt = report["config"]["format"]
     kind = report["kind"]
     if fmt == "json":
         return reports.dump_json(report)
+    table = SUBCOMMANDS[report["config"]["subcommand"]].tables.get((kind, fmt))
+    if table is not None:
+        rows = map(table.row, report["result"][table.rows])
+        return reports.table_csv(table.columns, rows, comment=table.comment)
     if fmt == "csv":
-        if kind == "gap-table":
-            return _gap_table_csv(report)
         return reports.kv_csv(report)
-    return _plot_csv(kind, report)
+    raise UsageError(f"plot-csv is not defined for report kind {kind!r}")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -628,15 +614,16 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     if args.subcommand == "replay":
-        text = _replay(args.report, args.format)
+        cfg = _replay_config(args.report, args.format)
     else:
-        text = render(run_config(build_config(args)))
-    _write(text, args.out)
+        cfg = build_config(args)
+    _write(render(run_config(cfg)), args.out)
     return 0
 
 
-def _replay(path: str, fmt: str | None) -> str:
-    """Re-run and render the report in ``path`` from its embedded config."""
+def _replay_config(path: str, fmt: str | None) -> dict:
+    """The config embedded in the report at ``path``, checked against the
+    fields of its subcommand, with ``fmt`` (if given) as its format."""
     with open(path, "r", encoding="utf-8") as fh:
         original = json.load(fh)
     if not isinstance(original, dict) or not isinstance(original.get("config"), dict):
@@ -644,12 +631,16 @@ def _replay(path: str, fmt: str | None) -> str:
     cfg = dict(original["config"])
     if fmt:
         cfg["format"] = fmt
-    try:
-        return render(run_config(cfg))
-    except KeyError as exc:
-        if exc.args[0] in cfg:
-            raise
-        raise UsageError(f"replay {path}: config lacks field {exc.args[0]!r}") from exc
+    runnable = tuple(name for name, command in SUBCOMMANDS.items() if command.run)
+    fields = {"subcommand": _one_of(*runnable), "format": FORMAT}
+    if cfg.get("subcommand") in runnable:
+        fields.update(SUBCOMMANDS[cfg["subcommand"]].config_fields)
+    for name, kind in fields.items():
+        if name not in cfg:
+            raise UsageError(f"replay {path}: config lacks field {name!r}")
+        if not kind.test(cfg[name]):
+            raise UsageError(f"replay {path}: config field {name!r} must be {kind.what}")
+    return cfg
 
 
 def main(argv=None) -> int:

@@ -36,7 +36,6 @@ __all__ = [
     "GaussianFull",
     "NaturalChart",
     "NaturalView",
-    "evaluate",
     "score_moment_tensor",
     "natural_chart",
     "natural_view",
@@ -603,11 +602,6 @@ class NaturalView:
 
     def __repr__(self):
         return f"<NaturalView of {self.family.family_id}>"
-
-
-def evaluate(family: DivergenceFamily, p, q) -> float:
-    """D(p || q) under the package-wide direction convention."""
-    return family.divergence(p, q)
 
 
 def natural_chart(family: ExponentialFamily) -> NaturalChart:

@@ -24,6 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .roundtrip import CHUNK_SIZE, _Accumulator, _chunks
+
 __all__ = [
     "GapReport",
     "FidelityEstimate",
@@ -32,8 +34,6 @@ __all__ = [
     "mc_single_copy_fidelity",
     "CHUNK_SIZE",
 ]
-
-CHUNK_SIZE = 1 << 16
 
 N1_CONFLICT_NOTE = (
     "tabulated gap at N=1 is 0 (sequential and collective coincide for a "
@@ -96,10 +96,6 @@ class FidelityEstimate:
     guess: str
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
 def mc_single_copy_fidelity(
     trials: int, seed: int, guess: str = "outcome"
 ) -> FidelityEstimate:
@@ -116,13 +112,8 @@ def mc_single_copy_fidelity(
         raise ValueError("need at least 1e4 trials for a meaningful estimate")
     if guess not in ("outcome", "fixed"):
         raise ValueError("guess must be 'outcome' or 'fixed'")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    index = 0
-    while done < trials:
-        n = min(CHUNK_SIZE, trials - done)
-        rng = _chunk_rng(seed, index)
+    acc = _Accumulator()
+    for rng, n in _chunks(trials, seed):
         z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         weight = np.abs(z) ** 2
         u = weight[:, 0] / weight.sum(axis=1)  # |<0|psi>|^2, uniform on [0,1]
@@ -131,15 +122,10 @@ def mc_single_copy_fidelity(
             score = np.where(outcome_zero, u, 1.0 - u)
         else:
             score = u
-        total += float(score.sum())
-        total_sq += float((score**2).sum())
-        done += n
-        index += 1
-    mean = total / trials
-    var = max(0.0, total_sq / trials - mean**2)
+        acc.add(score)
     return FidelityEstimate(
-        mean=mean,
-        std_error=float(np.sqrt(var / trials)),
+        mean=acc.mean,
+        std_error=acc.std_error,
         trials=trials,
         seed=seed,
         guess=guess,

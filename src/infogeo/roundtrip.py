@@ -137,16 +137,38 @@ class LegDistribution:
         return x, rejected
 
 
+def _chunks(samples: int, seed: int):
+    """Yield ``(rng, n)`` for consecutive chunks of at most CHUNK_SIZE draws;
+    each chunk's generator derives from (seed, chunk index) alone."""
+    for index, start in enumerate(range(0, samples, CHUNK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+        yield rng, min(CHUNK_SIZE, samples - start)
+
+
 @dataclass
 class _Accumulator:
+    """Mean and standard error of samples added chunk by chunk.
+
+    Each chunk contributes its count, its sum and M2, the sum of squared
+    deviations from its own mean; chunks merge by the pairwise update of
+    Chan, Golub & LeVeque (1979).  This keeps the variance accurate when the
+    mean is large against the spread, where E[x^2] - mean^2 cancels.
+    """
+
     n: int = 0
     total: float = 0.0
-    total_sq: float = 0.0
+    m2: float = 0.0
 
     def add(self, values: np.ndarray):
-        self.n += values.size
-        self.total += float(values.sum())
-        self.total_sq += float((values**2).sum())
+        k = values.size
+        total = float(values.sum())
+        m2 = float(((values - total / k) ** 2).sum())
+        if self.n:
+            delta = total / k - self.mean
+            m2 += self.m2 + delta**2 * self.n * k / (self.n + k)
+        self.n += k
+        self.total += total
+        self.m2 = m2
 
     @property
     def mean(self) -> float:
@@ -154,8 +176,7 @@ class _Accumulator:
 
     @property
     def std_error(self) -> float:
-        var = max(0.0, self.total_sq / self.n - self.mean**2)
-        return math.sqrt(var / self.n)
+        return math.sqrt(self.m2 / self.n / self.n)
 
 
 @dataclass
@@ -174,10 +195,6 @@ class TriangleReport:
     leg_skewness: list[float]
     rejected: int
     identity_max_error: float  # max |sum log(1+x) - log prod(1+x)| seen
-
-
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
@@ -203,11 +220,7 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
     max_rejected = 0.01 * 3 * samples
     identity_err = 0.0
 
-    done = 0
-    index = 0
-    while done < samples:
-        n = min(CHUNK_SIZE, samples - done)
-        rng = _chunk_rng(seed, index)
+    for rng, n in _chunks(samples, seed):
         x = np.empty((3, n))
         for i, leg in enumerate(legs):
             x[i], rej = leg.sample(rng, n, budget=max_rejected - rejected)
@@ -223,8 +236,6 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
         quad.add(s1 - 0.5 * s2)
         cubic.add(s1 - 0.5 * s2 + s3 / 3.0)
         bare.add(s3 / 3.0)
-        done += n
-        index += 1
 
     skew = []
     for i in range(3):
@@ -447,11 +458,7 @@ def spread_estimate(
         raise ValueError("need at least one sample")
     acc = _Accumulator()
     cache: dict[bytes, np.ndarray] = {}
-    done = 0
-    index = 0
-    while done < samples:
-        n = min(CHUNK_SIZE, samples - done)
-        rng = _chunk_rng(seed, index)
+    for rng, n in _chunks(samples, seed):
         points, steps = sampler.sample(rng, n)
         values = np.empty(n)
         for row in range(n):
@@ -468,8 +475,6 @@ def spread_estimate(
                 / 6.0
             )
         acc.add(values)
-        done += n
-        index += 1
     return SpreadReport(
         family_id=family.family_id,
         sampler_spec=sampler.spec(),

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import infogeo
-from infogeo.cli import main
+from infogeo.cli import SUBCOMMANDS, main
 from infogeo.reports import strip_timestamp
 
 
@@ -237,8 +237,47 @@ def test_replay_reproduces_bytes(tmp_path, capsys):
     assert a == b
 
 
+# one small JSON-emitting invocation per subcommand; {tmp} is the test's directory
+REPLAY_CASES = {
+    "gap": ["gap", "--table", "3"],
+    "estimate": ["estimate", "--trials", "10000", "--seed", "5", "--guess", "fixed"],
+    "divergence": ["divergence", "--family", "qre:bloch", "--p", "0,0,0.5", "--q", "0,0.2,0"],
+    "tensor": ["tensor", "--family", "natural:bernoulli", "--at", "0.3", "--order", "cubic"],
+    "asymmetry": ["asymmetry", "--family", "exponential", "--at", "1", "--dir", "1",
+                  "--steps", "0.1,0.05,0.025,0.0125"],
+    "convergence": ["convergence", "--family", "bernoulli", "--at", "0.3", "--steps", "0.1,0.05",
+                    "--richardson"],
+    "triangle": ["triangle", "--legs", "skewnormal:0,0.01,-4", "gaussian:0,0.01",
+                 "gaussian:0,0.01", "--samples", "1000", "--seed", "3", "--sweep-shape=-1,1,2"],
+    "demon": ["demon", "--family", "exponential", "--path", "{tmp}/path.csv"],
+    "spread": ["spread", "--family", "exponential", "--sampler", "gauss:1.0,0.05",
+               "--samples", "100", "--seed", "2"],
+    "holonomy": ["holonomy", "--loop", "{tmp}/loop.json"],
+    "veronese": ["veronese", "--state", "0.6,0.8i"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(SUBCOMMANDS) - {"replay"}))
+def test_every_subcommand_replays_byte_identically(tmp_path, capsys, name):
+    assert name in REPLAY_CASES, f"no replay case for subcommand {name!r}"
+    (tmp_path / "path.csv").write_text("1.0\n1.1\n1.2\n")
+    (tmp_path / "loop.json").write_text(json.dumps([[[1, 0], [0, 0]], [[1, 0], [1, 0]], [[1, 0], [0, 1]]]))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    argv = [arg.format(tmp=tmp_path) for arg in REPLAY_CASES[name]]
+    assert main(argv + ["--out", str(first)]) == 0
+    assert main(["replay", str(first), "--out", str(second)]) == 0
+    assert json.loads(first.read_text())["config"]["subcommand"] == name
+    assert strip_timestamp(first.read_text()) == strip_timestamp(second.read_text())
+
+
 def test_replay_missing_file_exits_1(capsys):
     assert main(["replay", "/nonexistent/report.json"]) == 1
+
+
+DIVERGENCE_CONFIG = {
+    "subcommand": "divergence", "format": "json", "family": "exponential",
+    "p": [1.0], "q": [2.0], "eps": 1e-3, "margin": 1e-9,
+}
 
 
 @pytest.mark.parametrize(
@@ -246,6 +285,8 @@ def test_replay_missing_file_exits_1(capsys):
     [
         [1, 2],  # not an object
         {"schema_version": 1, "kind": "gap", "result": {}},  # no config
+        {"config": dict(DIVERGENCE_CONFIG, family=3)},  # a field of the wrong type
+        {"config": dict(DIVERGENCE_CONFIG, format="yaml")},  # no such format
     ],
 )
 def test_replay_of_non_report_exits_1(tmp_path, capsys, document):

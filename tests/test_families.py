@@ -24,7 +24,6 @@ from infogeo import (
     Point,
     UnsupportedFamily,
     bregman_divergence,
-    evaluate,
     make_family,
     natural_chart,
     natural_view,
@@ -92,11 +91,11 @@ def _interior_points(family, n=4, seed=0):
 
 
 def test_divergence_reference_values():
-    assert evaluate(Categorical(2), [0.5], [0.5]) == 0.0
-    assert evaluate(ExponentialScale(), [1.0], [2.0]) == pytest.approx(
+    assert Categorical(2).divergence([0.5], [0.5]) == 0.0
+    assert ExponentialScale().divergence([1.0], [2.0]) == pytest.approx(
         1.0 - math.log(2.0), abs=1e-15
     )
-    assert evaluate(GaussianFixedSigma(1.0), [0.0], [0.1]) == pytest.approx(
+    assert GaussianFixedSigma(1.0).divergence([0.0], [0.1]) == pytest.approx(
         0.005, abs=1e-18
     )
 

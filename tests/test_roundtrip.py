@@ -19,6 +19,7 @@ from infogeo import (
     triangle_simulate,
     work_surcharge,
 )
+from infogeo.roundtrip import CHUNK_SIZE, _Accumulator
 
 
 # --- leg distributions -------------------------------------------------------
@@ -250,3 +251,16 @@ def test_spread_deterministic():
     a = spread_estimate(fam, sampler, samples=3_000, seed=12, method="oracle")
     b = spread_estimate(fam, sampler, samples=3_000, seed=12, method="oracle")
     assert a == b
+
+
+# --- Monte-Carlo accumulator -------------------------------------------------
+
+
+def test_accumulator_standard_error_at_large_mean():
+    # at this mean E[x^2] - mean^2 cancels to rounding noise (0.0 for this draw)
+    x = 1e6 + 1e-3 * np.random.default_rng(0).standard_normal(100_000)
+    acc = _Accumulator()
+    for start in range(0, x.size, CHUNK_SIZE):
+        acc.add(x[start:start + CHUNK_SIZE])
+    assert acc.mean == pytest.approx(x.mean(), rel=1e-15)
+    assert acc.std_error == pytest.approx(x.std() / math.sqrt(x.size), rel=0.01)
