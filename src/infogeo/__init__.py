@@ -28,7 +28,6 @@ from .families import (
     Point,
     bregman_divergence,
     make_family,
-    natural_chart,
     natural_view,
     score_moment_tensor,
 )

@@ -1,9 +1,9 @@
 """Command-line entry point: every operation as a subcommand.
 
 One invocation writes exactly one report document (JSON, CSV, or plot CSV)
-to stdout or, atomically, to ``--out``.  Diagnostics go to stderr and never
-into the report.  Exit codes: 0 success, 1 usage/domain/validation errors,
-2 numerical-conditioning errors.
+to stdout or to ``--out``, atomically when that names a regular file.
+Diagnostics go to stderr and never into the report.  Exit codes: 0 success,
+1 usage/domain/validation errors, 2 numerical-conditioning errors.
 
 Stochastic subcommands (estimate, triangle, spread) require an explicit
 ``--seed``; the fully resolved configuration is embedded in every report, and
@@ -32,6 +32,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
+from .extraction import _tensor_error
 from .extraction import asymmetry_probe, convergence_report, extract_cubic, extract_metric
 from .families import make_family, natural_view
 from .gap import gap_report, gap_table, mc_single_copy_fidelity
@@ -225,11 +226,8 @@ def _run_tensor(cfg: dict):
         "values": [float(comps[idx]) for idx in packed],
     }
     if oracle is not None:
-        oracle = np.asarray(oracle, dtype=float)
-        denom = float(np.max(np.abs(oracle)))
-        delta = float(np.max(np.abs(comps - oracle)))
-        result["oracle"] = oracle.tolist()
-        result["oracle_delta"] = delta / denom if denom > 0 else delta
+        result["oracle"] = np.asarray(oracle, dtype=float).tolist()
+        result["oracle_delta"] = _tensor_error(comps, oracle)
     return "tensor", result
 
 
@@ -591,6 +589,11 @@ def render(report: dict) -> str:
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
+        return
+    if os.path.exists(out) and not os.path.isfile(out):
+        # a FIFO or a device is written in place: replacing it would destroy it
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,10 +35,8 @@ __all__ = [
     "Bernoulli",
     "Categorical",
     "GaussianFull",
-    "NaturalChart",
     "NaturalView",
     "score_moment_tensor",
-    "natural_chart",
     "natural_view",
     "rows_inside",
     "bregman_divergence",
@@ -69,7 +67,7 @@ def _coerce(family, x) -> np.ndarray:
             f"{family.family_id}: expected {family.dimension} coordinate(s), "
             f"got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{family.family_id}: non-finite coordinates {arr}")
     return arr
 
@@ -460,10 +458,8 @@ class Categorical(ExponentialFamily):
         w = np.exp(z)
         return (w / w.sum())[: self.dimension]
 
-    def natural_jacobian(self, x):
-        full = self._full(_coerce(self, x))
-        d = self.dimension
-        return np.diag(1.0 / full[:d]) + 1.0 / full[-1]
+    # d(natural)/d(mean chart) is the Fisher metric of the mean chart
+    natural_jacobian = fisher
 
     def _natural_inside(self, eta):
         return np.isfinite(eta).all(axis=-1)
@@ -597,16 +593,6 @@ class GaussianFull(ExponentialFamily):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NaturalChart:
-    """Forward/inverse map between a family's default and natural charts."""
-
-    family_id: str
-    forward: Callable[[Sequence[float]], np.ndarray]
-    inverse: Callable[[Sequence[float]], np.ndarray]
-    jacobian: Callable[[Sequence[float]], np.ndarray]
-
-
 class NaturalView(RowDomain):
     """The same family re-parametrized by its natural coordinates.
 
@@ -628,9 +614,11 @@ class NaturalView(RowDomain):
         return self.family._natural_inside(eta)
 
     def divergence(self, p, q) -> float:
-        return self.family.divergence(
-            self.family.from_natural(p), self.family.from_natural(q)
-        )
+        p, q = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (p, q))
+        for which, eta in (("first", p), ("second", q)):
+            if eta.shape != (self.dimension,) or not self._inside(eta):
+                raise DomainError(f"{self.family_id}: {which} argument {eta} outside domain")
+        return self.family.divergence(self.family.from_natural(p), self.family.from_natural(q))
 
     def fisher(self, eta):
         return self.family.natural_fisher(eta)
@@ -644,18 +632,6 @@ class NaturalView(RowDomain):
 
     def __repr__(self):
         return f"<NaturalView of {self.family.family_id}>"
-
-
-def natural_chart(family: ExponentialFamily) -> NaturalChart:
-    """Chart transform between the default and natural parametrizations."""
-    if not isinstance(family, ExponentialFamily):
-        raise UnsupportedFamily(f"{family!r} is not an exponential family")
-    return NaturalChart(
-        family_id=family.family_id,
-        forward=family.to_natural,
-        inverse=family.from_natural,
-        jacobian=family.natural_jacobian,
-    )
 
 
 def natural_view(family: ExponentialFamily) -> NaturalView:

@@ -8,10 +8,12 @@ states reachable by acting on each factor identically.
 Quantum relative entropy is infinite between states of non-overlapping
 support, so every evaluation happens on smoothed states
 rho_eps = (1 - eps) rho + eps I/d; the smoothing value always travels with
-the result.  The holonomy of a loop of rays is the phase of the cyclic
-product of successive overlaps, taken in the order that makes the octant
-loop |0> -> |x+> -> |y+> come out at -pi/4 (minus half the enclosed solid
-angle for the traversal orientation); reversing the loop flips the sign.
+the result.  A chart supplies only its domain ``_inside`` and its state map
+``_state``; the chart base checks, smooths and validates each point.  The
+holonomy of a loop of rays is the phase of the cyclic product of successive
+overlaps, taken in the order that makes the octant loop |0> -> |x+> -> |y+>
+come out at -pi/4 (minus half the enclosed solid angle for the traversal
+orientation); reversing the loop flips the sign.
 """
 
 from __future__ import annotations
@@ -100,9 +102,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def smoothed(self, eps: float) -> np.ndarray:
-        return (1.0 - eps) * self.entries + eps * np.eye(self.dim) / self.dim
-
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
 
@@ -119,6 +118,12 @@ def _as_matrix(x) -> np.ndarray:
     if isinstance(x, PureState):
         return pure_density(x).entries
     return DensityMatrix(x).entries
+
+
+def _smooth(m: np.ndarray, eps: float) -> np.ndarray:
+    """``m`` mixed with weight ``eps`` into the maximally mixed state I/d."""
+    d = m.shape[0]
+    return (1.0 - eps) * m + eps * np.eye(d) / d
 
 
 def fubini_study_distance(a, b) -> float:
@@ -186,9 +191,7 @@ def quantum_relative_entropy(rho, sigma, eps: float = 1e-3) -> float:
     rho, sigma = _as_matrix(rho), _as_matrix(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} != {sigma.shape}")
-    d = rho.shape[0]
-    smooth = lambda m: (1.0 - eps) * m + eps * np.eye(d) / d
-    return _relative_entropy_strict(smooth(rho), smooth(sigma))
+    return _relative_entropy_strict(_smooth(rho, eps), _smooth(sigma, eps))
 
 
 def quantum_jsd(rho, sigma) -> float:
@@ -239,18 +242,27 @@ _PAULI = (
 class _Chart(RowDomain):
     """Local coordinates on a smoothed state space.
 
-    A chart defines its open domain as ``_inside``, which gives it
-    ``contains`` and ``contains_rows``, and maps a point to a density matrix
-    smoothed by ``eps``.
+    A chart supplies only its open domain, as ``_inside`` (which gives it
+    ``contains`` and ``contains_rows``), and its state map ``_state``, the
+    unsmoothed matrix at a point of that domain.  ``point`` checks the point
+    and returns the state smoothed by ``eps``.
     """
 
     chart_id: str
-    matrix_dim: int
 
     def __init__(self, eps: float = 1e-3):
         if not 0.0 < eps < 1.0:
             raise ValueError("smoothing eps must lie in (0, 1)")
         self.eps = float(eps)
+
+    def _state(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def point(self, x) -> DensityMatrix:
+        x = np.asarray(x, dtype=float)
+        if not self.contains(x):
+            raise DomainError(f"{self.chart_id}: {x} outside the chart domain")
+        return DensityMatrix(_smooth(self._state(x), self.eps))
 
 
 class BlochChart(_Chart):
@@ -258,7 +270,6 @@ class BlochChart(_Chart):
 
     chart_id = "bloch"
     dimension = 3
-    matrix_dim = 2
 
     def _inside(self, X):
         # the ball lies in the box [-1, 1]^3, so clipping |x| to it changes
@@ -266,12 +277,8 @@ class BlochChart(_Chart):
         X = np.minimum(np.abs(X), 1.0)
         return (X * X).sum(axis=-1) < 1.0
 
-    def point(self, x) -> DensityMatrix:
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise DomainError(f"bloch vector {x} not inside the unit ball")
-        rho = 0.5 * (np.eye(2, dtype=complex) + sum(c * s for c, s in zip(x, _PAULI)))
-        return DensityMatrix((1.0 - self.eps) * rho + self.eps * np.eye(2) / 2.0)
+    def _state(self, x):
+        return 0.5 * (np.eye(2, dtype=complex) + sum(c * s for c, s in zip(x, _PAULI)))
 
 
 class DiagonalQutritChart(_Chart):
@@ -279,18 +286,13 @@ class DiagonalQutritChart(_Chart):
 
     chart_id = "diag-qutrit"
     dimension = 2
-    matrix_dim = 3
 
     def _inside(self, X):
         # as for the categorical simplex: clipping |x| to 1 changes no answer
         return (X > 0.0).all(axis=-1) & (np.minimum(np.abs(X), 1.0).sum(axis=-1) < 1.0)
 
-    def point(self, x) -> DensityMatrix:
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise DomainError(f"{x} is not in the open 3-simplex")
-        rho = np.diag([x[0], x[1], 1.0 - x.sum()]).astype(complex)
-        return DensityMatrix((1.0 - self.eps) * rho + self.eps * np.eye(3) / 3.0)
+    def _state(self, x):
+        return np.diag([x[0], x[1], 1.0 - x.sum()]).astype(complex)
 
 
 class VeroneseChart(_Chart):
@@ -304,25 +306,15 @@ class VeroneseChart(_Chart):
 
     chart_id = "veronese"
     dimension = 2
-    matrix_dim = 3
 
     def _inside(self, X):
         theta, phi = X.T
         return (0.0 < theta) & (theta < math.pi) & (-math.pi < phi) & (phi < math.pi)
 
-    def qubit(self, x) -> PureState:
-        theta, phi = np.asarray(x, dtype=float)
-        return PureState(
-            [math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)]
-        )
-
-    def point(self, x) -> DensityMatrix:
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise DomainError(f"{x} outside the open (theta, phi) rectangle")
-        nu = veronese_embed(self.qubit(x))
-        rho = np.outer(nu.amplitudes, nu.amplitudes.conj())
-        return DensityMatrix((1.0 - self.eps) * rho + self.eps * np.eye(3) / 3.0)
+    def _state(self, x):
+        theta, phi = x
+        nu = veronese_embed([math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)])
+        return np.outer(nu.amplitudes, nu.amplitudes.conj())
 
 
 _CHARTS = {
@@ -353,10 +345,9 @@ class ChartDivergence(RowDomain):
         return self.chart._inside(X)
 
     def divergence(self, p, q) -> float:
-        rho = self.chart.point(p).entries
-        sigma = self.chart.point(q).entries
+        rho, sigma = self.chart.point(p), self.chart.point(q)
         if self.kind == "qre":
-            return _relative_entropy_strict(rho, sigma)
+            return _relative_entropy_strict(rho.entries, sigma.entries)
         return quantum_jsd(rho, sigma)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,10 @@ USAGE_ERRORS = [
     ["asymmetry", "--family", "gaussian-full", "--at", "0,1", "--dir", "1", *LADDER],
     ["convergence", "--family", "exponential", "--at=,", "--steps", "0.1,0.05"],
     ["demon", "--family", "exponential", "--waypoints", "1,2;3,4"],
+    # natural-view points outside the natural domain
+    ["divergence", "--family", "natural:gaussian-full", "--p", "1,1", "--q", "1,-1"],
+    ["divergence", "--family", "natural:gaussian-full", "--p", "1,0", "--q", "1,-1"],
+    ["divergence", "--family", "natural:exponential", "--p", "-1", "--q", "1"],
 ]
 
 
@@ -200,6 +205,12 @@ def test_usage_errors_exit_1(capsys):
 
 def test_domain_error_exits_1(capsys):
     assert main(["divergence", "--family", "exponential", "--p", "-1", "--q", "1"]) == 1
+
+
+def test_natural_view_error_names_the_coordinate_given(capsys):
+    assert main(["divergence", "--family", "natural:exponential", "--p", "-1", "--q", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "geo: exponential:natural: second argument [1.] outside domain\n"
 
 
 def test_conditioning_errors_exit_2(capsys):
@@ -238,6 +249,22 @@ def test_out_file_written_atomically(tmp_path, capsys):
     assert rep["result"]["gap"] == "1/12"
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_writes_a_fifo_in_place(tmp_path, capsys):
+    fifo = tmp_path / "report.pipe"
+    os.mkfifo(fifo)
+    # a reader must be open before a writer can open the FIFO without blocking
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["gap", "--n", "3", "--out", str(fifo)]) == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert json.loads(data)["result"]["gap"] == "1/12"
+    assert capsys.readouterr().out == ""
 
 
 def test_replay_reproduces_bytes(tmp_path, capsys):

@@ -26,7 +26,6 @@ from infogeo import (
     bregman_divergence,
     make_chart_divergence,
     make_family,
-    natural_chart,
     natural_view,
     score_moment_tensor,
 )
@@ -149,26 +148,25 @@ def test_divergence_matches_mpmath():
 
 def test_natural_chart_round_trip_and_jacobian():
     for family in ALL_FAMILIES:
-        chart = natural_chart(family)
         for x in _interior_points(family, 4, seed=2):
-            eta = chart.forward(x)
-            back = chart.inverse(eta)
+            eta = family.to_natural(x)
+            back = family.from_natural(eta)
             assert np.allclose(back, x, rtol=1e-10, atol=1e-12)
-            jac = chart.jacobian(x)
+            jac = family.natural_jacobian(x)
             fd = np.empty((family.dimension, family.dimension))
             h = 1e-6
             for j in range(family.dimension):
                 e = np.zeros(family.dimension)
                 e[j] = h
-                fd[:, j] = (chart.forward(x + e) - chart.forward(x - e)) / (2 * h)
+                fd[:, j] = (family.to_natural(x + e) - family.to_natural(x - e)) / (2 * h)
             assert np.allclose(jac, fd, rtol=1e-5, atol=1e-7)
 
 
 def test_natural_chart_examples():
-    assert natural_chart(ExponentialScale()).forward([1.5]) == pytest.approx([-1.5])
-    assert np.allclose(natural_chart(ExponentialScale()).jacobian([1.5]), [[-1.0]])
-    assert natural_chart(Bernoulli()).forward([0.5]) == pytest.approx([0.0])
-    assert natural_chart(GaussianFixedSigma(1.0)).forward([0.7]) == pytest.approx([0.7])
+    assert ExponentialScale().to_natural([1.5]) == pytest.approx([-1.5])
+    assert np.allclose(ExponentialScale().natural_jacobian([1.5]), [[-1.0]])
+    assert Bernoulli().to_natural([0.5]) == pytest.approx([0.0])
+    assert GaussianFixedSigma(1.0).to_natural([0.7]) == pytest.approx([0.7])
 
 
 def test_log_partition_gradient_is_mean():
@@ -351,6 +349,21 @@ def test_natural_view_protocol():
     assert view.divergence(eta_p, eta_q) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(UnsupportedFamily):
         natural_view(object())
+
+
+@pytest.mark.parametrize(
+    "family, p, q, message",
+    [
+        # sigma^2 = -1/(2 eta_2) is negative, then infinite, off the natural domain
+        (GaussianFull(), [1.0, 1.0], [1.0, -1.0], r"gaussian-full:natural: first argument \[1\. 1\.\]"),
+        (GaussianFull(), [1.0, 0.0], [1.0, -1.0], r"gaussian-full:natural: first argument \[1\. 0\.\]"),
+        # the message names the natural coordinate given, not the rate it maps to
+        (ExponentialScale(), [-1.0], [1.0], r"exponential:natural: second argument \[1\.\]"),
+    ],
+)
+def test_natural_view_checks_points_in_the_natural_chart(family, p, q, message):
+    with pytest.raises(DomainError, match=message):
+        natural_view(family).divergence(p, q)
 
 
 @given(

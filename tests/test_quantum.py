@@ -269,6 +269,41 @@ def test_veronese_chart_points_are_smoothed_projectors():
     assert eigs.max() == pytest.approx(1 - 1e-2 + 1e-2 / 3, rel=1e-6)
 
 
+CHART_POINTS = {
+    # chart: (inside, inside, outside)
+    "bloch": ([0.1, 0.2, 0.3], [-0.2, 0.0, 0.4], [0.8, 0.8, 0.8]),
+    "diag-qutrit": ([0.2, 0.3], [0.5, 0.1], [0.8, 0.8]),
+    "veronese": ([1.0, 0.5], [2.0, -0.5], [4.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("kind", ["qre", "qjsd"])
+@pytest.mark.parametrize("chart", sorted(CHART_POINTS))
+def test_chart_divergence_validates_each_state_once(kind, chart, monkeypatch):
+    built = []
+    init = DensityMatrix.__init__
+
+    def counting_init(self, entries):
+        built.append(1)
+        init(self, entries)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", counting_init)
+    p, q, _ = CHART_POINTS[chart]
+    value = make_chart_divergence(f"{kind}:{chart}").divergence(p, q)
+    assert value > 0.0
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("chart", sorted(CHART_POINTS))
+def test_chart_points_outside_the_domain_name_the_chart(chart):
+    div = make_chart_divergence(f"qre:{chart}")
+    _, q, outside = CHART_POINTS[chart]
+    with pytest.raises(DomainError, match=f"^{chart}: "):
+        div.chart.point(outside)
+    with pytest.raises(DomainError, match=f"^{chart}: "):
+        div.divergence(outside, q)
+
+
 def test_chart_divergence_protocol_and_extraction():
     div = make_chart_divergence("qre:bloch", eps=1e-3)
     assert div.family_id == "qre:bloch"
