@@ -23,11 +23,14 @@ against the domain first, then evaluated once, and T = W f / h^order.  Each
 value fills every permutation of its index tuple, so the recorded
 pre-symmetrization residual is structurally zero.
 
-Domain checks of several points at once go through ``rows_inside``.  An
-object may add the optional ``contains_rows(X)``, which answers for every
-row of an (n, d) array in one call (the built-in families, natural views
-and chart divergences have it); without it each point is passed to
-``contains`` in turn.
+Several points at once go through ``rows_inside`` for domain checks and
+``divergences`` for values.  An object may add the optional
+``contains_rows(X)``, which answers for every row of an (n, d) array in one
+call, and ``divergence_rows(P, Q)``, which gives D(P[i] || Q[i]) for rows
+of P and Q broadcast to (n, d) in one call (the built-in families, natural
+views and chart divergences have both).  Without them each point is passed
+to ``contains`` or ``divergence`` in turn.  A stencil level is then one
+domain check and one divergence call.
 
 Richardson extrapolation is opt-in.  When enabled, the tensor is computed at
 h, h/2 and h/4; the extrapolated value is (4 T(h/4) - T(h/2)) / 3 and a
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, DomainError, NoisePanic, NumericalError
-from .families import rows_inside
+from .families import divergences, rows_inside
 
 __all__ = [
     "MetricTensor",
@@ -170,8 +173,7 @@ def _tensor_at(div, p: np.ndarray, h: float, order: int) -> np.ndarray:
             f"{div.family_id}: finite-difference stencil leaves the domain "
             f"at {points[inside.argmin()]}"
         )
-    f = np.array([div.divergence(p, q) for q in points], dtype=float)
-    values = weights @ f / h**order
+    values = weights @ divergences(div, p, points) / h**order
     t = np.empty((div.dimension,) * order)
     for idx, value in zip(tuples, values):
         for perm in itertools.permutations(idx):
@@ -297,7 +299,7 @@ def asymmetry_probe(div, p, v, steps, cubic_h: float | None = None) -> Asymmetry
         raise DomainError(
             f"{div.family_id}: probe point {probes[inside.argmin()]} outside domain"
         )
-    values = np.array([div.divergence(p, q) - div.divergence(q, p) for q in probes])
+    values = divergences(div, p, probes) - divergences(div, probes, p)
 
     if np.max(np.abs(values)) < 1e-14:
         return AsymmetryProbe(

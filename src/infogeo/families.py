@@ -39,6 +39,7 @@ __all__ = [
     "score_moment_tensor",
     "natural_view",
     "rows_inside",
+    "divergences",
     "bregman_divergence",
     "make_family",
     "BUILTIN_FAMILIES",
@@ -121,11 +122,74 @@ def rows_inside(div, X) -> np.ndarray:
     return np.array([div.contains(x) for x in X], dtype=bool)
 
 
+def divergences(div, P, Q) -> np.ndarray:
+    """D(P[i] || Q[i]) over the rows of P and Q, broadcast to (n, d), as (n,) floats.
+
+    Asks ``div.divergence_rows`` once when the object has it, and otherwise
+    ``div.divergence`` row by row, so any object with ``divergence`` works.
+    """
+    batch = getattr(div, "divergence_rows", None)
+    if batch is not None:
+        return np.asarray(batch(P, Q), dtype=float)
+    return _each_row(div, P, Q)
+
+
+def _each_row(div, P, Q) -> np.ndarray:
+    P, Q = np.broadcast_arrays(*(np.atleast_2d(np.asarray(X, dtype=float)) for X in (P, Q)))
+    return np.array([div.divergence(p, q) for p, q in zip(P, Q)], dtype=float)
+
+
+def _asks_row_by_row(div, base) -> bool:
+    """True when ``div``'s class overrides ``base``'s ``divergence`` or ``contains``.
+
+    Such a subclass is asked one row at a time, so its batched and scalar
+    answers always agree.
+    """
+    cls = type(div)
+    return cls.divergence is not base.divergence or cls.contains is not base.contains
+
+
+def _checked_rows(div, P, Q) -> tuple[np.ndarray, np.ndarray]:
+    """P and Q as (1 or n, d) float arrays whose every row lies in ``div``'s domain.
+
+    Raises ValueError for rows of the wrong width and DomainError naming the
+    first row outside the domain.
+    """
+    P, Q = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (P, Q))
+    for which, X in (("first", P), ("second", Q)):
+        if X.ndim != 2 or X.shape[1] != div.dimension:
+            raise ValueError(
+                f"{div.family_id}: expected rows of {div.dimension} coordinate(s), got shape {X.shape}"
+            )
+        inside = div.contains_rows(X)
+        if not inside.all():
+            raise DomainError(f"{div.family_id}: {which} argument {X[inside.argmin()]} outside domain")
+    return P, Q
+
+
+# numpy's log and exp take SIMD paths on CPUs that have them, which can round
+# the last bit differently from the C library's math.log and math.exp, and
+# finite differences amplify that bit.  Taken element by element, the C
+# library's functions give the same values on every CPU and in every batch.
+_LIBM_LOG = np.frompyfunc(math.log, 1, 1)
+_LIBM_EXP = np.frompyfunc(math.exp, 1, 1)
+
+
+def _log(x) -> np.ndarray:
+    return np.asarray(_LIBM_LOG(x), dtype=float)
+
+
+def _exp(x) -> np.ndarray:
+    return np.asarray(_LIBM_EXP(x), dtype=float)
+
+
 class DivergenceFamily(RowDomain):
     """A parametric family of states with a chart and a directed divergence.
 
     Subclasses define the open domain (``_inside``) and the closed-form
-    divergence; this base class owns validation.  ``fisher`` and
+    divergence ``_divergence(P, Q)``, both over the last axis; this base
+    class owns validation.  ``divergence(p, q)`` is the one-row case of
+    ``divergence_rows(P, Q)``.  ``fisher`` and
     ``forward_cubic`` return the quadratic and cubic Taylor coefficients of
     D(p || p + u) at u = 0 in the family's default chart, when a closed form
     exists.
@@ -133,7 +197,7 @@ class DivergenceFamily(RowDomain):
 
     family_id: str
 
-    def _divergence(self, p: np.ndarray, q: np.ndarray) -> float:
+    def _divergence(self, P: np.ndarray, Q: np.ndarray):
         raise NotImplementedError
 
     def divergence(self, p, q) -> float:
@@ -146,6 +210,17 @@ class DivergenceFamily(RowDomain):
         if np.array_equal(p, q):
             return 0.0
         return float(self._divergence(p, q))
+
+    def divergence_rows(self, P, Q) -> np.ndarray:
+        """D(P[i] || Q[i]) over the rows of P and Q, broadcast to (n, d).
+
+        Rows are checked as ``divergence`` checks its points, and a row with
+        p == q gives exactly 0.0.
+        """
+        if _asks_row_by_row(self, DivergenceFamily):
+            return _each_row(self, P, Q)
+        P, Q = _checked_rows(self, P, Q)
+        return np.where((P == Q).all(axis=-1), 0.0, self._divergence(P, Q))
 
     def random_interior(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Sample ``n`` points from a representative interior region."""
@@ -222,8 +297,8 @@ class GaussianFixedSigma(ExponentialFamily):
     def _inside(self, X):
         return np.isfinite(X.T[0])
 
-    def _divergence(self, p, q):
-        return (q[0] - p[0]) ** 2 / (2.0 * self.sigma**2)
+    def _divergence(self, P, Q):
+        return (Q.T[0] - P.T[0]) ** 2 / (2.0 * self.sigma**2)
 
     def fisher(self, x):
         return np.array([[1.0 / self.sigma**2]])
@@ -284,8 +359,9 @@ class ExponentialScale(ExponentialFamily):
         theta = X.T[0]
         return (0.0 < theta) & (theta < math.inf)
 
-    def _divergence(self, p, q):
-        return math.log(p[0] / q[0]) + q[0] / p[0] - 1.0
+    def _divergence(self, P, Q):
+        a, b = P.T[0], Q.T[0]
+        return _log(a / b) + b / a - 1.0
 
     def fisher(self, x):
         return np.array([[1.0 / x[0] ** 2]])
@@ -355,9 +431,9 @@ class Bernoulli(ExponentialFamily):
         a = X.T[0]
         return (self.margin < a) & (a < 1.0 - self.margin)
 
-    def _divergence(self, p, q):
-        a, b = p[0], q[0]
-        return a * math.log(a / b) + (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
+    def _divergence(self, P, Q):
+        a, b = P.T[0], Q.T[0]
+        return a * _log(a / b) + (1.0 - a) * _log((1.0 - a) / (1.0 - b))
 
     def fisher(self, x):
         a = x[0]
@@ -372,10 +448,10 @@ class Bernoulli(ExponentialFamily):
         return np.array([math.log(a / (1.0 - a))])
 
     def from_natural(self, eta):
-        t = float(np.atleast_1d(eta)[0])
+        t = np.atleast_1d(np.asarray(eta, dtype=float))
         # numerically stable logistic
-        p = 1.0 / (1.0 + math.exp(-t)) if t >= 0 else math.exp(t) / (1.0 + math.exp(t))
-        return np.array([p])
+        e = _exp(-np.abs(t))
+        return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def natural_jacobian(self, x):
         a = _coerce(self, x)[0]
@@ -420,9 +496,10 @@ class Categorical(ExponentialFamily):
         self.margin = float(margin)
         self.family_id = f"categorical:{self.k}"
 
-    def _full(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.concatenate([x, [1.0 - x.sum()]])
+    def _full(self, X) -> np.ndarray:
+        """All k probabilities, over the last axis."""
+        X = np.atleast_1d(np.asarray(X, dtype=float))
+        return np.concatenate([X, 1.0 - X.sum(axis=-1, keepdims=True)], axis=-1)
 
     def _inside(self, X):
         # the simplex lies in the unit box, so clipping |x| to 1 changes no
@@ -430,9 +507,9 @@ class Categorical(ExponentialFamily):
         last = 1.0 - np.minimum(np.abs(X), 1.0).sum(axis=-1)
         return (X > self.margin).all(axis=-1) & (last > self.margin)
 
-    def _divergence(self, p, q):
-        fp, fq = self._full(p), self._full(q)
-        return float(np.sum(fp * np.log(fp / fq)))
+    def _divergence(self, P, Q):
+        fp, fq = self._full(P), self._full(Q)
+        return np.sum(fp * np.log(fp / fq), axis=-1)
 
     def fisher(self, x):
         full = self._full(_coerce(self, x))
@@ -453,10 +530,10 @@ class Categorical(ExponentialFamily):
 
     def from_natural(self, eta):
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        z = np.concatenate([eta, [0.0]])
-        z -= z.max()  # stable softmax
+        z = np.concatenate([eta, np.zeros(eta.shape[:-1] + (1,))], axis=-1)
+        z -= z.max(axis=-1, keepdims=True)  # stable softmax
         w = np.exp(z)
-        return (w / w.sum())[: self.dimension]
+        return (w / w.sum(axis=-1, keepdims=True))[..., : self.dimension]
 
     # d(natural)/d(mean chart) is the Fisher metric of the mean chart
     natural_jacobian = fisher
@@ -510,12 +587,10 @@ class GaussianFull(ExponentialFamily):
         mu, sigma = X.T
         return np.isfinite(mu) & (0.0 < sigma) & (sigma < math.inf)
 
-    def _divergence(self, p, q):
-        mp, sp = p
-        mq, sq = q
-        return (
-            math.log(sq / sp) + (sp**2 + (mp - mq) ** 2) / (2.0 * sq**2) - 0.5
-        )
+    def _divergence(self, P, Q):
+        mp, sp = P.T
+        mq, sq = Q.T
+        return _log(sq / sp) + (sp**2 + (mp - mq) ** 2) / (2.0 * sq**2) - 0.5
 
     def fisher(self, x):
         s = x[1]
@@ -535,9 +610,9 @@ class GaussianFull(ExponentialFamily):
         return np.array([m / s**2, -1.0 / (2.0 * s**2)])
 
     def from_natural(self, eta):
-        e1, e2 = np.atleast_1d(np.asarray(eta, dtype=float))
+        e1, e2 = np.atleast_1d(np.asarray(eta, dtype=float)).T
         s2 = -1.0 / (2.0 * e2)
-        return np.array([e1 * s2, math.sqrt(s2)])
+        return np.stack([e1 * s2, np.sqrt(s2)], axis=-1)
 
     def natural_jacobian(self, x):
         m, s = _coerce(self, x)
@@ -597,8 +672,9 @@ class NaturalView(RowDomain):
     """The same family re-parametrized by its natural coordinates.
 
     Exposes the (family_id, dimension, contains, divergence) protocol the
-    extraction module works on, so tensors can be extracted directly in the
-    chart where the score-moment oracle lives.  In this chart the closed-form
+    extraction module works on, with ``contains_rows`` and
+    ``divergence_rows``, so tensors can be extracted directly in the chart
+    where the score-moment oracle lives.  In this chart the closed-form
     ``fisher`` is the Hessian of the log-partition and ``forward_cubic``
     coincides with the score moment.
     """
@@ -613,18 +689,28 @@ class NaturalView(RowDomain):
     def _inside(self, eta):
         return self.family._natural_inside(eta)
 
+    def _checked(self, eta, which: str) -> np.ndarray:
+        eta = np.atleast_1d(np.asarray(eta, dtype=float))
+        if eta.shape != (self.dimension,) or not self._inside(eta):
+            raise DomainError(f"{self.family_id}: {which} {eta} outside domain")
+        return eta
+
     def divergence(self, p, q) -> float:
-        p, q = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (p, q))
-        for which, eta in (("first", p), ("second", q)):
-            if eta.shape != (self.dimension,) or not self._inside(eta):
-                raise DomainError(f"{self.family_id}: {which} argument {eta} outside domain")
+        p, q = self._checked(p, "first argument"), self._checked(q, "second argument")
         return self.family.divergence(self.family.from_natural(p), self.family.from_natural(q))
 
+    def divergence_rows(self, P, Q) -> np.ndarray:
+        """The rows checked in the natural chart, then mapped and passed on."""
+        if _asks_row_by_row(self, NaturalView):
+            return _each_row(self, P, Q)
+        P, Q = _checked_rows(self, P, Q)
+        return self.family.divergence_rows(self.family.from_natural(P), self.family.from_natural(Q))
+
     def fisher(self, eta):
-        return self.family.natural_fisher(eta)
+        return self.family.natural_fisher(self._checked(eta, "point"))
 
     def forward_cubic(self, eta):
-        return self.family.score_moment(self.family.from_natural(eta))
+        return self.family.score_moment(self.family.from_natural(self._checked(eta, "point")))
 
     def random_interior(self, rng, n):
         pts = self.family.random_interior(rng, n)

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NumericalError, OrthogonalLink
-from .families import RowDomain
+from .families import RowDomain, _asks_row_by_row, _checked_rows, _each_row
 
 __all__ = [
     "PureState",
@@ -89,12 +89,7 @@ class DensityMatrix:
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > _ATOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > _ATOL:
-            raise ValueError("trace differs from 1 by more than 1e-12")
-        if np.linalg.eigvalsh(m).min() < -_ATOL:
-            raise ValueError("matrix has an eigenvalue below -1e-12")
+        _check_density(m)
         m.setflags(write=False)
         self.entries = m
 
@@ -104,6 +99,24 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
+
+
+def _check_density(m: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the stack ``m`` is a density matrix.
+
+    Each must be Hermitian and of trace one within 1e-12, with no eigenvalue
+    below -1e-12; ``m`` has shape (k, k) or (n, k, k).
+    """
+    if np.max(np.abs(m - _adjoint(m))) > _ATOL:
+        raise ValueError("matrix is not Hermitian within 1e-12")
+    if np.max(np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)) > _ATOL:
+        raise ValueError("trace differs from 1 by more than 1e-12")
+    if np.linalg.eigvalsh(m).min() < -_ATOL:
+        raise ValueError("matrix has an eigenvalue below -1e-12")
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 def pure_density(psi) -> DensityMatrix:
@@ -122,7 +135,7 @@ def _as_matrix(x) -> np.ndarray:
 
 def _smooth(m: np.ndarray, eps: float) -> np.ndarray:
     """``m`` mixed with weight ``eps`` into the maximally mixed state I/d."""
-    d = m.shape[0]
+    d = m.shape[-1]
     return (1.0 - eps) * m + eps * np.eye(d) / d
 
 
@@ -141,42 +154,78 @@ def veronese_embed(q) -> PureState:
     q = _as_state(q)
     if q.dim != 2:
         raise DimensionMismatch(f"veronese embedding needs a qubit, got dim {q.dim}")
-    a, b = q.amplitudes
-    return PureState([a * a, math.sqrt(2.0) * a * b, b * b])
+    return PureState(_veronese(q.amplitudes))
+
+
+def _veronese(q: np.ndarray) -> np.ndarray:
+    """(a^2, sqrt2 ab, b^2) over the last axis of the qubit amplitudes ``q``."""
+    a, b = q[..., 0], q[..., 1]
+    return np.stack([_times(a, a), _times(math.sqrt(2.0) * a, b), _times(b, b)], axis=-1)
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The complex product a * b, written out in real arithmetic.
+
+    numpy's vectorized complex multiply may fuse a multiply with an add and
+    round differently from a product of two complex scalars; this rounds
+    every element as the scalar product does, however many there are.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _unit(q: np.ndarray) -> np.ndarray:
+    """Each amplitude vector over the last axis of ``q`` divided by its norm.
+
+    The squared norm is summed as ``np.linalg.norm`` sums it, one dot product
+    for the real parts and one for the imaginary parts, so a row comes out
+    as ``PureState`` normalizes it.
+    """
+    re, im = q.real[..., None, :], q.imag[..., None, :]
+    norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
+    return q / norm[..., 0]
 
 
 def _checked_eigh(m: np.ndarray):
+    """Eigen-decomposition of each matrix of the Hermitian stack ``m``."""
     w, v = np.linalg.eigh(m)
-    residual = np.max(np.abs(m - (v * w) @ v.conj().T))
+    residual = np.max(np.abs(m - (v * w[..., None, :]) @ _adjoint(v)))
     if residual > 1e-10:
         raise NumericalError(f"eigendecomposition residual {residual:.3e} > 1e-10")
     return w, v
 
 
-def _entropy(matrix: np.ndarray) -> float:
-    w, _ = _checked_eigh(matrix)
+def _entropy(m: np.ndarray) -> np.ndarray:
+    """S of each matrix of the stack ``m``, with 0 log 0 = 0."""
+    w, _ = _checked_eigh(m)
     w = np.clip(w, 0.0, None)
-    nz = w[w > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho log rho] in nats, with 0 log 0 = 0."""
-    return _entropy(_as_matrix(rho))
+    return float(_entropy(_as_matrix(rho)))
 
 
-def _relative_entropy_strict(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Tr[rho (log rho - log sigma)] for full-rank inputs."""
-    wr, vr = _checked_eigh(rho)
-    ws, vs = _checked_eigh(sigma)
-    log_rho = (vr * np.log(wr)) @ vr.conj().T
-    log_sigma = (vs * np.log(ws)) @ vs.conj().T
-    value = float(np.trace(rho @ (log_rho - log_sigma)).real)
-    if value < 0.0:
-        if value < -1e-12:
-            raise NumericalError(f"relative entropy came out negative: {value:.3e}")
-        value = 0.0
-    return value
+def _log_matrix(m: np.ndarray) -> np.ndarray:
+    w, v = _checked_eigh(m)
+    return (v * np.log(w)[..., None, :]) @ _adjoint(v)
+
+
+def _relative_entropy_strict(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Tr[rho (log rho - log sigma)] for full-rank inputs, over stacks that broadcast."""
+    value = np.trace(rho @ (_log_matrix(rho) - _log_matrix(sigma)), axis1=-2, axis2=-1).real
+    worst = np.min(value, initial=0.0)
+    if worst < -1e-12:
+        raise NumericalError(f"relative entropy came out negative: {worst:.3e}")
+    return np.where(value < 0.0, 0.0, value)
+
+
+def _jsd(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    value = _entropy(0.5 * (rho + sigma)) - 0.5 * (_entropy(rho) + _entropy(sigma))
+    return np.where(value > 0.0, value, 0.0)
 
 
 def quantum_relative_entropy(rho, sigma, eps: float = 1e-3) -> float:
@@ -191,7 +240,7 @@ def quantum_relative_entropy(rho, sigma, eps: float = 1e-3) -> float:
     rho, sigma = _as_matrix(rho), _as_matrix(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} != {sigma.shape}")
-    return _relative_entropy_strict(_smooth(rho, eps), _smooth(sigma, eps))
+    return float(_relative_entropy_strict(_smooth(rho, eps), _smooth(sigma, eps)))
 
 
 def quantum_jsd(rho, sigma) -> float:
@@ -199,8 +248,7 @@ def quantum_jsd(rho, sigma) -> float:
     rho, sigma = _as_matrix(rho), _as_matrix(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} != {sigma.shape}")
-    value = _entropy(0.5 * (rho + sigma)) - 0.5 * (_entropy(rho) + _entropy(sigma))
-    return max(0.0, value)
+    return float(_jsd(rho, sigma))
 
 
 def bargmann_phase(loop, min_overlap: float = 1e-9) -> float:
@@ -244,8 +292,9 @@ class _Chart(RowDomain):
 
     A chart supplies only its open domain, as ``_inside`` (which gives it
     ``contains`` and ``contains_rows``), and its state map ``_state``, the
-    unsmoothed matrix at a point of that domain.  ``point`` checks the point
-    and returns the state smoothed by ``eps``.
+    unsmoothed matrices at points of that domain, over the last axis.
+    ``point`` checks one point and returns its state smoothed by ``eps``;
+    ``states`` smooths and validates the states of many points at once.
     """
 
     chart_id: str
@@ -255,7 +304,8 @@ class _Chart(RowDomain):
             raise ValueError("smoothing eps must lie in (0, 1)")
         self.eps = float(eps)
 
-    def _state(self, x: np.ndarray) -> np.ndarray:
+    def _state(self, X: np.ndarray) -> np.ndarray:
+        """(..., d) points to their (..., m, m) unsmoothed states."""
         raise NotImplementedError
 
     def point(self, x) -> DensityMatrix:
@@ -263,6 +313,12 @@ class _Chart(RowDomain):
         if not self.contains(x):
             raise DomainError(f"{self.chart_id}: {x} outside the chart domain")
         return DensityMatrix(_smooth(self._state(x), self.eps))
+
+    def states(self, X: np.ndarray) -> np.ndarray:
+        """The smoothed states at the (n, d) points ``X``, checked as one stack."""
+        m = _smooth(self._state(X), self.eps)
+        _check_density(m)
+        return m
 
 
 class BlochChart(_Chart):
@@ -277,8 +333,9 @@ class BlochChart(_Chart):
         X = np.minimum(np.abs(X), 1.0)
         return (X * X).sum(axis=-1) < 1.0
 
-    def _state(self, x):
-        return 0.5 * (np.eye(2, dtype=complex) + sum(c * s for c, s in zip(x, _PAULI)))
+    def _state(self, X):
+        r = sum(X[..., i, None, None] * s for i, s in enumerate(_PAULI))
+        return 0.5 * (np.eye(2, dtype=complex) + r)
 
 
 class DiagonalQutritChart(_Chart):
@@ -291,8 +348,9 @@ class DiagonalQutritChart(_Chart):
         # as for the categorical simplex: clipping |x| to 1 changes no answer
         return (X > 0.0).all(axis=-1) & (np.minimum(np.abs(X), 1.0).sum(axis=-1) < 1.0)
 
-    def _state(self, x):
-        return np.diag([x[0], x[1], 1.0 - x.sum()]).astype(complex)
+    def _state(self, X):
+        spectrum = np.concatenate([X, 1.0 - X.sum(axis=-1, keepdims=True)], axis=-1)
+        return (spectrum[..., None] * np.eye(3)).astype(complex)
 
 
 class VeroneseChart(_Chart):
@@ -311,10 +369,11 @@ class VeroneseChart(_Chart):
         theta, phi = X.T
         return (0.0 < theta) & (theta < math.pi) & (-math.pi < phi) & (phi < math.pi)
 
-    def _state(self, x):
-        theta, phi = x
-        nu = veronese_embed([math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)])
-        return np.outer(nu.amplitudes, nu.amplitudes.conj())
+    def _state(self, X):
+        half, phi = X[..., 0] / 2, X[..., 1]
+        qubit = np.stack([np.cos(half).astype(complex), np.sin(half) * np.exp(1j * phi)], axis=-1)
+        nu = _unit(_veronese(_unit(qubit)))
+        return nu[..., :, None] * nu.conj()[..., None, :]
 
 
 _CHARTS = {
@@ -328,7 +387,8 @@ class ChartDivergence(RowDomain):
     """A quantum divergence viewed through a chart, for tensor extraction.
 
     Exposes the same (family_id, dimension, contains, divergence) protocol
-    as the classical families.  The chart's smoothing is the only smoothing
+    as the classical families, with ``contains_rows`` and ``divergence_rows``
+    for many points at once.  The chart's smoothing is the only smoothing
     applied: chart points are full rank by construction, so relative entropy
     is evaluated directly on them.
     """
@@ -347,8 +407,22 @@ class ChartDivergence(RowDomain):
     def divergence(self, p, q) -> float:
         rho, sigma = self.chart.point(p), self.chart.point(q)
         if self.kind == "qre":
-            return _relative_entropy_strict(rho.entries, sigma.entries)
+            return float(_relative_entropy_strict(rho.entries, sigma.entries))
         return quantum_jsd(rho, sigma)
+
+    def divergence_rows(self, P, Q) -> np.ndarray:
+        """D(P[i] || Q[i]) over the rows of P and Q, broadcast to (n, d).
+
+        Each side's states are built and validated as one stack, and a single
+        base point P gives a single state, whose logarithm or entropy is then
+        taken once.  A row with p == q gives exactly 0.0.
+        """
+        if _asks_row_by_row(self, ChartDivergence):
+            return _each_row(self, P, Q)
+        P, Q = _checked_rows(self, P, Q)
+        rho, sigma = self.chart.states(P), self.chart.states(Q)
+        value = _relative_entropy_strict(rho, sigma) if self.kind == "qre" else _jsd(rho, sigma)
+        return np.where((P == Q).all(axis=-1), 0.0, value)
 
 
 def make_chart_divergence(spec: str, eps: float = 1e-3) -> ChartDivergence:

@@ -28,6 +28,7 @@ from infogeo import (
     score_moment_tensor,
 )
 from infogeo.extraction import fit_loglog_slope
+from infogeo.families import divergences
 
 
 def test_metric_reference_values():
@@ -274,6 +275,34 @@ def test_each_stencil_point_is_evaluated_once_per_level(family, p, metric_calls,
         for level in range(3):
             chunk = div.calls[level * per_level : (level + 1) * per_level]
             assert len(set(chunk)) == per_level, (extract.__name__, level)
+
+
+class _ScalarOnlyExponential(ExponentialScale):
+    """A built-in family's subclass that overrides ``divergence`` alone."""
+
+    def __init__(self):
+        self.calls = []
+
+    def divergence(self, p, q):
+        self.calls.append((tuple(p), tuple(q)))
+        return super().divergence(p, q)
+
+
+def test_divergences_falls_back_row_by_row():
+    family = ExponentialScale()
+    Q = np.array([[1.1], [0.9], [1.0], [2.0]])
+    expected = family.divergence_rows([1.0], Q).tolist()
+    assert expected[2] == 0.0
+    rowless = _CountingDivergence(family)
+    assert not hasattr(rowless, "divergence_rows")
+    for div in (rowless, _ScalarOnlyExponential()):
+        assert divergences(div, [1.0], Q).tolist() == expected
+        assert div.calls == [((1.0,), (q,)) for q in Q[:, 0]]
+    # a stencil asks the subclass point by point and gets the family's tensor
+    subclass = _ScalarOnlyExponential()
+    cubic = extract_cubic(subclass, [1.0], h=0.05, richardson=True).components
+    assert np.array_equal(cubic, extract_cubic(family, [1.0], h=0.05, richardson=True).components)
+    assert len(subclass.calls) == 12
 
 
 # --- failure modes -----------------------------------------------------------

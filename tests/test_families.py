@@ -29,6 +29,7 @@ from infogeo import (
     natural_view,
     score_moment_tensor,
 )
+from infogeo.families import divergences
 
 mp.mp.dps = 40
 
@@ -112,11 +113,11 @@ def test_nonnegativity_bulk():
     for family in ALL_FAMILIES:
         ps = family.random_interior(rng, 10_000)
         qs = family.random_interior(rng, 10_000)
-        for p, q in zip(ps, qs):
-            d = family.divergence(p, q)
-            assert d >= 0.0
-            if not np.allclose(p, q):
-                assert d > 0.0
+        d = divergences(family, ps, qs)
+        assert (d >= 0.0).all()
+        apart = ~np.isclose(ps, qs).all(axis=1)
+        assert (d[apart] > 0.0).all()
+        assert d[:100].tolist() == [family.divergence(p, q) for p, q in zip(ps[:100], qs[:100])]
 
 
 def test_symmetric_family_is_exactly_symmetric():
@@ -309,6 +310,21 @@ def test_domain_errors():
         GaussianFull().divergence([0.0, -1.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "family, method, eta",
+    [
+        # sigma^2 = -1/(2 eta_2) is negative: from_natural took a square root of it
+        (GaussianFull(), "forward_cubic", [1.0, 1.0]),
+        # eta_2 = 0: from_natural divided by zero
+        (GaussianFull(), "fisher", [1.0, 0.0]),
+        (Bernoulli(), "fisher", [math.nan]),
+    ],
+)
+def test_natural_view_closed_forms_check_the_natural_domain(family, method, eta):
+    with pytest.raises(DomainError, match=f"^{family.family_id}:natural: point "):
+        getattr(natural_view(family), method)(eta)
+
+
 def test_boundary_margin_is_configurable():
     loose = Bernoulli(margin=1e-12)
     assert loose.divergence([0.5], [1e-10]) > 0
@@ -412,3 +428,56 @@ def test_contains_rows_matches_contains(data):
     inside = domain.contains_rows(X)
     assert inside.shape == (len(rows),) and inside.dtype == bool
     assert inside.tolist() == [domain.contains(x) for x in X]
+
+
+# --- batched divergences -----------------------------------------------------
+
+_FIVE_FAMILIES = [GaussianFixedSigma(2.0), ExponentialScale(), Bernoulli(), Categorical(4), GaussianFull()]
+_BATCHED = _FIVE_FAMILIES + [natural_view(family) for family in _FIVE_FAMILIES]
+_BATCHED += [
+    make_chart_divergence(f"{kind}:{chart}")
+    for kind in ("qre", "qjsd")
+    for chart in ("bloch", "diag-qutrit", "veronese")
+]
+
+
+def _batch_interior(div, rng, n):
+    """``n`` points inside ``div``'s domain, as an (n, d) array."""
+    if hasattr(div, "random_interior"):
+        return div.random_interior(rng, n)
+    box = rng.uniform(-math.pi, math.pi, size=(4000, div.dimension))
+    return box[div.contains_rows(box)][:n]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_divergence_rows_matches_divergence(data):
+    div = data.draw(st.sampled_from(_BATCHED), label="divergence")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(1, 6), label="rows")
+    # 1: an independent point, 1e-3: a close one (the domains are convex), 0: q = p
+    t = np.array(data.draw(st.lists(st.sampled_from([1.0, 1e-3, 0.0]), min_size=n, max_size=n)))
+    P = _batch_interior(div, rng, n)
+    Q = P + t[:, None] * (_batch_interior(div, rng, n) - P)
+    if data.draw(st.booleans(), label="one base point"):
+        P = P[0]
+    pairs = list(zip(*np.broadcast_arrays(np.atleast_2d(P), Q)))
+    batched = div.divergence_rows(P, Q)
+    assert batched.shape == (n,)
+    np.testing.assert_allclose(batched, [div.divergence(p, q) for p, q in pairs], rtol=1e-14, atol=0)
+    assert all(batched[i] == 0.0 for i, (p, q) in enumerate(pairs) if np.array_equal(p, q))
+
+    outside = np.array(data.draw(st.lists(_COORDINATE, min_size=div.dimension, max_size=div.dimension)))
+    if div.contains(outside):
+        return
+    row = data.draw(st.integers(0, n - 1), label="outside row")
+    if data.draw(st.booleans(), label="outside first"):
+        P, pair = outside, (outside, pairs[row][1])
+    else:
+        Q = Q.copy()
+        Q[row] = outside
+        pair = (pairs[row][0], outside)
+    with pytest.raises(Exception) as scalar:
+        div.divergence(*pair)
+    with pytest.raises(type(scalar.value)):
+        div.divergence_rows(P, Q)
