@@ -33,8 +33,8 @@ for p in (0.2, 0.3, 0.42):
     t_mean = extract_cubic(bern, [p], h=0.08 * min(p, 1 - p), richardson=True).components[0, 0, 0]
     print(f"bernoulli p={p}: natural-chart cubic {t_nat:+.6f}  score moment {oracle:+.6f}  "
           f"mean-chart cubic {t_mean:+.6f}")
-print("  (the mean-chart value is -2x the transported score moment: the cubic")
-print("   Taylor coefficient is not a tensor across non-affine chart changes)")
+print("  (the mean-chart value is -2x the transported score moment t: the")
+print("   non-affine chart adds a connection term -3t, so T = t - 3t)")
 
 print()
 print("convergence ladder, exponential at rate 1:")

@@ -200,8 +200,8 @@ def _richardson(div, p: np.ndarray, h: float, order: int):
 
 def _extract(div, p, h: float, richardson: bool, order: int):
     """Shared prelude: (point, tensor, finest step, Richardson disagreement)."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if not div.contains(p):
         raise DomainError(f"{div.family_id}: base point {p} outside domain")
@@ -287,6 +287,8 @@ def asymmetry_probe(div, p, v, steps, cubic_h: float | None = None) -> Asymmetry
     steps = np.asarray(steps, dtype=float)
     if steps.size < 4 or not np.all(np.diff(steps) < 0):
         raise ValueError("need at least 4 strictly decreasing step scales")
+    if not np.all((0.0 < steps) & (steps < np.inf)):
+        raise ValueError(f"step scales must be positive and finite, got {steps}")
     if not div.contains(p):
         raise DomainError(f"{div.family_id}: base point {p} outside domain")
     if v.shape != p.shape:

@@ -11,6 +11,20 @@ the log-partition function,
 
 which is the identity the tests use as an oracle.
 
+In a default chart x, with eta = eta(x) and mu = grad psi(eta), it reads
+D(x || x + u) = psi(eta(x + u)) - psi(eta) - mu . (eta(x + u) - eta).  The
+grad psi terms cancel at u = 0, so with J = d eta / dx and H = d^2 eta / dx^2
+(natural index first) the chain rule gives the Taylor coefficients (Amari &
+Nagaoka, Methods of Information Geometry, 2000, ch. 2-3)
+
+    g_ij  = psi''_ab J_ai J_bj
+    T_ijk = psi'''_abc J_ai J_bj J_ck
+            + psi''_ab (H_aij J_bk + H_aik J_bj + H_ajk J_bi)
+
+The second term of T, from a chart not affine in eta, is why T is not a
+tensor across charts: in the Bernoulli mean chart it is -3 times the first,
+so T is -2 times the transported score moment.
+
 All operations are pure functions of their arguments; instances hold only
 immutable configuration and are safe to share across threads.
 """
@@ -71,6 +85,14 @@ def _coerce(family, x) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DomainError(f"{family.family_id}: non-finite coordinates {arr}")
     return arr
+
+
+def _checked_point(owner, inside, x, which: str) -> np.ndarray:
+    """``x`` as a float vector of ``owner``'s width that ``inside`` accepts, else DomainError."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (owner.dimension,) or not inside(x):
+        raise DomainError(f"{owner.family_id}: {which} {x} outside domain")
+    return x
 
 
 class RowDomain:
@@ -201,12 +223,8 @@ class DivergenceFamily(RowDomain):
         raise NotImplementedError
 
     def divergence(self, p, q) -> float:
-        p = _coerce(self, p)
-        q = _coerce(self, q)
-        if not self.contains(p):
-            raise DomainError(f"{self.family_id}: first argument {p} outside domain")
-        if not self.contains(q):
-            raise DomainError(f"{self.family_id}: second argument {q} outside domain")
+        p = _checked_point(self, self.contains, _coerce(self, p), "first argument")
+        q = _checked_point(self, self.contains, _coerce(self, q), "second argument")
         if np.array_equal(p, q):
             return 0.0
         return float(self._divergence(p, q))
@@ -231,32 +249,53 @@ class DivergenceFamily(RowDomain):
 
 
 class ExponentialFamily(DivergenceFamily):
-    """Mixin for families with a natural-parameter chart and log-partition."""
+    """A family with a natural chart eta(x) and a log-partition function psi.
+
+    ``fisher`` (g = J^T psi'' J) and ``forward_cubic`` (T = psi'''(J, J, J)
+    + 3 Sym psi''(H, J)) are written here once, by the module docstring's
+    rule.  A family supplies ``_inside``, ``_divergence``, the natural domain
+    ``_natural_inside`` and the unchecked inverse chart ``from_natural``
+    (both over the last axis), and these, on one point that this class has
+    coerced and checked against its chart's domain:
+
+        _to_natural(x)           eta
+        _natural_jacobian(x)     J = d eta / dx, (d, d), natural index first
+        _natural_hessian(x)      H = d^2 eta / dx^2, (d, d, d), likewise
+        _score_moment(x)         psi''' at eta(x), (d, d, d)
+        _log_partition(eta)      psi
+        _mean_from_natural(eta)  grad psi
+        _natural_fisher(eta)     psi'', (d, d)
+
+    The public method of each name raises DomainError off its chart's domain.
+    """
+
+    def _point(self, x) -> np.ndarray:
+        return _checked_point(self, self.contains, _coerce(self, x), "point")
+
+    def _natural_point(self, eta) -> np.ndarray:
+        return _checked_point(self, self._natural_inside, eta, "natural point")
 
     def to_natural(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def from_natural(self, eta) -> np.ndarray:
-        raise NotImplementedError
+        return self._to_natural(self._point(x))
 
     def natural_jacobian(self, x) -> np.ndarray:
         """d(natural)/d(default chart), shape (dim, dim)."""
-        raise NotImplementedError
+        return self._natural_jacobian(self._point(x))
 
-    def _natural_inside(self, eta: np.ndarray):
-        """The natural-chart domain, a predicate over the last axis."""
-        raise NotImplementedError
+    def natural_hessian(self, x) -> np.ndarray:
+        """d^2(natural)/d(default chart)^2, shape (dim, dim, dim)."""
+        return self._natural_hessian(self._point(x))
 
     def log_partition(self, eta) -> float:
-        raise NotImplementedError
+        return float(self._log_partition(self._natural_point(eta)))
 
     def mean_from_natural(self, eta) -> np.ndarray:
         """grad psi(eta), the expectation of the sufficient statistic."""
-        raise NotImplementedError
+        return self._mean_from_natural(self._natural_point(eta))
 
     def natural_fisher(self, eta) -> np.ndarray:
         """Hessian of psi(eta); equals the Fisher metric in natural coords."""
-        raise NotImplementedError
+        return self._natural_fisher(self._natural_point(eta))
 
     def score_moment(self, x) -> np.ndarray:
         """Closed-form third central moment of the sufficient statistic.
@@ -264,14 +303,25 @@ class ExponentialFamily(DivergenceFamily):
         This is E[d_i l d_j l d_k l] in natural coordinates, equal to the
         third derivative tensor of the log-partition function.
         """
-        raise NotImplementedError
+        return self._score_moment(self._point(x))
 
     def fisher(self, x) -> np.ndarray:
-        raise NotImplementedError
+        """Quadratic Taylor coefficient g of D(x || x + u) in the default chart."""
+        x = self._point(x)
+        jac = self._natural_jacobian(x)
+        return jac.T @ self._natural_fisher(self._to_natural(x)) @ jac
 
     def forward_cubic(self, x) -> np.ndarray:
-        """Cubic Taylor coefficient of D(x || x + u) in the default chart."""
-        raise NotImplementedError
+        """Cubic Taylor coefficient T of D(x || x + u) in the default chart."""
+        x = self._point(x)
+        jac = self._natural_jacobian(x)
+        t = self._score_moment(x)
+        for _ in range(3):  # psi'''(J, J, J), one natural index at a time
+            t = np.einsum("a...,ai->...i", t, jac)
+        # psi''_ab H_aij J_bk, added once for each index that J carries
+        psi2 = self._natural_fisher(self._to_natural(x))
+        m = np.einsum("aij,ab,bk->ijk", self._natural_hessian(x), psi2, jac)
+        return t + m + m.transpose(0, 2, 1) + m.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,42 +350,38 @@ class GaussianFixedSigma(ExponentialFamily):
     def _divergence(self, P, Q):
         return (Q.T[0] - P.T[0]) ** 2 / (2.0 * self.sigma**2)
 
-    def fisher(self, x):
-        return np.array([[1.0 / self.sigma**2]])
-
-    def forward_cubic(self, x):
-        return np.zeros((1, 1, 1))
-
     # natural chart: eta = mu / sigma^2, psi(eta) = sigma^2 eta^2 / 2
-    def to_natural(self, x):
-        return _coerce(self, x) / self.sigma**2
+    def _to_natural(self, x):
+        return x / self.sigma**2
 
     def from_natural(self, eta):
         return np.atleast_1d(np.asarray(eta, dtype=float)) * self.sigma**2
 
-    def natural_jacobian(self, x):
+    def _natural_jacobian(self, x):
         return np.array([[1.0 / self.sigma**2]])
+
+    def _natural_hessian(self, x):
+        return np.zeros((1, 1, 1))
 
     def _natural_inside(self, eta):
         return np.isfinite(eta.T[0])
 
-    def log_partition(self, eta):
-        return 0.5 * self.sigma**2 * float(np.atleast_1d(eta)[0]) ** 2
+    def _log_partition(self, eta):
+        return 0.5 * self.sigma**2 * eta[0] ** 2
 
-    def mean_from_natural(self, eta):
-        return self.from_natural(eta)
+    _mean_from_natural = from_natural
 
-    def natural_fisher(self, eta):
+    def _natural_fisher(self, eta):
         return np.array([[self.sigma**2]])
 
-    def score_moment(self, x):
+    def _score_moment(self, x):
         return np.zeros((1, 1, 1))
 
     def random_interior(self, rng, n):
         return rng.uniform(-3.0, 3.0, size=(n, 1))
 
     def _quad_stats(self, x, order):
-        mu = float(_coerce(self, x)[0])
+        mu = float(x[0])
         nodes, weights = np.polynomial.legendre.leggauss(order)
         half = 12.0 * self.sigma
         xs = mu + half * nodes
@@ -363,46 +409,41 @@ class ExponentialScale(ExponentialFamily):
         a, b = P.T[0], Q.T[0]
         return _log(a / b) + b / a - 1.0
 
-    def fisher(self, x):
-        return np.array([[1.0 / x[0] ** 2]])
-
-    def forward_cubic(self, x):
-        return np.full((1, 1, 1), -2.0 / x[0] ** 3)
-
     # natural chart: eta = -theta, psi(eta) = -log(-eta)
-    def to_natural(self, x):
-        return -_coerce(self, x)
+    def _to_natural(self, x):
+        return -x
 
     def from_natural(self, eta):
         return -np.atleast_1d(np.asarray(eta, dtype=float))
 
-    def natural_jacobian(self, x):
+    def _natural_jacobian(self, x):
         return np.array([[-1.0]])
+
+    def _natural_hessian(self, x):
+        return np.zeros((1, 1, 1))
 
     def _natural_inside(self, eta):
         eta = eta.T[0]
         return (-math.inf < eta) & (eta < 0.0)
 
-    def log_partition(self, eta):
-        return -math.log(-float(np.atleast_1d(eta)[0]))
+    def _log_partition(self, eta):
+        return -math.log(-eta[0])
 
-    def mean_from_natural(self, eta):
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    def _mean_from_natural(self, eta):
         return -1.0 / eta
 
-    def natural_fisher(self, eta):
-        e = float(np.atleast_1d(eta)[0])
-        return np.array([[1.0 / e**2]])
+    def _natural_fisher(self, eta):
+        return np.array([[1.0 / eta[0] ** 2]])
 
-    def score_moment(self, x):
+    def _score_moment(self, x):
         # psi'''(eta) = -2/eta^3 = 2/theta^3
-        return np.full((1, 1, 1), 2.0 / _coerce(self, x)[0] ** 3)
+        return np.full((1, 1, 1), 2.0 / x[0] ** 3)
 
     def random_interior(self, rng, n):
         return np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=(n, 1)))
 
     def _quad_stats(self, x, order):
-        theta = float(_coerce(self, x)[0])
+        theta = float(x[0])
         nodes, weights = np.polynomial.legendre.leggauss(order)
         # truncate the tail at 40 mean lifetimes; mass beyond is < e^-40
         upper = 40.0 / theta
@@ -435,16 +476,8 @@ class Bernoulli(ExponentialFamily):
         a, b = P.T[0], Q.T[0]
         return a * _log(a / b) + (1.0 - a) * _log((1.0 - a) / (1.0 - b))
 
-    def fisher(self, x):
+    def _to_natural(self, x):
         a = x[0]
-        return np.array([[1.0 / (a * (1.0 - a))]])
-
-    def forward_cubic(self, x):
-        a = x[0]
-        return np.full((1, 1, 1), 2.0 / (1.0 - a) ** 2 - 2.0 / a**2)
-
-    def to_natural(self, x):
-        a = _coerce(self, x)[0]
         return np.array([math.log(a / (1.0 - a))])
 
     def from_natural(self, eta):
@@ -453,30 +486,33 @@ class Bernoulli(ExponentialFamily):
         e = _exp(-np.abs(t))
         return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def natural_jacobian(self, x):
-        a = _coerce(self, x)[0]
+    def _natural_jacobian(self, x):
+        a = x[0]
         return np.array([[1.0 / (a * (1.0 - a))]])
+
+    def _natural_hessian(self, x):
+        a = x[0]
+        return np.full((1, 1, 1), (2.0 * a - 1.0) / (a * (1.0 - a)) ** 2)
 
     def _natural_inside(self, eta):
         return np.isfinite(eta.T[0])
 
-    def log_partition(self, eta):
-        return float(np.logaddexp(0.0, float(np.atleast_1d(eta)[0])))
+    def _log_partition(self, eta):
+        return np.logaddexp(0.0, eta[0])
 
-    def mean_from_natural(self, eta):
-        return self.from_natural(eta)
+    _mean_from_natural = from_natural
 
-    def natural_fisher(self, eta):
+    def _natural_fisher(self, eta):
         p = self.from_natural(eta)[0]
         return np.array([[p * (1.0 - p)]])
 
-    def score_moment(self, x):
-        a = _coerce(self, x)[0]
+    def _score_moment(self, x):
+        a = x[0]
         return np.full((1, 1, 1), a * (1.0 - a) * (1.0 - 2.0 * a))
 
     def outcomes(self, x) -> Iterable[tuple[float, np.ndarray]]:
         """(probability, sufficient statistic) pairs for exact summation."""
-        a = _coerce(self, x)[0]
+        a = self._point(x)[0]
         return [(1.0 - a, np.array([0.0])), (a, np.array([1.0]))]
 
     def random_interior(self, rng, n):
@@ -498,7 +534,6 @@ class Categorical(ExponentialFamily):
 
     def _full(self, X) -> np.ndarray:
         """All k probabilities, over the last axis."""
-        X = np.atleast_1d(np.asarray(X, dtype=float))
         return np.concatenate([X, 1.0 - X.sum(axis=-1, keepdims=True)], axis=-1)
 
     def _inside(self, X):
@@ -511,22 +546,9 @@ class Categorical(ExponentialFamily):
         fp, fq = self._full(P), self._full(Q)
         return np.sum(fp * np.log(fp / fq), axis=-1)
 
-    def fisher(self, x):
-        full = self._full(_coerce(self, x))
-        d = self.dimension
-        return np.diag(1.0 / full[:d]) + 1.0 / full[-1]
-
-    def forward_cubic(self, x):
-        full = self._full(_coerce(self, x))
-        d = self.dimension
-        t = np.full((d, d, d), 2.0 / full[-1] ** 2)
-        for i in range(d):
-            t[i, i, i] -= 2.0 / full[i] ** 2
-        return t
-
-    def to_natural(self, x):
-        full = self._full(_coerce(self, x))
-        return np.log(full[: self.dimension] / full[-1])
+    def _to_natural(self, x):
+        full = self._full(x)
+        return np.log(full[:-1] / full[-1])
 
     def from_natural(self, eta):
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -535,27 +557,32 @@ class Categorical(ExponentialFamily):
         w = np.exp(z)
         return (w / w.sum(axis=-1, keepdims=True))[..., : self.dimension]
 
-    # d(natural)/d(mean chart) is the Fisher metric of the mean chart
-    natural_jacobian = fisher
+    def _natural_jacobian(self, x):
+        full = self._full(x)
+        return np.diag(1.0 / full[:-1]) + 1.0 / full[-1]
+
+    def _natural_hessian(self, x):
+        full = self._full(x)
+        diagonal = (np.arange(self.dimension),) * 3
+        h = np.full((self.dimension,) * 3, 1.0 / full[-1] ** 2)
+        h[diagonal] -= 1.0 / full[:-1] ** 2
+        return h
 
     def _natural_inside(self, eta):
         return np.isfinite(eta).all(axis=-1)
 
-    def log_partition(self, eta):
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    def _log_partition(self, eta):
         m = max(0.0, float(eta.max()))
         return m + math.log(math.exp(-m) + np.exp(eta - m).sum())
 
-    def mean_from_natural(self, eta):
-        return self.from_natural(eta)
+    _mean_from_natural = from_natural
 
-    def natural_fisher(self, eta):
+    def _natural_fisher(self, eta):
         p = self.from_natural(eta)
         return np.diag(p) - np.outer(p, p)
 
-    def score_moment(self, x):
+    def _score_moment(self, p):
         # third joint cumulant of the one-hot indicator vector
-        p = _coerce(self, x)
         d = self.dimension
         t = 2.0 * np.einsum("i,j,k->ijk", p, p, p)
         eye = np.eye(d)
@@ -567,7 +594,7 @@ class Categorical(ExponentialFamily):
         return t
 
     def outcomes(self, x):
-        full = self._full(_coerce(self, x))
+        full = self._full(self._point(x))
         eye = np.eye(self.k)
         return [(float(full[i]), eye[i, : self.dimension]) for i in range(self.k)]
 
@@ -592,21 +619,9 @@ class GaussianFull(ExponentialFamily):
         mq, sq = Q.T
         return _log(sq / sp) + (sp**2 + (mp - mq) ** 2) / (2.0 * sq**2) - 0.5
 
-    def fisher(self, x):
-        s = x[1]
-        return np.diag([1.0 / s**2, 2.0 / s**2])
-
-    def forward_cubic(self, x):
-        s = x[1]
-        t = np.zeros((2, 2, 2))
-        for perm in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-            t[perm] = -2.0 / s**3
-        t[1, 1, 1] = -10.0 / s**3
-        return t
-
     # natural chart: eta = (mu/sigma^2, -1/(2 sigma^2)), stats (x, x^2)
-    def to_natural(self, x):
-        m, s = _coerce(self, x)
+    def _to_natural(self, x):
+        m, s = x
         return np.array([m / s**2, -1.0 / (2.0 * s**2)])
 
     def from_natural(self, eta):
@@ -614,30 +629,36 @@ class GaussianFull(ExponentialFamily):
         s2 = -1.0 / (2.0 * e2)
         return np.stack([e1 * s2, np.sqrt(s2)], axis=-1)
 
-    def natural_jacobian(self, x):
-        m, s = _coerce(self, x)
+    def _natural_jacobian(self, x):
+        m, s = x
         return np.array([[1.0 / s**2, -2.0 * m / s**3], [0.0, 1.0 / s**3]])
+
+    def _natural_hessian(self, x):
+        m, s = x
+        return np.array(
+            [[[0.0, -2.0 / s**3], [-2.0 / s**3, 6.0 * m / s**4]], [[0.0, 0.0], [0.0, -3.0 / s**4]]]
+        )
 
     def _natural_inside(self, eta):
         e1, e2 = eta.T
         return np.isfinite(e1) & (-math.inf < e2) & (e2 < 0.0)
 
-    def log_partition(self, eta):
-        e1, e2 = np.atleast_1d(np.asarray(eta, dtype=float))
+    def _log_partition(self, eta):
+        e1, e2 = eta
         return -(e1**2) / (4.0 * e2) - 0.5 * math.log(-2.0 * e2)
 
-    def mean_from_natural(self, eta):
+    def _mean_from_natural(self, eta):
         m, s = self.from_natural(eta)
         return np.array([m, m**2 + s**2])
 
-    def natural_fisher(self, eta):
+    def _natural_fisher(self, eta):
         m, s = self.from_natural(eta)
         return np.array(
             [[s**2, 2.0 * m * s**2], [2.0 * m * s**2, 4.0 * m**2 * s**2 + 2.0 * s**4]]
         )
 
-    def score_moment(self, x):
-        m, s = _coerce(self, x)
+    def _score_moment(self, x):
+        m, s = x
         t = np.zeros((2, 2, 2))
         t112 = 2.0 * s**4
         t122 = 8.0 * m * s**4
@@ -654,7 +675,7 @@ class GaussianFull(ExponentialFamily):
         return np.column_stack([mu, sig])
 
     def _quad_stats(self, x, order):
-        m, s = _coerce(self, x)
+        m, s = x
         nodes, weights = np.polynomial.legendre.leggauss(order)
         half = 12.0 * s
         xs = m + half * nodes
@@ -689,14 +710,9 @@ class NaturalView(RowDomain):
     def _inside(self, eta):
         return self.family._natural_inside(eta)
 
-    def _checked(self, eta, which: str) -> np.ndarray:
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        if eta.shape != (self.dimension,) or not self._inside(eta):
-            raise DomainError(f"{self.family_id}: {which} {eta} outside domain")
-        return eta
-
     def divergence(self, p, q) -> float:
-        p, q = self._checked(p, "first argument"), self._checked(q, "second argument")
+        p = _checked_point(self, self.contains, p, "first argument")
+        q = _checked_point(self, self.contains, q, "second argument")
         return self.family.divergence(self.family.from_natural(p), self.family.from_natural(q))
 
     def divergence_rows(self, P, Q) -> np.ndarray:
@@ -707,10 +723,11 @@ class NaturalView(RowDomain):
         return self.family.divergence_rows(self.family.from_natural(P), self.family.from_natural(Q))
 
     def fisher(self, eta):
-        return self.family.natural_fisher(self._checked(eta, "point"))
+        return self.family.natural_fisher(_checked_point(self, self.contains, eta, "point"))
 
     def forward_cubic(self, eta):
-        return self.family.score_moment(self.family.from_natural(self._checked(eta, "point")))
+        eta = _checked_point(self, self.contains, eta, "point")
+        return self.family.score_moment(self.family.from_natural(eta))
 
     def random_interior(self, rng, n):
         pts = self.family.random_interior(rng, n)
@@ -742,11 +759,9 @@ def score_moment_tensor(
         raise UnsupportedFamily(
             f"{getattr(family, 'family_id', family)!r} has no score-moment oracle"
         )
-    x = _coerce(family, p)
-    if not family.contains(x):
-        raise DomainError(f"{family.family_id}: {x} outside domain")
+    x = family._point(p)
     if method == "closed":
-        return family.score_moment(x)
+        return family._score_moment(x)
     if method == "sum":
         if not hasattr(family, "outcomes"):
             raise UnsupportedFamily(

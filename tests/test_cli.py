@@ -193,6 +193,11 @@ USAGE_ERRORS = [
     ["divergence", "--family", "natural:gaussian-full", "--p", "1,1", "--q", "1,-1"],
     ["divergence", "--family", "natural:gaussian-full", "--p", "1,0", "--q", "1,-1"],
     ["divergence", "--family", "natural:exponential", "--p", "-1", "--q", "1"],
+    # step sizes that are zero, negative or infinite
+    ["asymmetry", "--family", "exponential", "--at", "1", "--dir", "1", "--steps", "0.1,0.05,0.025,0"],
+    ["asymmetry", "--family", "exponential", "--at", "1", "--dir", "1", "--steps", "0.1,0.05,0.025,-0.01"],
+    ["asymmetry", "--family", "exponential", "--at", "1", "--dir", "1", "--steps=-0.1,-0.2,-0.3,-0.4"],
+    ["tensor", "--family", "exponential", "--at", "1", "--h", "inf"],
 ]
 
 

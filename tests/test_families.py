@@ -149,18 +149,24 @@ def test_divergence_matches_mpmath():
 
 def test_natural_chart_round_trip_and_jacobian():
     for family in ALL_FAMILIES:
+        d = family.dimension
         for x in _interior_points(family, 4, seed=2):
             eta = family.to_natural(x)
             back = family.from_natural(eta)
             assert np.allclose(back, x, rtol=1e-10, atol=1e-12)
             jac = family.natural_jacobian(x)
-            fd = np.empty((family.dimension, family.dimension))
+            hess = family.natural_hessian(x)
+            assert jac.shape == (d, d) and hess.shape == (d, d, d)
+            fd_jac = np.empty((d, d))
+            fd_hess = np.empty((d, d, d))
             h = 1e-6
-            for j in range(family.dimension):
-                e = np.zeros(family.dimension)
+            for j in range(d):
+                e = np.zeros(d)
                 e[j] = h
-                fd[:, j] = (family.to_natural(x + e) - family.to_natural(x - e)) / (2 * h)
-            assert np.allclose(jac, fd, rtol=1e-5, atol=1e-7)
+                fd_jac[:, j] = (family.to_natural(x + e) - family.to_natural(x - e)) / (2 * h)
+                fd_hess[:, :, j] = (family.natural_jacobian(x + e) - family.natural_jacobian(x - e)) / (2 * h)
+            assert np.allclose(jac, fd_jac, rtol=1e-5, atol=1e-7)
+            assert np.allclose(hess, fd_hess, rtol=1e-5, atol=1e-7)
 
 
 def test_natural_chart_examples():
@@ -323,6 +329,36 @@ def test_domain_errors():
 def test_natural_view_closed_forms_check_the_natural_domain(family, method, eta):
     with pytest.raises(DomainError, match=f"^{family.family_id}:natural: point "):
         getattr(natural_view(family), method)(eta)
+
+
+@pytest.mark.parametrize(
+    "family, method, point",
+    [
+        # sigma^2 = -1/(2 eta_2) is negative: from_natural took a square root of it
+        (GaussianFull(), "natural_fisher", [1.0, 1.0]),
+        # eta_2 = 0: divided by zero
+        (GaussianFull(), "mean_from_natural", [1.0, 0.0]),
+        # math.log(-2 eta_2) of a negative number
+        (GaussianFull(), "log_partition", [1.0, 0.5]),
+        (Bernoulli(), "natural_fisher", [math.nan]),
+        # default-chart points: wrong signs, a negative metric, math domain errors
+        (ExponentialScale(), "score_moment", [-1.0]),
+        (ExponentialScale(), "forward_cubic", [-1.0]),
+        (Bernoulli(), "fisher", [1.5]),
+        (Bernoulli(), "to_natural", [1.5]),
+        (Bernoulli(), "natural_jacobian", [0.0]),
+        (Categorical(3), "natural_hessian", [0.6, 0.6]),
+    ],
+)
+def test_exponential_family_closed_forms_check_the_domain(family, method, point):
+    with pytest.raises(DomainError, match=f"^{family.family_id}: .* outside domain$"):
+        getattr(family, method)(point)
+
+
+def test_bregman_divergence_checks_the_domain():
+    # the log-odds of 1.5 was a math domain error
+    with pytest.raises(DomainError):
+        bregman_divergence(Bernoulli(), [1.5], [0.5])
 
 
 def test_boundary_margin_is_configurable():
