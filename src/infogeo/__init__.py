@@ -25,7 +25,6 @@ from .families import (
     GaussianFixedSigma,
     GaussianFull,
     NaturalView,
-    Point,
     bregman_divergence,
     make_family,
     natural_view,

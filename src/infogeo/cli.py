@@ -631,7 +631,12 @@ def _replay_config(path: str, fmt: str | None) -> dict:
     """The config embedded in the report at ``path``, checked against the
     fields of its subcommand, with ``fmt`` (if given) as its format."""
     with open(path, "r", encoding="utf-8") as fh:
-        original = json.load(fh)
+        try:
+            original = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise UsageError(
+                f"replay {path}: not a JSON report; only JSON reports carry their config"
+            ) from None
     if not isinstance(original, dict) or not isinstance(original.get("config"), dict):
         raise UsageError(f"replay {path}: not a report with a config object")
     cfg = dict(original["config"])

@@ -27,10 +27,16 @@ Several points at once go through ``rows_inside`` for domain checks and
 ``divergences`` for values.  An object may add the optional
 ``contains_rows(X)``, which answers for every row of an (n, d) array in one
 call, and ``divergence_rows(P, Q)``, which gives D(P[i] || Q[i]) for rows
-of P and Q broadcast to (n, d) in one call (the built-in families, natural
-views and chart divergences have both).  Without them each point is passed
-to ``contains`` or ``divergence`` in turn.  A stencil level is then one
-domain check and one divergence call.
+of P and Q broadcast to (n, d) in one call.  Every built-in family, natural
+view and chart divergence is a ``families.DivergenceFamily``, which has
+both, and whose ``divergence(p, q)`` is the one-row case of
+``divergence_rows``.  Without them each point is passed to ``contains`` or
+``divergence`` in turn.  A stencil level is then one domain check and one
+divergence call.
+
+A step is refused with ConditioningError when it is not resolved at the
+base point: when p + s - p differs from s by more than 1e-3 s in some
+coordinate, the differences would measure rounding of p, not the divergence.
 
 Richardson extrapolation is opt-in.  When enabled, the tensor is computed at
 h, h/2 and h/4; the extrapolated value is (4 T(h/4) - T(h/2)) / 3 and a
@@ -198,6 +204,22 @@ def _richardson(div, p: np.ndarray, h: float, order: int):
     return (4.0 * t3 - t2) / 3.0, d2
 
 
+def _check_resolved(div, p: np.ndarray, u: list) -> None:
+    """Raise ConditioningError unless p + u - p is u to 1e-3 in every coordinate.
+
+    Near a coordinate of magnitude |p_i| a displacement is rounded to a
+    multiple of half an ulp of p_i, so one below about 1e3 ulps measures
+    rounding, not the divergence.
+    """
+    # in Python floats an overflow gives inf and a comparison with NaN is
+    # False, without warnings; a step that is not finite is the callers' to refuse
+    if any(abs(x + s - x - s) > 1e-3 * abs(s) for x, s in zip(p.tolist(), u)):
+        raise ConditioningError(
+            f"{div.family_id}: a step of {max(map(abs, u)):.3e} is not resolved at "
+            f"{p}; a larger step, or a point nearer the origin, is needed"
+        )
+
+
 def _extract(div, p, h: float, richardson: bool, order: int):
     """Shared prelude: (point, tensor, finest step, Richardson disagreement)."""
     if not 0.0 < h < np.inf:
@@ -205,6 +227,7 @@ def _extract(div, p, h: float, richardson: bool, order: int):
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if not div.contains(p):
         raise DomainError(f"{div.family_id}: base point {p} outside domain")
+    _check_resolved(div, p, [h / 4.0 if richardson else h] * p.size)
     if richardson:
         t, disagreement = _richardson(div, p, h, order)
         return p, t, h / 4.0, disagreement
@@ -301,6 +324,7 @@ def asymmetry_probe(div, p, v, steps, cubic_h: float | None = None) -> Asymmetry
         raise DomainError(
             f"{div.family_id}: probe point {probes[inside.argmin()]} outside domain"
         )
+    _check_resolved(div, p, (steps[-1] * v).tolist())
     values = divergences(div, p, probes) - divergences(div, probes, p)
 
     if np.max(np.abs(values)) < 1e-14:
@@ -366,8 +390,12 @@ def convergence_report(
     p = np.atleast_1d(np.asarray(p, dtype=float))
     ladder = np.asarray(ladder, dtype=float)
     # before the closed forms, which may divide by zero outside the domain
+    # and overflow where the finest step is not resolved
     if not div.contains(p):
         raise DomainError(f"{div.family_id}: base point {p} outside domain")
+    if ladder.size:
+        finest = float(ladder.min()) / (4.0 if richardson else 1.0)
+        _check_resolved(div, p, [finest] * p.size)
     if metric_oracle is None and hasattr(div, "fisher"):
         metric_oracle = np.asarray(div.fisher(p), dtype=float)
     if cubic_oracle is None and hasattr(div, "forward_cubic"):

@@ -32,7 +32,6 @@ immutable configuration and are safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -40,7 +39,6 @@ import numpy as np
 from .errors import DomainError, UnsupportedFamily
 
 __all__ = [
-    "Point",
     "RowDomain",
     "DivergenceFamily",
     "ExponentialFamily",
@@ -58,33 +56,6 @@ __all__ = [
     "make_family",
     "BUILTIN_FAMILIES",
 ]
-
-
-@dataclass(frozen=True)
-class Point:
-    """Chart coordinates tagged with the family that owns them."""
-
-    coords: tuple
-    family_id: str
-
-
-def _coerce(family, x) -> np.ndarray:
-    """Turn ``x`` into a float vector, checking ownership and dimension."""
-    if isinstance(x, Point):
-        if x.family_id != family.family_id:
-            raise ValueError(
-                f"point belongs to {x.family_id!r}, not {family.family_id!r}"
-            )
-        x = x.coords
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1 or arr.size != family.dimension:
-        raise ValueError(
-            f"{family.family_id}: expected {family.dimension} coordinate(s), "
-            f"got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{family.family_id}: non-finite coordinates {arr}")
-    return arr
 
 
 def _checked_point(owner, inside, x, which: str) -> np.ndarray:
@@ -161,34 +132,6 @@ def _each_row(div, P, Q) -> np.ndarray:
     return np.array([div.divergence(p, q) for p, q in zip(P, Q)], dtype=float)
 
 
-def _asks_row_by_row(div, base) -> bool:
-    """True when ``div``'s class overrides ``base``'s ``divergence`` or ``contains``.
-
-    Such a subclass is asked one row at a time, so its batched and scalar
-    answers always agree.
-    """
-    cls = type(div)
-    return cls.divergence is not base.divergence or cls.contains is not base.contains
-
-
-def _checked_rows(div, P, Q) -> tuple[np.ndarray, np.ndarray]:
-    """P and Q as (1 or n, d) float arrays whose every row lies in ``div``'s domain.
-
-    Raises ValueError for rows of the wrong width and DomainError naming the
-    first row outside the domain.
-    """
-    P, Q = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (P, Q))
-    for which, X in (("first", P), ("second", Q)):
-        if X.ndim != 2 or X.shape[1] != div.dimension:
-            raise ValueError(
-                f"{div.family_id}: expected rows of {div.dimension} coordinate(s), got shape {X.shape}"
-            )
-        inside = div.contains_rows(X)
-        if not inside.all():
-            raise DomainError(f"{div.family_id}: {which} argument {X[inside.argmin()]} outside domain")
-    return P, Q
-
-
 # numpy's log and exp take SIMD paths on CPUs that have them, which can round
 # the last bit differently from the C library's math.log and math.exp, and
 # finite differences amplify that bit.  Taken element by element, the C
@@ -206,15 +149,18 @@ def _exp(x) -> np.ndarray:
 
 
 class DivergenceFamily(RowDomain):
-    """A parametric family of states with a chart and a directed divergence.
+    """A directed divergence on a chart: a classical family, a natural view
+    or a quantum chart divergence.
 
-    Subclasses define the open domain (``_inside``) and the closed-form
-    divergence ``_divergence(P, Q)``, both over the last axis; this base
-    class owns validation.  ``divergence(p, q)`` is the one-row case of
-    ``divergence_rows(P, Q)``.  ``fisher`` and
+    A subclass writes its open domain as ``_inside`` and its divergence as
+    ``_divergence(P, Q)``, over (n, d) rows that this base class has checked
+    against the domain.  ``divergence(p, q)`` is the one-row case of
+    ``divergence_rows(P, Q)``, and a row with p == q gives exactly 0.0.  A
+    subclass that overrides ``divergence`` is asked pair by pair, and one
+    that overrides ``contains`` point by point, so its scalar and batched
+    answers always agree.  A classical family's ``fisher`` and
     ``forward_cubic`` return the quadratic and cubic Taylor coefficients of
-    D(p || p + u) at u = 0 in the family's default chart, when a closed form
-    exists.
+    D(p || p + u) at u = 0 in its default chart.
     """
 
     family_id: str
@@ -223,26 +169,39 @@ class DivergenceFamily(RowDomain):
         raise NotImplementedError
 
     def divergence(self, p, q) -> float:
-        p = _checked_point(self, self.contains, _coerce(self, p), "first argument")
-        q = _checked_point(self, self.contains, _coerce(self, q), "second argument")
-        if np.array_equal(p, q):
-            return 0.0
-        return float(self._divergence(p, q))
+        """D(p || q) for two points of ``dimension`` coordinates each."""
+        p, q = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (p, q))
+        for x in (p, q):
+            if x.shape != (self.dimension,):
+                raise ValueError(
+                    f"{self.family_id}: expected {self.dimension} coordinate(s), got shape {x.shape}"
+                )
+        # the checked body, not divergence_rows, which asks a subclass that
+        # overrides this method for each row
+        return float(self._checked_divergence(p, q)[0])
 
     def divergence_rows(self, P, Q) -> np.ndarray:
-        """D(P[i] || Q[i]) over the rows of P and Q, broadcast to (n, d).
-
-        Rows are checked as ``divergence`` checks its points, and a row with
-        p == q gives exactly 0.0.
-        """
-        if _asks_row_by_row(self, DivergenceFamily):
+        """D(P[i] || Q[i]) over the rows of P and Q, broadcast to (n, d)."""
+        if type(self).divergence is not DivergenceFamily.divergence:
             return _each_row(self, P, Q)
-        P, Q = _checked_rows(self, P, Q)
-        return np.where((P == Q).all(axis=-1), 0.0, self._divergence(P, Q))
+        return self._checked_divergence(P, Q)
 
-    def random_interior(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Sample ``n`` points from a representative interior region."""
-        raise NotImplementedError
+    def _checked_divergence(self, P, Q) -> np.ndarray:
+        """``_divergence`` over P and Q as (1 or n, d) float arrays.
+
+        Raises ValueError for rows of the wrong width and DomainError naming
+        the first row outside the domain.
+        """
+        P, Q = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (P, Q))
+        for which, X in (("first", P), ("second", Q)):
+            if X.ndim != 2 or X.shape[1] != self.dimension:
+                raise ValueError(
+                    f"{self.family_id}: expected rows of {self.dimension} coordinate(s), got shape {X.shape}"
+                )
+            inside = self.contains_rows(X)
+            if not inside.all():
+                raise DomainError(f"{self.family_id}: {which} argument {X[inside.argmin()]} outside domain")
+        return np.where((P == Q).all(axis=-1), 0.0, self._divergence(P, Q))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.family_id}>"
@@ -270,7 +229,7 @@ class ExponentialFamily(DivergenceFamily):
     """
 
     def _point(self, x) -> np.ndarray:
-        return _checked_point(self, self.contains, _coerce(self, x), "point")
+        return _checked_point(self, self.contains, x, "point")
 
     def _natural_point(self, eta) -> np.ndarray:
         return _checked_point(self, self._natural_inside, eta, "natural point")
@@ -339,9 +298,11 @@ class GaussianFixedSigma(ExponentialFamily):
     dimension = 1
 
     def __init__(self, sigma: float = 1.0):
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
-        self.sigma = float(sigma)
+        sigma = float(sigma)
+        # the divergence and its tensors divide by sigma^2
+        if not (sigma > 0.0 and np.finfo(float).tiny <= sigma * sigma < math.inf):
+            raise ValueError(f"sigma must be positive, with a finite normal square; got {sigma:g}")
+        self.sigma = sigma
         self.family_id = f"gaussian:{self.sigma:g}"
 
     def _inside(self, X):
@@ -689,15 +650,15 @@ class GaussianFull(ExponentialFamily):
 # ---------------------------------------------------------------------------
 
 
-class NaturalView(RowDomain):
+class NaturalView(DivergenceFamily):
     """The same family re-parametrized by its natural coordinates.
 
-    Exposes the (family_id, dimension, contains, divergence) protocol the
-    extraction module works on, with ``contains_rows`` and
-    ``divergence_rows``, so tensors can be extracted directly in the chart
-    where the score-moment oracle lives.  In this chart the closed-form
-    ``fisher`` is the Hessian of the log-partition and ``forward_cubic``
-    coincides with the score moment.
+    Points are checked in the natural chart, then mapped by ``from_natural``
+    and passed to the family, which checks them again in its default chart.
+    This lets tensors be extracted directly in the chart where the
+    score-moment oracle lives.  In this chart the closed-form ``fisher`` is
+    the Hessian of the log-partition and ``forward_cubic`` coincides with
+    the score moment.
     """
 
     def __init__(self, family: ExponentialFamily):
@@ -710,16 +671,7 @@ class NaturalView(RowDomain):
     def _inside(self, eta):
         return self.family._natural_inside(eta)
 
-    def divergence(self, p, q) -> float:
-        p = _checked_point(self, self.contains, p, "first argument")
-        q = _checked_point(self, self.contains, q, "second argument")
-        return self.family.divergence(self.family.from_natural(p), self.family.from_natural(q))
-
-    def divergence_rows(self, P, Q) -> np.ndarray:
-        """The rows checked in the natural chart, then mapped and passed on."""
-        if _asks_row_by_row(self, NaturalView):
-            return _each_row(self, P, Q)
-        P, Q = _checked_rows(self, P, Q)
+    def _divergence(self, P, Q):
         return self.family.divergence_rows(self.family.from_natural(P), self.family.from_natural(Q))
 
     def fisher(self, eta):

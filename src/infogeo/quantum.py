@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NumericalError, OrthogonalLink
-from .families import RowDomain, _asks_row_by_row, _checked_rows, _each_row
+from .families import DivergenceFamily, RowDomain
 
 __all__ = [
     "PureState",
@@ -383,14 +383,14 @@ _CHARTS = {
 }
 
 
-class ChartDivergence(RowDomain):
+class ChartDivergence(DivergenceFamily):
     """A quantum divergence viewed through a chart, for tensor extraction.
 
-    Exposes the same (family_id, dimension, contains, divergence) protocol
-    as the classical families, with ``contains_rows`` and ``divergence_rows``
-    for many points at once.  The chart's smoothing is the only smoothing
-    applied: chart points are full rank by construction, so relative entropy
-    is evaluated directly on them.
+    The rows of each side are mapped to smoothed states and validated as
+    one stack, and a single base point gives a single state, whose
+    logarithm or entropy is then taken once.  The chart's smoothing is the
+    only smoothing applied: chart points are full rank by construction, so
+    relative entropy is evaluated directly on them.
     """
 
     def __init__(self, chart, kind: str = "qre"):
@@ -404,25 +404,9 @@ class ChartDivergence(RowDomain):
     def _inside(self, X):
         return self.chart._inside(X)
 
-    def divergence(self, p, q) -> float:
-        rho, sigma = self.chart.point(p), self.chart.point(q)
-        if self.kind == "qre":
-            return float(_relative_entropy_strict(rho.entries, sigma.entries))
-        return quantum_jsd(rho, sigma)
-
-    def divergence_rows(self, P, Q) -> np.ndarray:
-        """D(P[i] || Q[i]) over the rows of P and Q, broadcast to (n, d).
-
-        Each side's states are built and validated as one stack, and a single
-        base point P gives a single state, whose logarithm or entropy is then
-        taken once.  A row with p == q gives exactly 0.0.
-        """
-        if _asks_row_by_row(self, ChartDivergence):
-            return _each_row(self, P, Q)
-        P, Q = _checked_rows(self, P, Q)
+    def _divergence(self, P, Q):
         rho, sigma = self.chart.states(P), self.chart.states(Q)
-        value = _relative_entropy_strict(rho, sigma) if self.kind == "qre" else _jsd(rho, sigma)
-        return np.where((P == Q).all(axis=-1), 0.0, value)
+        return _relative_entropy_strict(rho, sigma) if self.kind == "qre" else _jsd(rho, sigma)
 
 
 def make_chart_divergence(spec: str, eps: float = 1e-3) -> ChartDivergence:

@@ -77,6 +77,8 @@ class LegDistribution:
             raise ValueError("skewnormal needs a shape parameter")
         if self.kind != "skewnormal" and self.shape is not None:
             raise ValueError(f"{self.kind} takes no shape parameter")
+        if not all(map(math.isfinite, (self.location, self.scale, self.shape or 0.0))):
+            raise ValueError(f"leg {self.spec()}: parameters must be finite")
 
     @classmethod
     def parse(cls, spec: str) -> "LegDistribution":
@@ -113,7 +115,8 @@ class LegDistribution:
             return self.location + self.scale * (
                 delta * z1 + math.sqrt(1.0 - delta**2) * z2
             )
-        return np.exp(self.location + self.scale * rng.standard_normal(n)) - 1.0
+        with np.errstate(over="ignore"):  # sample() refuses the infinite draws
+            return np.exp(self.location + self.scale * rng.standard_normal(n)) - 1.0
 
     def sample(
         self, rng: np.random.Generator, n: int, budget: float = math.inf
@@ -124,6 +127,8 @@ class LegDistribution:
         rejected, so a leg with no mass above -1 cannot redraw forever.
         """
         x = self._draw(rng, n)
+        if not np.isfinite(x).all():
+            raise DomainError(f"leg {self.spec()}: draws are not finite")
         rejected = 0
         bad = x <= -1.0
         while np.any(bad):

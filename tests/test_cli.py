@@ -198,6 +198,15 @@ USAGE_ERRORS = [
     ["asymmetry", "--family", "exponential", "--at", "1", "--dir", "1", "--steps", "0.1,0.05,0.025,-0.01"],
     ["asymmetry", "--family", "exponential", "--at", "1", "--dir", "1", "--steps=-0.1,-0.2,-0.3,-0.4"],
     ["tensor", "--family", "exponential", "--at", "1", "--h", "inf"],
+    # spec parameters that are not finite, or whose legs draw infinities
+    ["triangle", "--legs", "gaussian:nan,0.01", "gaussian:0,0.01", "gaussian:0,0.01",
+     "--samples", "1000", "--seed", "1"],
+    ["triangle", "--legs", "skewnormal:0,0.01,inf", "gaussian:0,0.01", "gaussian:0,0.01",
+     "--samples", "1000", "--seed", "1"],
+    ["triangle", "--legs", "shifted-lognormal:1000,1", "gaussian:0,0.01", "gaussian:0,0.01",
+     "--samples", "1000", "--seed", "1"],
+    ["divergence", "--family", "gaussian:inf", "--p", "0", "--q", "1"],
+    ["divergence", "--family", "gaussian:1e200", "--p", "0", "--q", "1"],
 ]
 
 
@@ -218,11 +227,21 @@ def test_natural_view_error_names_the_coordinate_given(capsys):
     assert err == "geo: exponential:natural: second argument [1.] outside domain\n"
 
 
+CONDITIONING_ERRORS = [
+    ["tensor", "--family", "exponential", "--at", "1", "--order", "cubic", "--h", "1e-5"],
+    # steps below the resolution of the base point
+    ["tensor", "--family", "gaussian-full", "--at", "1e200,1"],
+    ["tensor", "--family", "exponential", "--at", "1e300"],
+    ["convergence", "--family", "gaussian-full", "--at", "1e200,1", "--steps", "0.1,0.05"],
+    ["asymmetry", "--family", "gaussian-full", "--at", "1e15,1", "--dir", "1,0", *LADDER],
+]
+
+
 def test_conditioning_errors_exit_2(capsys):
-    code = main(["tensor", "--family", "exponential", "--at", "1", "--order", "cubic",
-                 "--h", "1e-5"])
-    assert code == 2
-    assert "conditioning" in capsys.readouterr().err
+    for argv in CONDITIONING_ERRORS:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("geo: numerical conditioning: "), (argv, err)
 
 
 def test_plot_csv_unsupported_kind_exits_1(capsys):
@@ -350,11 +369,12 @@ TRIANGLE_CONFIG = {
         {"config": dict(TENSOR_CONFIG, at=[])},  # empty point lists
         {"config": dict(ASYMMETRY_CONFIG, direction=[])},
         {"config": dict(TRIANGLE_CONFIG, legs=[])},  # not three legs
+        pytest.param("family,value\nexponential,0.5\n", id="csv-report"),
     ],
 )
 def test_replay_of_non_report_exits_1(tmp_path, capsys, document):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(document))
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
     assert main(["replay", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("geo: replay "), err

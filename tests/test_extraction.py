@@ -326,6 +326,25 @@ def test_noise_panic_on_tiny_steps():
         extract_cubic(ExponentialScale(), [1.0], h=1e-5)
 
 
+def test_steps_below_the_resolution_of_the_point_are_conditioning_errors():
+    # at mu = 1e15 an ulp is 0.125, so mu + h/4 == mu and g_00 came out 0
+    family = GaussianFull()
+    with pytest.raises(ConditioningError, match=r"step of 1\.000e-02 is not resolved"):
+        extract_metric(family, [1e15, 1.0])
+    with pytest.raises(ConditioningError, match=r"step of 2\.500e-03 is not resolved"):
+        extract_cubic(family, [1e12, 1.0], h=1e-2, richardson=True)
+    with pytest.raises(ConditioningError):
+        asymmetry_probe(family, [1e15, 1.0], [1.0, 0.0], [0.2, 0.1, 0.05, 0.025])
+    # before the closed-form oracles, which overflow at this mean
+    with pytest.raises(ConditioningError):
+        convergence_report(family, [1e200, 1.0], [0.1, 0.05])
+    with pytest.raises(ConditioningError):
+        extract_metric(ExponentialScale(), [1e300])
+    # the same steps are resolved where the scale of the point allows them
+    g = extract_metric(family, [1e3, 1.0], h=1e-2).components
+    assert g[0, 0] == pytest.approx(1.0, rel=1e-6)
+
+
 def test_zero_cubic_tensor_does_not_panic():
     t = extract_cubic(GaussianFixedSigma(1.0), [0.0], h=1e-3)
     assert np.max(np.abs(t.components)) < 1e-6

@@ -7,6 +7,7 @@ on their own correctness.
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -16,14 +17,17 @@ from hypothesis import strategies as st
 
 from infogeo import (
     Bernoulli,
+    BlochChart,
     Categorical,
+    ChartDivergence,
     DomainError,
     ExponentialScale,
     GaussianFixedSigma,
     GaussianFull,
-    Point,
+    NaturalView,
     UnsupportedFamily,
     bregman_divergence,
+    extract_cubic,
     make_chart_divergence,
     make_family,
     natural_view,
@@ -369,15 +373,6 @@ def test_boundary_margin_is_configurable():
         tight.divergence([0.5], [1e-4])
 
 
-def test_point_family_id_mismatch_is_usage_error():
-    fam = ExponentialScale()
-    alien = Point(coords=(1.0,), family_id="bernoulli")
-    with pytest.raises(ValueError):
-        fam.divergence(alien, [1.0])
-    owned = Point(coords=(2.0,), family_id="exponential")
-    assert fam.divergence(owned, owned) == 0.0
-
-
 def test_make_family_grammar():
     assert make_family("exponential").family_id == "exponential"
     assert make_family("categorical:3").dimension == 2
@@ -517,3 +512,48 @@ def test_divergence_rows_matches_divergence(data):
         div.divergence(*pair)
     with pytest.raises(type(scalar.value)):
         div.divergence_rows(P, Q)
+
+
+@pytest.mark.parametrize("div", _BATCHED, ids=lambda div: div.family_id)
+def test_divergence_takes_one_point_per_argument(div):
+    p = _batch_interior(div, np.random.default_rng(0), 2)
+    message = rf"^{re.escape(div.family_id)}: expected {div.dimension} coordinate\(s\), got shape"
+    for pair in [(p[:1], p[1]), (p[0], p[1:]), (p[0], np.append(p[1], 0.5))]:
+        with pytest.raises(ValueError, match=message):
+            div.divergence(*pair)
+
+
+class _AskedPointByPoint:
+    """Writes its domain as ``contains`` alone, counting the points it is asked about."""
+
+    asked = 0
+
+    def contains(self, x):
+        self.asked += 1
+        return super().contains(x)
+
+
+class _ContainsOnlyView(_AskedPointByPoint, NaturalView):
+    pass
+
+
+class _ContainsOnlyChart(_AskedPointByPoint, ChartDivergence):
+    pass
+
+
+@pytest.mark.parametrize(
+    "parent, subclass, p, Q",
+    [
+        (natural_view(ExponentialScale()), _ContainsOnlyView(ExponentialScale()),
+         [-1.0], [[-1.1], [-0.9], [-1.0]]),
+        (make_chart_divergence("qre:bloch"), _ContainsOnlyChart(BlochChart()),
+         [0.1, 0.2, 0.3], [[-0.2, 0.0, 0.4], [0.1, 0.2, 0.31], [0.1, 0.2, 0.3]]),
+    ],
+)
+def test_contains_only_subclasses_give_the_parents_values(parent, subclass, p, Q):
+    assert subclass.divergence(p, Q[0]) == parent.divergence(p, Q[0])
+    subclass.asked = 0
+    assert subclass.divergence_rows(p, Q).tolist() == parent.divergence_rows(p, Q).tolist()
+    assert subclass.asked == 1 + len(Q)  # the one base point, then each row
+    cubic = extract_cubic(subclass, p, h=0.05, richardson=True).components
+    assert np.array_equal(cubic, extract_cubic(parent, p, h=0.05, richardson=True).components)
