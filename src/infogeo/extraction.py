@@ -17,11 +17,12 @@ one per distinct axis, of the order with which the axis occurs:
     second  {+1: 1, 0: -2, -1: 1}
     third   {+2: 1/2, +1: -1, -1: 1, -2: -1/2}
 
-A plan, cached per (dimension, order), holds the index tuples, the distinct
-integer offsets and a weight matrix W, so every stencil point is checked
-against the domain first, then evaluated once, and T = W f / h^order.  Each
-value fills every permutation of its index tuple, so the recorded
-pre-symmetrization residual is structurally zero.
+A plan, cached per (dimension, order, Richardson or not), holds a weight
+matrix W and the distinct integer offsets of all the step levels in units of
+the finest step, so every stencil point is checked against the domain
+first, then evaluated once, and each level's T = W f / h^order.  Each value
+fills every permutation of its index tuple through a precomputed index, so
+the recorded pre-symmetrization residual is structurally zero.
 
 Several points at once go through ``rows_inside`` for domain checks and
 ``divergences`` for values.  An object may add the optional
@@ -31,8 +32,11 @@ of P and Q broadcast to (n, d) in one call.  Every built-in family, natural
 view and chart divergence is a ``families.DivergenceFamily``, which has
 both, and whose ``divergence(p, q)`` is the one-row case of
 ``divergence_rows``.  Without them each point is passed to ``contains`` or
-``divergence`` in turn.  A stencil level is then one domain check and one
-divergence call.
+``divergence`` in turn.  An extraction is then one domain check and one
+divergence call, and so is a batch of base points: ``_tensors`` takes the
+stencils of many rows P at once (``roundtrip.demon_work`` passes it up to
+256 points of a path) and raises the error that extracting the rows one by
+one would have met first.
 
 A step is refused with ConditioningError when it is not resolved at the
 base point: when p + s - p differs from s by more than 1e-3 s in some
@@ -136,16 +140,22 @@ _CENTRAL = {
     3: {+2: 0.5, +1: -1.0, -1: 1.0, -2: -0.5},
 }
 
+# the steps of the levels, as divisors of h: h alone, or h, h/2 and h/4
+_LEVELS = {False: (1,), True: (1, 2, 4)}
+
 
 @functools.lru_cache(maxsize=None)
-def _stencil_plan(d: int, order: int):
+def _stencil_plan(d: int, order: int, richardson: bool):
     """Stencil of every order-``order`` partial derivative in ``d`` dimensions.
 
-    Returns the sorted index tuples, the distinct integer offsets (one row
-    each) and the weight matrix W with T[tuples[r]] = (W @ f)[r] / h^order,
-    where f holds D(p || p + h offset) over the offsets.  A tuple's stencil
-    is the tensor product of the 1-D rules of its distinct axes, the rule's
-    order being how often the axis occurs.
+    Returns (W, offsets, levels, fill).  T[tuples[r]] = (W @ f)[r] / s^order,
+    where f holds D(p || p + s o) at one level's offsets o and s is its step;
+    a tuple's stencil is the tensor product of the 1-D rules of its distinct
+    axes, the rule's order being how often the axis occurs.  ``offsets`` (m,
+    d) are the distinct offsets of every level in units of the finest step,
+    and ``levels[l]`` picks level l's offsets out of them in the column order
+    of W.  ``fill`` gives, for each entry of a (d,)*order tensor in C order,
+    the row r of its sorted index tuple.
     """
     tuples = tuple(itertools.combinations_with_replacement(range(d), order))
     rows = []
@@ -164,48 +174,24 @@ def _stencil_plan(d: int, order: int):
     # the summation order that keeps metrics bit-identical to the 4-corner rule
     offsets = sorted(set().union(*rows), reverse=True)
     weights = np.array([[row.get(o, 0.0) for o in offsets] for row in rows])
-    offsets = np.array(offsets, dtype=float)
-    offsets.flags.writeable = weights.flags.writeable = False
-    return tuples, offsets, weights
+    # coarsest level first, each point once: offset 2 at h/2 is offset 1 at
+    # h, and scaling a step by a power of two leaves the coordinates bit-equal
+    finest = _LEVELS[richardson][-1]
+    union: dict[tuple, int] = {}
+    levels = [
+        [union.setdefault(tuple(finest // q * c for c in o), len(union)) for o in offsets]
+        for q in _LEVELS[richardson]
+    ]
+    fill = [tuples.index(tuple(sorted(i))) for i in itertools.product(range(d), repeat=order)]
+    plan = weights, np.array(list(union), dtype=float), np.array(levels), np.array(fill)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
-def _tensor_at(div, p: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Order-``order`` derivative tensor of D(p || .) at p, step h."""
-    tuples, offsets, weights = _stencil_plan(div.dimension, order)
-    points = p + h * offsets
-    inside = rows_inside(div, points)
-    if not inside.all():
-        raise DomainError(
-            f"{div.family_id}: finite-difference stencil leaves the domain "
-            f"at {points[inside.argmin()]}"
-        )
-    values = weights @ divergences(div, p, points) / h**order
-    t = np.empty((div.dimension,) * order)
-    for idx, value in zip(tuples, values):
-        for perm in itertools.permutations(idx):
-            t[perm] = value
-    return t
-
-
-def _richardson(div, p: np.ndarray, h: float, order: int):
-    """Three-level Richardson for an O(h^2) stencil, with a sanity check."""
-    t1, t2, t3 = (_tensor_at(div, p, s, order) for s in (h, h / 2.0, h / 4.0))
-    d1 = float(np.max(np.abs(t1 - t2)))
-    d2 = float(np.max(np.abs(t2 - t3)))
-    # disagreements at the rounding-noise floor of the finest level carry no
-    # information about the truncation ladder (zero tensors live there)
-    noise_floor = 1e-16 / (h / 4.0) ** order
-    # expected d2 ~ d1/4; tolerate 10x before declaring the ladder unusable
-    if d2 > 2.5 * d1 and d2 > 10.0 * noise_floor:
-        raise ConditioningError(
-            f"step-halving disagreement grew from {d1:.3e} to {d2:.3e}; "
-            "the step ladder is outside the asymptotic regime"
-        )
-    return (4.0 * t3 - t2) / 3.0, d2
-
-
-def _check_resolved(div, p: np.ndarray, u: list) -> None:
-    """Raise ConditioningError unless p + u - p is u to 1e-3 in every coordinate.
+def _unresolved(P: np.ndarray, u: list) -> np.ndarray:
+    """Which rows p of the (n, d) array P leave p + u - p off u by more than
+    1e-3 |u| in some coordinate.
 
     Near a coordinate of magnitude |p_i| a displacement is rounded to a
     multiple of half an ulp of p_i, so one below about 1e3 ulps measures
@@ -213,25 +199,122 @@ def _check_resolved(div, p: np.ndarray, u: list) -> None:
     """
     # in Python floats an overflow gives inf and a comparison with NaN is
     # False, without warnings; a step that is not finite is the callers' to refuse
-    if any(abs(x + s - x - s) > 1e-3 * abs(s) for x, s in zip(p.tolist(), u)):
-        raise ConditioningError(
-            f"{div.family_id}: a step of {max(map(abs, u)):.3e} is not resolved at "
-            f"{p}; a larger step, or a point nearer the origin, is needed"
-        )
+    return np.array(
+        [any(abs(x + s - x - s) > 1e-3 * abs(s) for x, s in zip(p, u)) for p in P.tolist()], dtype=bool
+    )
+
+
+def _not_resolved(div, p, u: list) -> ConditioningError:
+    return ConditioningError(
+        f"{div.family_id}: a step of {max(map(abs, u)):.3e} is not resolved at "
+        f"{p}; a larger step, or a point nearer the origin, is needed"
+    )
+
+
+def _metric_test(g: np.ndarray, h_min: float):
+    """Smallest eigenvalue of each metric; a metric fails below -1e-8."""
+    min_eig = np.linalg.eigvalsh(g).min(axis=-1)
+    return min_eig, min_eig < -1e-8, lambda r: NumericalError(
+        f"extracted metric has eigenvalue {min_eig[r]:.3e} < -1e-8"
+    )
+
+
+def _cubic_test(t: np.ndarray, h_min: float):
+    """Rounding-noise estimate 1e-16 / h^3; a cubic fails when it exceeds 1%
+    of its largest component, and that component is clearly non-zero."""
+    noise = 1e-16 / h_min**3
+    largest = np.abs(t).reshape(len(t), -1).max(axis=1)
+    return np.full(len(t), noise), (largest > 1e-9) & (noise > 0.01 * largest), lambda r: NoisePanic(
+        f"rounding-noise estimate {noise:.3e} exceeds 1% of the largest "
+        f"component {largest[r]:.3e}; increase h"
+    )
+
+
+_ACCEPT = {2: _metric_test, 3: _cubic_test}
+
+
+def _tensors(div, P, h: float, richardson: bool, order: int):
+    """Order-``order`` derivative tensors of D(p || .) at each row p of the
+    (n >= 1, d) array P.
+
+    Returns (T, disagreements, statistic) over the rows: the tensors, the
+    Richardson (h/2, h/4) disagreements or None, and the order's acceptance
+    statistic (smallest metric eigenvalue, or cubic noise estimate).
+
+    Each row gets the checks of one extraction, in this order: base point in
+    the domain, finest step resolved, stencil in the domain, and after the
+    evaluation the Richardson ladder and the order's acceptance test.  All
+    stencil points of all rows go through one ``rows_inside`` and one
+    ``divergences`` call.  When rows fail, the error raised is the one that
+    extracting row after row would have met first.
+    """
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
+    d = div.dimension
+    weights, offsets, levels, fill = _stencil_plan(d, order, richardson)
+    steps = [h / q for q in _LEVELS[richardson]]
+    fine = steps[-1]
+    P = np.asarray(P, dtype=float)
+    error, cut = None, len(P)
+
+    def refuse(bad: np.ndarray, make_error) -> None:
+        """Cut the batch before the first row below the cut that ``bad`` marks."""
+        nonlocal error, cut
+        bad = bad[:cut]
+        if bad.any():
+            cut = int(bad.argmax())
+            error = make_error(cut)
+
+    inside = rows_inside(div, P) if P.ndim == 2 else np.zeros(cut, dtype=bool)
+    refuse(~inside, lambda r: DomainError(f"{div.family_id}: base point {P[r]} outside domain"))
+    if cut == 0:
+        raise error
+    P = P[:cut]
+    refuse(_unresolved(P, [fine] * d), lambda r: _not_resolved(div, P[r], [fine]))
+    m = len(offsets)
+    points = P[:cut, None, :] + fine * offsets
+    inside = rows_inside(div, points.reshape(-1, d)).reshape(cut, m)
+    refuse(~inside.all(axis=1), lambda r: DomainError(
+        f"{div.family_id}: finite-difference stencil leaves the domain at {points[r, inside[r].argmin()]}"
+    ))
+    if cut == 0:
+        raise error
+
+    # one base row is passed as one row, which a chart turns into one state
+    base = P[0] if cut == 1 else np.repeat(P[:cut], m, axis=0)
+    f = divergences(div, base, points[:cut].reshape(-1, d)).reshape(cut, m)
+    # W @ f for every row and level as one stack of matrix-vector products,
+    # each summed exactly as the product for a single row and level is
+    t = (weights @ f[:, levels, None])[..., 0][..., fill]
+    scale = np.array([s**order for s in steps])[:, None]
+    t = (t / scale).reshape((cut, len(steps)) + (d,) * order)
+    disagreement = None
+    if richardson:
+        # the (h, h/2) and (h/2, h/4) disagreements of each row
+        d1, disagreement = np.abs(t[:, :-1] - t[:, 1:]).reshape(cut, 2, -1).max(axis=-1).T
+        # disagreements at the rounding-noise floor of the finest level carry no
+        # information about the truncation ladder (zero tensors live there)
+        noise_floor = 1e-16 / fine**order
+        # expected d2 ~ d1/4; tolerate 10x before declaring the ladder unusable
+        refuse((disagreement > 2.5 * d1) & (disagreement > 10.0 * noise_floor), lambda r: ConditioningError(
+            f"step-halving disagreement grew from {d1[r]:.3e} to {disagreement[r]:.3e}; "
+            "the step ladder is outside the asymptotic regime"
+        ))
+        t = (4.0 * t[:, 2] - t[:, 1]) / 3.0
+    else:
+        t = t[:, 0]
+    statistic, rejected, reject = _ACCEPT[order](t, fine)
+    refuse(rejected, reject)
+    if error is not None:
+        raise error
+    return t, disagreement, statistic
 
 
 def _extract(div, p, h: float, richardson: bool, order: int):
-    """Shared prelude: (point, tensor, finest step, Richardson disagreement)."""
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"step size must be positive and finite, got {h}")
+    """One row of ``_tensors``: (point, tensor, disagreement, statistic)."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if not div.contains(p):
-        raise DomainError(f"{div.family_id}: base point {p} outside domain")
-    _check_resolved(div, p, [h / 4.0 if richardson else h] * p.size)
-    if richardson:
-        t, disagreement = _richardson(div, p, h, order)
-        return p, t, h / 4.0, disagreement
-    return p, _tensor_at(div, p, h, order), h, None
+    t, disagreement, statistic = _tensors(div, p[None], h, richardson, order)
+    return p, t[0], None if disagreement is None else float(disagreement[0]), float(statistic[0])
 
 
 def extract_metric(div, p, h: float = 1e-2, richardson: bool = False) -> MetricTensor:
@@ -241,12 +324,7 @@ def extract_metric(div, p, h: float = 1e-2, richardson: bool = False) -> MetricT
     when the result is not positive semidefinite within 1e-8, and
     ConditioningError when Richardson levels disagree implausibly.
     """
-    p, g, _, disagreement = _extract(div, p, h, richardson, 2)
-    min_eig = float(np.linalg.eigvalsh(g).min())
-    if min_eig < -1e-8:
-        raise NumericalError(
-            f"extracted metric has eigenvalue {min_eig:.3e} < -1e-8"
-        )
+    p, g, disagreement, min_eig = _extract(div, p, h, richardson, 2)
     return MetricTensor(
         components=g,
         base_point=p,
@@ -266,14 +344,7 @@ def extract_cubic(div, p, h: float = 5e-2, richardson: bool = False) -> CubicTen
     of the largest component of a clearly non-zero tensor; the remedy is a
     larger step.
     """
-    p, t, h_min, disagreement = _extract(div, p, h, richardson, 3)
-    noise = 1e-16 / h_min**3
-    largest = float(np.max(np.abs(t)))
-    if largest > 1e-9 and noise > 0.01 * largest:
-        raise NoisePanic(
-            f"rounding-noise estimate {noise:.3e} exceeds 1% of the largest "
-            f"component {largest:.3e}; increase h"
-        )
+    p, t, disagreement, noise = _extract(div, p, h, richardson, 3)
     return CubicTensor(
         components=t,
         base_point=p,
@@ -324,7 +395,9 @@ def asymmetry_probe(div, p, v, steps, cubic_h: float | None = None) -> Asymmetry
         raise DomainError(
             f"{div.family_id}: probe point {probes[inside.argmin()]} outside domain"
         )
-    _check_resolved(div, p, (steps[-1] * v).tolist())
+    u = (steps[-1] * v).tolist()
+    if _unresolved(p[None], u)[0]:
+        raise _not_resolved(div, p, u)
     values = divergences(div, p, probes) - divergences(div, probes, p)
 
     if np.max(np.abs(values)) < 1e-14:
@@ -395,7 +468,8 @@ def convergence_report(
         raise DomainError(f"{div.family_id}: base point {p} outside domain")
     if ladder.size:
         finest = float(ladder.min()) / (4.0 if richardson else 1.0)
-        _check_resolved(div, p, [finest] * p.size)
+        if _unresolved(p[None], [finest] * p.size)[0]:
+            raise _not_resolved(div, p, [finest])
     if metric_oracle is None and hasattr(div, "fisher"):
         metric_oracle = np.asarray(div.fisher(p), dtype=float)
     if cubic_oracle is None and hasattr(div, "forward_cubic"):

@@ -31,12 +31,13 @@ immutable configuration and are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedFamily
+from .errors import DomainError, NumericalError, UnsupportedFamily
 
 __all__ = [
     "RowDomain",
@@ -141,11 +142,27 @@ _LIBM_EXP = np.frompyfunc(math.exp, 1, 1)
 
 
 def _log(x) -> np.ndarray:
-    return np.asarray(_LIBM_LOG(x), dtype=float)
+    try:
+        return np.asarray(_LIBM_LOG(x), dtype=float)
+    except ValueError:  # the C library refuses a ratio that underflowed to 0
+        return np.where(x > 0.0, _log(np.where(x > 0.0, x, 1.0)), -np.inf)
 
 
 def _exp(x) -> np.ndarray:
     return np.asarray(_LIBM_EXP(x), dtype=float)
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_entries(d: int, order: int) -> np.ndarray:
+    """For each entry of a (d,)*order tensor in C order, the flat index of
+    the entry with the same indices sorted."""
+    return np.ravel_multi_index(np.sort(np.indices((d,) * order).reshape(order, -1), axis=0), (d,) * order)
+
+
+def _symmetric(t: np.ndarray) -> np.ndarray:
+    """``t`` with each entry taken from its sorted index: exactly symmetric,
+    and unchanged bit for bit when ``t`` already is."""
+    return t.reshape(-1)[_sorted_entries(t.shape[0], t.ndim)].reshape(t.shape)
 
 
 class DivergenceFamily(RowDomain):
@@ -189,8 +206,9 @@ class DivergenceFamily(RowDomain):
     def _checked_divergence(self, P, Q) -> np.ndarray:
         """``_divergence`` over P and Q as (1 or n, d) float arrays.
 
-        Raises ValueError for rows of the wrong width and DomainError naming
-        the first row outside the domain.
+        Raises ValueError for rows of the wrong width, DomainError naming
+        the first row outside the domain, and NumericalError naming the
+        first pair whose divergence overflows, with no floating-point warning.
         """
         P, Q = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (P, Q))
         for which, X in (("first", P), ("second", Q)):
@@ -201,7 +219,13 @@ class DivergenceFamily(RowDomain):
             inside = self.contains_rows(X)
             if not inside.all():
                 raise DomainError(f"{self.family_id}: {which} argument {X[inside.argmin()]} outside domain")
-        return np.where((P == Q).all(axis=-1), 0.0, self._divergence(P, Q))
+        with np.errstate(all="ignore"):
+            values = np.where((P == Q).all(axis=-1), 0.0, self._divergence(P, Q))
+        finite = np.isfinite(values)
+        if not finite.all():
+            p, q = (np.broadcast_to(X, (len(values), self.dimension))[finite.argmin()] for X in (P, Q))
+            raise NumericalError(f"{self.family_id}: the divergence from {p} to {q} overflows the float range")
+        return values
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.family_id}>"
@@ -212,10 +236,11 @@ class ExponentialFamily(DivergenceFamily):
 
     ``fisher`` (g = J^T psi'' J) and ``forward_cubic`` (T = psi'''(J, J, J)
     + 3 Sym psi''(H, J)) are written here once, by the module docstring's
-    rule.  A family supplies ``_inside``, ``_divergence``, the natural domain
-    ``_natural_inside`` and the unchecked inverse chart ``from_natural``
-    (both over the last axis), and these, on one point that this class has
-    coerced and checked against its chart's domain:
+    rule, and made exactly symmetric by ``_symmetric``.  A family supplies
+    ``_inside``, ``_divergence``, the natural domain ``_natural_inside`` and
+    the unchecked inverse chart ``from_natural`` (both over the last axis),
+    and these, on one point that this class has coerced and checked against
+    its chart's domain:
 
         _to_natural(x)           eta
         _natural_jacobian(x)     J = d eta / dx, (d, d), natural index first
@@ -268,7 +293,7 @@ class ExponentialFamily(DivergenceFamily):
         """Quadratic Taylor coefficient g of D(x || x + u) in the default chart."""
         x = self._point(x)
         jac = self._natural_jacobian(x)
-        return jac.T @ self._natural_fisher(self._to_natural(x)) @ jac
+        return _symmetric(jac.T @ self._natural_fisher(self._to_natural(x)) @ jac)
 
     def forward_cubic(self, x) -> np.ndarray:
         """Cubic Taylor coefficient T of D(x || x + u) in the default chart."""
@@ -280,7 +305,7 @@ class ExponentialFamily(DivergenceFamily):
         # psi''_ab H_aij J_bk, added once for each index that J carries
         psi2 = self._natural_fisher(self._to_natural(x))
         m = np.einsum("aij,ab,bk->ijk", self._natural_hessian(x), psi2, jac)
-        return t + m + m.transpose(0, 2, 1) + m.transpose(2, 0, 1)
+        return _symmetric(t + m + m.transpose(0, 2, 1) + m.transpose(2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +683,7 @@ class NaturalView(DivergenceFamily):
     This lets tensors be extracted directly in the chart where the
     score-moment oracle lives.  In this chart the closed-form ``fisher`` is
     the Hessian of the log-partition and ``forward_cubic`` coincides with
-    the score moment.
+    the score moment, both made exactly symmetric by ``_symmetric``.
     """
 
     def __init__(self, family: ExponentialFamily):
@@ -675,11 +700,11 @@ class NaturalView(DivergenceFamily):
         return self.family.divergence_rows(self.family.from_natural(P), self.family.from_natural(Q))
 
     def fisher(self, eta):
-        return self.family.natural_fisher(_checked_point(self, self.contains, eta, "point"))
+        return _symmetric(self.family.natural_fisher(_checked_point(self, self.contains, eta, "point")))
 
     def forward_cubic(self, eta):
         eta = _checked_point(self, self.contains, eta, "point")
-        return self.family.score_moment(self.family.from_natural(eta))
+        return _symmetric(self.family.score_moment(self.family.from_natural(eta)))
 
     def random_interior(self, rng, n):
         pts = self.family.random_interior(rng, n)

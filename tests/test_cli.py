@@ -244,6 +244,28 @@ def test_conditioning_errors_exit_2(capsys):
         assert len(err) == 1 and err[0].startswith("geo: numerical conditioning: "), (argv, err)
 
 
+def test_closed_form_divergence_overflow_is_one_line(capsys):
+    # an overflowing square, and the C library's log of a ratio that underflowed to 0
+    for argv, family in [
+        (["divergence", "--family", "gaussian", "--p", "0", "--q", "1e200"], "gaussian:1"),
+        (["divergence", "--family", "exponential", "--p", "1e-300", "--q", "1e300"], "exponential"),
+    ]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"geo: numerical conditioning: {family}: the divergence from ")
+        assert err[0].endswith(" overflows the float range")
+
+
+def test_triangle_legs_whose_draws_overflow_are_refused(capsys):
+    argv = ["triangle", "--legs", "gaussian:1e200,1", "gaussian:0,0.01", "gaussian:0,0.01",
+            "--samples", "1000", "--seed", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "geo: leg gaussian:1e+200,1: draws as large as 1e+200 overflow the cycle's power sums\n"
+
+
 def test_plot_csv_unsupported_kind_exits_1(capsys):
     code = main(["divergence", "--family", "exponential", "--p", "1", "--q", "2",
                  "--format", "plot-csv"])

@@ -8,6 +8,8 @@ natural parameters (eta = -theta), so there the transported comparison works
 in the default chart too.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,11 @@ from infogeo import (
     convergence_report,
     extract_cubic,
     extract_metric,
+    make_chart_divergence,
     natural_view,
     score_moment_tensor,
 )
-from infogeo.extraction import fit_loglog_slope
+from infogeo.extraction import _tensors, fit_loglog_slope
 from infogeo.families import divergences
 
 
@@ -258,12 +261,15 @@ class _CountingDivergence:
 @pytest.mark.parametrize(
     "family, p, metric_calls, cubic_calls",
     [
-        (ExponentialScale(), [1.0], 9, 12),
-        (GaussianFull(), [0.2, 1.3], 27, 36),
-        (Categorical(4), [0.2, 0.3, 0.25], 57, 96),
+        (ExponentialScale(), [1.0], 7, 8),
+        (GaussianFull(), [0.2, 1.3], 25, 28),
+        (Categorical(4), [0.2, 0.3, 0.25], 55, 84),
     ],
+    ids=["exponential", "gaussian-full", "categorical:4"],
 )
-def test_each_stencil_point_is_evaluated_once_per_level(family, p, metric_calls, cubic_calls):
+def test_each_stencil_point_is_evaluated_once_per_extraction(family, p, metric_calls, cubic_calls):
+    # the Richardson levels share points (offset 2 at h/2 is offset 1 at h),
+    # and each distinct point is asked for once
     for extract, h, calls in [
         (extract_metric, 1e-2, metric_calls),
         (extract_cubic, 2e-2, cubic_calls),
@@ -271,10 +277,97 @@ def test_each_stencil_point_is_evaluated_once_per_level(family, p, metric_calls,
         div = _CountingDivergence(family)
         extract(div, p, h=h, richardson=True)
         assert len(div.calls) == calls
-        per_level = calls // 3
-        for level in range(3):
-            chunk = div.calls[level * per_level : (level + 1) * per_level]
-            assert len(set(chunk)) == per_level, (extract.__name__, level)
+        assert len(set(div.calls)) == calls, extract.__name__
+        assert {pq[0] for pq in div.calls} == {tuple(p)}
+
+
+class _CountingRows:
+    """Forwards to a family and records the row count of each ``divergence_rows`` call."""
+
+    def __init__(self, family):
+        self.family = family
+        self.family_id = family.family_id
+        self.dimension = family.dimension
+        self.rows = []
+
+    def contains(self, x):
+        return self.family.contains(x)
+
+    def contains_rows(self, X):
+        return self.family.contains_rows(X)
+
+    def divergence(self, p, q):
+        raise AssertionError("a batched object was asked for one pair")
+
+    def divergence_rows(self, P, Q):
+        values = self.family.divergence_rows(P, Q)
+        self.rows.append(len(values))
+        return values
+
+
+@pytest.mark.parametrize(
+    "family, p, metric_rows, cubic_rows",
+    [
+        (ExponentialScale(), [1.0], 7, 8),
+        (GaussianFull(), [0.2, 1.3], 25, 28),
+        (make_chart_divergence("qre:bloch"), [0.1, -0.2, 0.3], 55, 84),
+    ],
+    ids=["exponential", "gaussian-full", "qre:bloch"],
+)
+def test_a_richardson_extraction_is_one_divergence_call(family, p, metric_rows, cubic_rows):
+    # one call for all three Richardson levels
+    for extract, h, rows in [(extract_metric, 1e-2, metric_rows), (extract_cubic, 2e-2, cubic_rows)]:
+        div = _CountingRows(family)
+        t = extract(div, p, h=h, richardson=True)
+        assert div.rows == [rows]
+        reference = extract(family, p, h=h, richardson=True)
+        assert np.array_equal(t.components, reference.components)
+        assert t.richardson_disagreement == reference.richardson_disagreement
+    div = _CountingRows(family)
+    extract_cubic(div, p, h=2e-2)
+    assert div.rows == [{1: 4, 2: 12, 3: 32}[family.dimension]]
+
+
+class _PatchyExponential:
+    """The exponential family, row by row, with a kink in D(p || .) for 5 < p < 10
+    that fails the Richardson check there."""
+
+    family_id = "patchy"
+    dimension = 1
+
+    def contains(self, x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return x.shape == (1,) and bool(0.0 < x[0] < np.inf)
+
+    def divergence(self, p, q):
+        u = float(q[0] - p[0])
+        kink = 1e-6 * np.sign(u) * np.sqrt(abs(u)) if 5.0 < p[0] < 10.0 else 0.0
+        return ExponentialScale().divergence(p, q) + kink
+
+
+# one row each that extracts, fails the Richardson check (patchy only), fails
+# the noise test, leaves the domain with its stencil or its base point, and
+# is not resolved by the finest step
+_ROWS = [1.0, 7.0, 1e3, 0.08, -1.0, 1e17]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", [_PatchyExponential(), ExponentialScale()], ids=["row-by-row", "batched"])
+def test_a_batch_raises_the_error_a_row_by_row_walk_meets_first(family):
+    for rows in itertools.permutations(_ROWS, 3):
+        P = np.array(rows)[:, None]
+        batch = _outcome(lambda: _tensors(family, P, 5e-2, True, 3)[0])
+        walk = _outcome(lambda: np.array([extract_cubic(family, p, h=5e-2, richardson=True).components for p in P]))
+        if isinstance(walk, tuple):
+            assert batch == walk, rows
+        else:
+            assert np.array_equal(batch, walk), rows
 
 
 class _ScalarOnlyExponential(ExponentialScale):
@@ -302,7 +395,7 @@ def test_divergences_falls_back_row_by_row():
     subclass = _ScalarOnlyExponential()
     cubic = extract_cubic(subclass, [1.0], h=0.05, richardson=True).components
     assert np.array_equal(cubic, extract_cubic(family, [1.0], h=0.05, richardson=True).components)
-    assert len(subclass.calls) == 12
+    assert len(subclass.calls) == 8  # the distinct points of the three levels
 
 
 # --- failure modes -----------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from infogeo import (
+    Bernoulli,
     Categorical,
     DomainError,
     ExponentialScale,
@@ -17,13 +18,15 @@ from infogeo import (
     RejectionOverflow,
     TradeSampler,
     demon_work,
+    make_chart_divergence,
+    natural_view,
     spread_estimate,
     triangle_simulate,
     work_surcharge,
 )
 from infogeo.extraction import asymmetry_probe, extract_cubic
 from infogeo.families import DivergenceFamily
-from infogeo.roundtrip import CHUNK_SIZE, _Accumulator, _chunks, _cubic_tensor
+from infogeo.roundtrip import CHUNK_SIZE, _Accumulator, _chunks, _cubic_tensors
 
 
 # --- leg distributions -------------------------------------------------------
@@ -218,6 +221,88 @@ def test_demon_validation():
         demon_work(ExponentialScale(), [[1.0], [1.1]], tensor_at="end")
 
 
+def _demon_by_waypoints(family, path, tensor_at, h=5e-2):
+    """(per_step, total, reversed_total) walked step by step, with one
+    Richardson extract_cubic per distinct point: what demon_work batches."""
+    cache = {}
+
+    def walk(path):
+        work = []
+        for a, b in zip(path[:-1], path[1:]):
+            at = a if tensor_at == "start" else 0.5 * (a + b)
+            key = at.tobytes()
+            if key not in cache:
+                cache[key] = extract_cubic(family, at, h=h, richardson=True).components
+            d = b - a
+            work.append(float(np.einsum("ijk,i,j,k->", cache[key], d, d, d)) / 6.0)
+        return work
+
+    forward = walk(path)
+    return forward, float(sum(forward)), float(sum(walk(path[::-1])))
+
+
+def _ellipse(waypoints, centre=(0.3, 1.5), axes=(0.4, 0.2)):
+    """A closed ellipse in the (mean, sigma) chart of gaussian-full, last == first."""
+    t = 2.0 * math.pi * np.arange(waypoints - 1) / (waypoints - 1)
+    path = np.column_stack([centre[0] + axes[0] * np.cos(t), centre[1] + axes[1] * np.sin(t)])
+    return np.vstack([path, path[:1]])
+
+
+_DEMON_PATHS = [
+    (GaussianFull(), _ellipse(41)),
+    (ExponentialScale(), np.exp(np.random.default_rng(1).uniform(-0.5, 0.5, (25, 1)))),
+    (natural_view(Bernoulli()), np.random.default_rng(2).uniform(-1.5, 1.5, (25, 1))),
+    (make_chart_divergence("qre:bloch"), np.random.default_rng(3).uniform(-0.4, 0.4, (12, 3))),
+]
+
+
+@pytest.mark.parametrize("family, path", _DEMON_PATHS, ids=[f.family_id for f, _ in _DEMON_PATHS])
+@pytest.mark.parametrize("tensor_at", ["start", "midpoint"])
+def test_demon_fd_is_bit_identical_to_the_walk_by_waypoints(family, path, tensor_at):
+    rep = demon_work(family, path, method="fd", tensor_at=tensor_at)
+    per_step, total, reversed_total = _demon_by_waypoints(family, path, tensor_at)
+    assert rep.per_step == per_step
+    assert rep.total == total and rep.reversed_total == reversed_total
+
+
+class _CountingGaussianFull(GaussianFull):
+    """Records the row count of each ``divergence_rows`` call."""
+
+    def __init__(self):
+        self.rows = []
+
+    def divergence_rows(self, P, Q):
+        values = super().divergence_rows(P, Q)
+        self.rows.append(len(values))
+        return values
+
+
+def test_demon_fd_path_is_one_divergence_call():
+    # 200 distinct waypoints (the last is the first) x 28 distinct points of
+    # a d = 2 Richardson cubic stencil
+    family = _CountingGaussianFull()
+    path = _ellipse(201)
+    rep = demon_work(family, path, method="fd")
+    assert family.rows == [200 * 28]
+    assert rep.per_step == demon_work(GaussianFull(), path, method="fd").per_step
+
+
+def test_a_long_demon_path_is_extracted_in_batches():
+    family = _CountingGaussianFull()
+    path = _ellipse(601)
+    rep = demon_work(family, path, method="fd")
+    assert family.rows == [256 * 28, 256 * 28, 88 * 28]
+    assert (rep.per_step, rep.total, rep.reversed_total) == _demon_by_waypoints(GaussianFull(), path, "start")
+
+
+def test_demon_stencil_leaving_the_domain_names_the_first_waypoint():
+    # the stencils at 0.08 and 0.06 reach below 0; the first is reported
+    path = [[1.0], [0.5], [0.08], [0.5], [0.06]]
+    with pytest.raises(DomainError) as exc:
+        demon_work(ExponentialScale(), path)
+    assert str(exc.value) == "exponential: finite-difference stencil leaves the domain at [-0.02]"
+
+
 # --- spread ------------------------------------------------------------------
 
 
@@ -267,7 +352,7 @@ def _spread_by_rows(family, sampler, samples, seed, method):
             assert family.contains(pt) and family.contains(pt + step)
             key = pt.tobytes()
             if key not in cache:
-                cache[key] = _cubic_tensor(family, pt, method, None)
+                cache[key] = _cubic_tensors(family, pt[None], method, None)[0]
             values[row] = np.einsum("ijk,i,j,k->", cache[key], step, step, step) / 6.0
         acc.add(values)
     return acc.mean, acc.std_error
