@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .extraction import _tensor_error
+from .extraction import _DEFAULT_STEP, _tensor_error
 from .extraction import asymmetry_probe, convergence_report, extract_cubic, extract_metric
 from .families import make_family, natural_view
 from .gap import gap_report, gap_table, mc_single_copy_fidelity
@@ -77,7 +77,13 @@ def _amplitude(a) -> complex:
 def _load_loop(path: str) -> list[list[list[float]]]:
     """The states in a JSON file, as [re, im] pairs."""
     with open(path, "r", encoding="utf-8") as fh:
-        return reports.jsonable([[_amplitude(a) for a in entry] for entry in json.load(fh)])
+        loop = json.load(fh)
+    if not _list_of(_list_of(_is_amplitude))(loop):
+        raise ValueError(
+            f"{path}: expected a list of states, each a list of amplitudes "
+            "(a string, a number or an [re, im] pair)"
+        )
+    return reports.jsonable([[_amplitude(a) for a in entry] for entry in loop])
 
 
 def _parse_sweep(text: str) -> list:
@@ -113,6 +119,10 @@ def _is_number(value) -> bool:
 
 def _is_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _is_amplitude(value) -> bool:
+    return isinstance(value, str) or _is_number(value) or _is_pair(value)
 
 
 def _list_of(test):
@@ -186,11 +196,6 @@ def _run_gap(cfg: dict):
 
 
 def _run_estimate(cfg: dict):
-    if cfg["copies"] != 1:
-        raise UsageError(
-            "only single-copy simulation is implemented; exact fidelities "
-            "for more copies come from 'geo gap'"
-        )
     return "estimate", mc_single_copy_fidelity(cfg["trials"], cfg["seed"], guess=cfg["guess"])
 
 
@@ -308,12 +313,12 @@ def _run_veronese(cfg: dict):
 
 def _default_fd_step(cfg: dict) -> None:
     if cfg["h"] is None and cfg["method"] == "fd":
-        cfg["h"] = 5e-2  # the finite-difference default, resolved explicitly
+        cfg["h"] = _DEFAULT_STEP["cubic"]  # the finite-difference default, resolved explicitly
 
 
 def _resolve_tensor(args, cfg: dict) -> None:
     if cfg["h"] is None:
-        cfg["h"] = 1e-2 if cfg["order"] == "metric" else 5e-2
+        cfg["h"] = _DEFAULT_STEP[cfg["order"]]
 
 
 def _resolve_demon(args, cfg: dict) -> None:
@@ -419,7 +424,6 @@ SUBCOMMANDS = {
     "estimate": Subcommand(
         "Monte-Carlo single-copy fidelity",
         args=(
-            ("--copies", INT, {"default": 1}),
             ("--trials", INT, REQUIRED),
             SEED,
             ("--guess", _one_of("outcome", "fixed"), {"default": "outcome"}),
@@ -547,10 +551,7 @@ def build_config(args) -> dict:
         raise UsageError("missing subcommand; try 'geo --help'")
     # the output path is where the document goes, not part of its content,
     # so it stays out of the embedded config on purpose
-    fmt = args.format or os.environ.get("GEO_DEFAULT_FORMAT") or "json"
-    if fmt not in FORMATS:
-        raise UsageError(f"unsupported format {fmt!r} (GEO_DEFAULT_FORMAT?)")
-    cfg = {"subcommand": args.subcommand, "format": fmt}
+    cfg = {"subcommand": args.subcommand, "format": args.format or "json"}
     for name, kind in command.config_fields.items():
         value = getattr(args, name)
         cfg[name] = None if value is None else kind.parse(value)

@@ -41,6 +41,12 @@ one would have met first.
 A step is refused with ConditioningError when it is not resolved at the
 base point: when p + s - p differs from s by more than 1e-3 s in some
 coordinate, the differences would measure rounding of p, not the divergence.
+A step whose square or cube, which the differences are divided by, leaves
+the normal float range is refused with ConditioningError too, where that
+division is made.
+
+The default steps are 1e-2 for a metric and 5e-2 for a cubic
+(``_DEFAULT_STEP``); the command line and ``roundtrip`` read them from here.
 
 Richardson extrapolation is opt-in.  When enabled, the tensor is computed at
 h, h/2 and h/4; the extrapolated value is (4 T(h/4) - T(h/2)) / 3 and a
@@ -73,6 +79,9 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_POWER_NAME = {2: "square", 3: "cube"}
+_DEFAULT_STEP = {"metric": 1e-2, "cubic": 5e-2}
 
 
 @dataclass
@@ -211,6 +220,23 @@ def _not_resolved(div, p, u: list) -> ConditioningError:
     )
 
 
+def _check_powers(div, steps, order: int) -> None:
+    """Refuse the first positive, finite step whose power ``order``, which
+    differences are divided by, leaves the normal float range."""
+    for s in map(float, steps):
+        try:
+            # a Python float power underflows to 0 quietly and raises on overflow
+            if not 0.0 < s < np.inf or s**order >= _TINY:
+                continue
+        except OverflowError:
+            pass
+        size, flow = ("small", "under") if s < 1.0 else ("large", "over")
+        raise ConditioningError(
+            f"{div.family_id}: a step of {s:.3e} is too {size}: "
+            f"its {_POWER_NAME[order]} {flow}flows the float range"
+        )
+
+
 def _metric_test(g: np.ndarray, h_min: float):
     """Smallest eigenvalue of each metric; a metric fails below -1e-8."""
     min_eig = np.linalg.eigvalsh(g).min(axis=-1)
@@ -243,10 +269,11 @@ def _tensors(div, P, h: float, richardson: bool, order: int):
 
     Each row gets the checks of one extraction, in this order: base point in
     the domain, finest step resolved, stencil in the domain, and after the
-    evaluation the Richardson ladder and the order's acceptance test.  All
-    stencil points of all rows go through one ``rows_inside`` and one
-    ``divergences`` call.  When rows fail, the error raised is the one that
-    extracting row after row would have met first.
+    evaluation the steps' powers in the float range, the Richardson ladder
+    and the order's acceptance test.  All stencil points of all rows go
+    through one ``rows_inside`` and one ``divergences`` call.  When rows
+    fail, the error raised is the one that extracting row after row would
+    have met first.
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"step size must be positive and finite, got {h}")
@@ -283,6 +310,9 @@ def _tensors(div, P, h: float, richardson: bool, order: int):
     # one base row is passed as one row, which a chart turns into one state
     base = P[0] if cut == 1 else np.repeat(P[:cut], m, axis=0)
     f = divergences(div, base, points[:cut].reshape(-1, d)).reshape(cut, m)
+    # every row divides by the same powers, and row 0 has passed every check
+    # before this one, so it is the row that meets this refusal first
+    _check_powers(div, steps, order)
     # W @ f for every row and level as one stack of matrix-vector products,
     # each summed exactly as the product for a single row and level is
     t = (weights @ f[:, levels, None])[..., 0][..., fill]
@@ -317,7 +347,7 @@ def _extract(div, p, h: float, richardson: bool, order: int):
     return p, t[0], None if disagreement is None else float(disagreement[0]), float(statistic[0])
 
 
-def extract_metric(div, p, h: float = 1e-2, richardson: bool = False) -> MetricTensor:
+def extract_metric(div, p, h: float = _DEFAULT_STEP["metric"], richardson: bool = False) -> MetricTensor:
     """Quadratic coefficient g_ij of D(p || p + u), by central differences.
 
     Raises DomainError when the stencil leaves the domain, NumericalError
@@ -337,7 +367,7 @@ def extract_metric(div, p, h: float = 1e-2, richardson: bool = False) -> MetricT
     )
 
 
-def extract_cubic(div, p, h: float = 5e-2, richardson: bool = False) -> CubicTensor:
+def extract_cubic(div, p, h: float = _DEFAULT_STEP["cubic"], richardson: bool = False) -> CubicTensor:
     """Cubic coefficient T_ijk of D(p || p + u), by central third differences.
 
     Raises NoisePanic when the rounding-noise estimate 1e-16 / h^3 exceeds 1%
@@ -357,24 +387,26 @@ def extract_cubic(div, p, h: float = 5e-2, richardson: bool = False) -> CubicTen
     )
 
 
-def fit_loglog_slope(h_values, errors, floor: float = 100.0 * _EPS):
-    """Least-squares slope of log(error) vs log(h), ignoring the noise floor."""
+def fit_loglog_slope(h_values, errors):
+    """Least-squares slope of log(error) vs log(h), ignoring errors at the
+    noise floor 100 eps; None when fewer than two remain."""
     h_values = np.asarray(h_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    mask = errors > floor
+    mask = errors > 100.0 * _EPS
     if mask.sum() < 2:
         return None
     coeffs = np.polyfit(np.log(h_values[mask]), np.log(errors[mask]), 1)
     return float(coeffs[0])
 
 
-def asymmetry_probe(div, p, v, steps, cubic_h: float | None = None) -> AsymmetryProbe:
+def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
     """Measure D(p || p + h v) - D(p + h v || p) across a ladder of steps.
 
     Fits the scaling slope (3 for any divergence with a non-vanishing cubic
     term), the cubic coefficient c in value ~ c h^3, and the ratio of c to
-    the forward cubic contraction T_ijk v_i v_j v_k.  A divergence that is
-    symmetric to machine precision is flagged degenerate rather than fitted.
+    the forward cubic contraction T_ijk v_i v_j v_k, extracted with
+    Richardson at the largest step.  A divergence that is symmetric to
+    machine precision is flagged degenerate rather than fitted.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -400,36 +432,23 @@ def asymmetry_probe(div, p, v, steps, cubic_h: float | None = None) -> Asymmetry
         raise _not_resolved(div, p, u)
     values = divergences(div, p, probes) - divergences(div, probes, p)
 
-    if np.max(np.abs(values)) < 1e-14:
-        return AsymmetryProbe(
-            base_point=p,
-            direction=v,
-            steps=steps,
-            values=values,
-            family_id=div.family_id,
-            degenerate=True,
-            slope=None,
-            coefficient=None,
-            cubic_vvv=None,
-            ratio=None,
-        )
-
-    slope = fit_loglog_slope(steps, np.abs(values))
-    # value/h^3 = c + O(h); a linear fit in h isolates the intercept c
-    scaled = values / steps**3
-    coeff = float(np.polyfit(steps, scaled, 1)[1])
-
-    h_cubic = cubic_h if cubic_h is not None else float(steps[0])
-    cubic = extract_cubic(div, p, h=h_cubic, richardson=True)
-    tvvv = float(np.einsum("ijk,i,j,k->", cubic.components, v, v, v))
-    ratio = coeff / tvvv if abs(tvvv) > 1e-12 else None
+    degenerate = bool(np.max(np.abs(values)) < 1e-14)
+    slope = coeff = tvvv = ratio = None
+    if not degenerate:
+        _check_powers(div, steps, 3)
+        slope = fit_loglog_slope(steps, np.abs(values))
+        # value/h^3 = c + O(h); a linear fit in h isolates the intercept c
+        coeff = float(np.polyfit(steps, values / steps**3, 1)[1])
+        cubic = extract_cubic(div, p, h=float(steps[0]), richardson=True)
+        tvvv = float(np.einsum("ijk,i,j,k->", cubic.components, v, v, v))
+        ratio = coeff / tvvv if abs(tvvv) > 1e-12 else None
     return AsymmetryProbe(
         base_point=p,
         direction=v,
         steps=steps,
         values=values,
         family_id=div.family_id,
-        degenerate=False,
+        degenerate=degenerate,
         slope=slope,
         coefficient=coeff,
         cubic_vvv=tvvv,
@@ -445,35 +464,27 @@ def _tensor_error(measured: np.ndarray, oracle: np.ndarray | None):
     return diff / denom if denom > 0 else diff
 
 
-def convergence_report(
-    div,
-    p,
-    ladder,
-    metric_oracle=None,
-    cubic_oracle=None,
-    richardson: bool = False,
-) -> ConvergenceReport:
+def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceReport:
     """Run metric and cubic extraction across a step ladder.
 
-    Oracle tensors default to the divergence object's closed forms
-    (``fisher`` / ``forward_cubic``) when it provides them; errors are then
-    max-abs deviations normalized by the oracle's largest component (absolute
-    when the oracle vanishes identically).
+    The oracle tensors are the divergence object's closed forms (``fisher``
+    / ``forward_cubic``) when it provides them; errors are then max-abs
+    deviations normalized by the oracle's largest component (absolute when
+    the oracle vanishes identically).
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     ladder = np.asarray(ladder, dtype=float)
     # before the closed forms, which may divide by zero outside the domain
-    # and overflow where the finest step is not resolved
+    # and overflow where the finest step is not resolved or its cube underflows
     if not div.contains(p):
         raise DomainError(f"{div.family_id}: base point {p} outside domain")
     if ladder.size:
         finest = float(ladder.min()) / (4.0 if richardson else 1.0)
         if _unresolved(p[None], [finest] * p.size)[0]:
             raise _not_resolved(div, p, [finest])
-    if metric_oracle is None and hasattr(div, "fisher"):
-        metric_oracle = np.asarray(div.fisher(p), dtype=float)
-    if cubic_oracle is None and hasattr(div, "forward_cubic"):
-        cubic_oracle = np.asarray(div.forward_cubic(p), dtype=float)
+        _check_powers(div, [finest], 3)
+    metric_oracle = np.asarray(div.fisher(p), dtype=float) if hasattr(div, "fisher") else None
+    cubic_oracle = np.asarray(div.forward_cubic(p), dtype=float) if hasattr(div, "forward_cubic") else None
     report = ConvergenceReport(
         base_point=p,
         family_id=div.family_id,

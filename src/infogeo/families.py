@@ -165,6 +165,15 @@ def _symmetric(t: np.ndarray) -> np.ndarray:
     return t.reshape(-1)[_sorted_entries(t.shape[0], t.ndim)].reshape(t.shape)
 
 
+def _closed_form(owner, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``t``, a closed form at ``x`` computed under ``np.errstate(all="ignore")``,
+    made exactly symmetric; NumericalError naming ``x`` when it is not finite."""
+    t = _symmetric(t)
+    if not np.isfinite(t).all():
+        raise NumericalError(f"{owner.family_id}: the closed-form tensor at {x} overflows the float range")
+    return t
+
+
 class DivergenceFamily(RowDomain):
     """A directed divergence on a chart: a classical family, a natural view
     or a quantum chart divergence.
@@ -236,7 +245,8 @@ class ExponentialFamily(DivergenceFamily):
 
     ``fisher`` (g = J^T psi'' J) and ``forward_cubic`` (T = psi'''(J, J, J)
     + 3 Sym psi''(H, J)) are written here once, by the module docstring's
-    rule, and made exactly symmetric by ``_symmetric``.  A family supplies
+    rule, made exactly symmetric by ``_symmetric`` and refused with
+    NumericalError where they overflow.  A family supplies
     ``_inside``, ``_divergence``, the natural domain ``_natural_inside`` and
     the unchecked inverse chart ``from_natural`` (both over the last axis),
     and these, on one point that this class has coerced and checked against
@@ -292,20 +302,24 @@ class ExponentialFamily(DivergenceFamily):
     def fisher(self, x) -> np.ndarray:
         """Quadratic Taylor coefficient g of D(x || x + u) in the default chart."""
         x = self._point(x)
-        jac = self._natural_jacobian(x)
-        return _symmetric(jac.T @ self._natural_fisher(self._to_natural(x)) @ jac)
+        with np.errstate(all="ignore"):
+            jac = self._natural_jacobian(x)
+            g = jac.T @ self._natural_fisher(self._to_natural(x)) @ jac
+        return _closed_form(self, x, g)
 
     def forward_cubic(self, x) -> np.ndarray:
         """Cubic Taylor coefficient T of D(x || x + u) in the default chart."""
         x = self._point(x)
-        jac = self._natural_jacobian(x)
-        t = self._score_moment(x)
-        for _ in range(3):  # psi'''(J, J, J), one natural index at a time
-            t = np.einsum("a...,ai->...i", t, jac)
-        # psi''_ab H_aij J_bk, added once for each index that J carries
-        psi2 = self._natural_fisher(self._to_natural(x))
-        m = np.einsum("aij,ab,bk->ijk", self._natural_hessian(x), psi2, jac)
-        return _symmetric(t + m + m.transpose(0, 2, 1) + m.transpose(2, 0, 1))
+        with np.errstate(all="ignore"):
+            jac = self._natural_jacobian(x)
+            t = self._score_moment(x)
+            for _ in range(3):  # psi'''(J, J, J), one natural index at a time
+                t = np.einsum("a...,ai->...i", t, jac)
+            # psi''_ab H_aij J_bk, added once for each index that J carries
+            psi2 = self._natural_fisher(self._to_natural(x))
+            m = np.einsum("aij,ab,bk->ijk", self._natural_hessian(x), psi2, jac)
+            t = t + m + m.transpose(0, 2, 1) + m.transpose(2, 0, 1)
+        return _closed_form(self, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +697,8 @@ class NaturalView(DivergenceFamily):
     This lets tensors be extracted directly in the chart where the
     score-moment oracle lives.  In this chart the closed-form ``fisher`` is
     the Hessian of the log-partition and ``forward_cubic`` coincides with
-    the score moment, both made exactly symmetric by ``_symmetric``.
+    the score moment, both made exactly symmetric by ``_symmetric`` and
+    refused with NumericalError where they overflow.
     """
 
     def __init__(self, family: ExponentialFamily):
@@ -700,11 +715,16 @@ class NaturalView(DivergenceFamily):
         return self.family.divergence_rows(self.family.from_natural(P), self.family.from_natural(Q))
 
     def fisher(self, eta):
-        return _symmetric(self.family.natural_fisher(_checked_point(self, self.contains, eta, "point")))
+        eta = _checked_point(self, self.contains, eta, "point")
+        with np.errstate(all="ignore"):
+            g = self.family.natural_fisher(eta)
+        return _closed_form(self, eta, g)
 
     def forward_cubic(self, eta):
         eta = _checked_point(self, self.contains, eta, "point")
-        return _symmetric(self.family.score_moment(self.family.from_natural(eta)))
+        with np.errstate(all="ignore"):
+            t = self.family.score_moment(self.family.from_natural(eta))
+        return _closed_form(self, eta, t)
 
     def random_interior(self, rng, n):
         pts = self.family.random_interior(rng, n)
@@ -718,15 +738,13 @@ def natural_view(family: ExponentialFamily) -> NaturalView:
     return NaturalView(family)
 
 
-def score_moment_tensor(
-    family: ExponentialFamily, p, method: str = "closed", quad_order: int = 64
-) -> np.ndarray:
+def score_moment_tensor(family: ExponentialFamily, p, method: str = "closed") -> np.ndarray:
     """Third score moment E[d_i l d_j l d_k l] in natural coordinates.
 
     Methods:
       closed      closed-form third cumulant (default; exact)
       sum         exact summation over outcomes (discrete families)
-      quadrature  Gauss-Legendre with ``quad_order`` nodes (continuous
+      quadrature  Gauss-Legendre with 64 nodes (continuous
                   families; the integration window is wide enough that the
                   truncated tail mass is below e^-40, and the integrand is a
                   polynomial times the density, so the quadrature error is
@@ -753,7 +771,7 @@ def score_moment_tensor(
             raise UnsupportedFamily(
                 f"{family.family_id} has no quadrature rule; use closed or sum"
             )
-        w, t = family._quad_stats(x, quad_order)
+        w, t = family._quad_stats(x, 64)
         return _central_third(w, t)
     raise ValueError(f"unknown method {method!r}")
 

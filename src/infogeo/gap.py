@@ -59,25 +59,16 @@ def gap_report(n: int) -> GapReport:
     if n < 1:
         raise ValueError("copy count must be >= 1")
     f_col = Fraction(n + 1, n + 2)
-    if n == 1:
-        gap = Fraction(0)
-        return GapReport(
-            n_copies=1,
-            spin=Fraction(1, 2),
-            f_col=f_col,
-            f_seq=f_col,
-            gap=gap,
-            special_cased=True,
-            note=N1_CONFLICT_NOTE,
-        )
-    gap = Fraction(1, n * (n + 1))
+    single = n == 1
+    gap = Fraction(0) if single else Fraction(1, n * (n + 1))
     return GapReport(
         n_copies=n,
         spin=Fraction(n, 2),
         f_col=f_col,
         f_seq=f_col - gap,
         gap=gap,
-        special_cased=False,
+        special_cased=single,
+        note=N1_CONFLICT_NOTE if single else None,
     )
 
 

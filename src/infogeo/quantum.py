@@ -251,13 +251,14 @@ def quantum_jsd(rho, sigma) -> float:
     return float(_jsd(rho, sigma))
 
 
-def bargmann_phase(loop, min_overlap: float = 1e-9) -> float:
+def bargmann_phase(loop) -> float:
     """Holonomy phase of a closed loop of rays, in (-pi, pi].
 
     The loop is given by its vertices; the closure back to the first vertex
     is implicit (a repeated final vertex is detected and dropped).  The
     result is invariant under independent rephasing of every vertex and
-    changes sign when the loop is traversed backwards.
+    changes sign when the loop is traversed backwards.  A link whose overlap
+    has modulus at most 1e-9 is refused as orthogonal.
     """
     states = [_as_state(s) for s in loop]
     if len(states) >= 4 and states[-1].same_ray(states[0], tol=1e-9):
@@ -268,7 +269,7 @@ def bargmann_phase(loop, min_overlap: float = 1e-9) -> float:
     n = len(states)
     for k in range(n):
         step = states[(k + 1) % n].overlap(states[k])
-        if abs(step) <= min_overlap:
+        if abs(step) <= 1e-9:
             raise OrthogonalLink(
                 f"consecutive states {k} and {(k + 1) % n} are orthogonal"
             )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RejectionOverflow, UnsupportedFamily
-from .extraction import _tensors
+from .extraction import _DEFAULT_STEP, _tensors
 from .families import rows_inside
 
 __all__ = [
@@ -289,7 +289,6 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
 # Path work
 # ---------------------------------------------------------------------------
 
-_DEFAULT_CUBIC_H = 5e-2
 # base points per batched extraction: one divergence call takes up to about
 # 700 stencil points per base point (a d = 6 Richardson cubic), so this
 # bounds the memory of a call on a long path
@@ -310,7 +309,7 @@ def _cubic_tensors(family, points: np.ndarray, method: str, h: float | None) -> 
         return np.array([np.asarray(family.forward_cubic(x), dtype=float) for x in points])
     if method != "fd":
         raise ValueError("method must be 'fd' or 'oracle'")
-    h = h if h is not None else _DEFAULT_CUBIC_H
+    h = h if h is not None else _DEFAULT_STEP["cubic"]
     batches = range(0, len(points), _EXTRACTION_BATCH)
     return np.concatenate([_tensors(family, points[i : i + _EXTRACTION_BATCH], h, True, 3)[0] for i in batches])
 

@@ -210,8 +210,16 @@ USAGE_ERRORS = [
 ]
 
 
-def test_usage_errors_exit_1(capsys):
-    for argv in USAGE_ERRORS:
+# loop files that are not lists of lists of amplitudes
+BAD_LOOPS = [[1, 2, 3], [[None, 1], [1, 0], [0, 1]], [[[1]], [1, 0], [0, 1]]]
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    loops = []
+    for i, loop in enumerate(BAD_LOOPS):
+        (tmp_path / f"loop{i}.json").write_text(json.dumps(loop))
+        loops.append(["holonomy", "--loop", str(tmp_path / f"loop{i}.json")])
+    for argv in USAGE_ERRORS + loops:
         assert main(argv) == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("geo: "), (argv, err)
@@ -234,6 +242,11 @@ CONDITIONING_ERRORS = [
     ["tensor", "--family", "exponential", "--at", "1e300"],
     ["convergence", "--family", "gaussian-full", "--at", "1e200,1", "--steps", "0.1,0.05"],
     ["asymmetry", "--family", "gaussian-full", "--at", "1e15,1", "--dir", "1,0", *LADDER],
+    # steps whose cubes underflow
+    ["tensor", "--family", "gaussian-full", "--at", "0,1e-120", "--h", "1e-122", "--order", "cubic"],
+    ["asymmetry", "--family", "gaussian-full", "--at", "0,1e-120", "--dir", "0,1",
+     "--steps", "4e-122,2e-122,1e-122,5e-123"],
+    ["convergence", "--family", "gaussian-full", "--at", "0,1e-120", "--steps", "4e-122,2e-122"],
 ]
 
 
@@ -242,6 +255,28 @@ def test_conditioning_errors_exit_2(capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("geo: numerical conditioning: "), (argv, err)
+
+
+def test_steps_whose_powers_overflow(capsys):
+    # the divergence overflows before any power of the step is taken
+    assert main(["tensor", "--family", "gaussian", "--at", "0", "--h", "1e160"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "geo: numerical conditioning: gaussian:1: the divergence from [0.] to [1.e+160] "
+        "overflows the float range\n"
+    )
+    assert main(["tensor", "--family", "gaussian", "--at", "0", "--h", "1e110", "--order", "cubic"]) == 2
+    assert capsys.readouterr().err == (
+        "geo: numerical conditioning: gaussian:1: a step of 1.000e+110 is too large: "
+        "its cube overflows the float range\n"
+    )
+    # a symmetric probe divides by no power of its steps
+    argv = ["asymmetry", "--family", "gaussian", "--at", "0", "--dir", "1", "--steps", "1e150,1e140,1e130,1e120"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["result"]["identically_symmetric"] is True
 
 
 def test_closed_form_divergence_overflow_is_one_line(capsys):
@@ -257,6 +292,23 @@ def test_closed_form_divergence_overflow_is_one_line(capsys):
         assert err[0].endswith(" overflows the float range")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demon", "--family", "gaussian-full", "--waypoints", "0,1e-100;0,2e-100", "--method", "oracle"],
+        ["convergence", "--family", "gaussian-full", "--at", "0,1e-100", "--steps", "1e-102,5e-103"],
+    ],
+)
+def test_closed_form_tensor_overflow_is_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "geo: numerical conditioning: gaussian-full: the closed-form tensor at "
+        "[0.e+000 1.e-100] overflows the float range\n"
+    )
+
+
 def test_triangle_legs_whose_draws_overflow_are_refused(capsys):
     argv = ["triangle", "--legs", "gaussian:1e200,1", "gaussian:0,0.01", "gaussian:0,0.01",
             "--samples", "1000", "--seed", "1"]
@@ -270,17 +322,6 @@ def test_plot_csv_unsupported_kind_exits_1(capsys):
     code = main(["divergence", "--family", "exponential", "--p", "1", "--q", "2",
                  "--format", "plot-csv"])
     assert code == 1
-
-
-def test_env_default_format_honored_and_echoed(capsys, monkeypatch):
-    monkeypatch.setenv("GEO_DEFAULT_FORMAT", "csv")
-    code = main(["gap", "--n", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.startswith("key,value")
-    assert "config.format,csv" in out
-    monkeypatch.setenv("GEO_DEFAULT_FORMAT", "yaml")
-    assert main(["gap", "--n", "2"]) == 1
 
 
 # --- output files and replay -------------------------------------------------

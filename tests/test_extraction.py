@@ -223,10 +223,8 @@ def test_convergence_bernoulli_natural_cubic_converges_to_score_moment():
     family = Bernoulli()
     view = natural_view(family)
     base = family.to_natural([0.3])
-    oracle = score_moment_tensor(family, [0.3])
-    rep = convergence_report(
-        view, base, [0.4, 0.2, 0.1, 0.05], cubic_oracle=oracle
-    )
+    # the view's own forward_cubic is the score moment
+    rep = convergence_report(view, base, [0.4, 0.2, 0.1, 0.05])
     errs = [r.cubic_error for r in rep.rungs]
     assert errs[-1] < errs[0]
     assert errs[-1] < 1e-3
@@ -436,6 +434,33 @@ def test_steps_below_the_resolution_of_the_point_are_conditioning_errors():
     # the same steps are resolved where the scale of the point allows them
     g = extract_metric(family, [1e3, 1.0], h=1e-2).components
     assert g[0, 0] == pytest.approx(1.0, rel=1e-6)
+
+
+def test_steps_whose_powers_underflow_are_conditioning_errors():
+    # 1e-122 is resolved at sigma = 1e-120, but its cube underflows to 0
+    family = GaussianFull()
+    p = [0.0, 1e-120]
+    with pytest.raises(ConditioningError, match=r"step of 1\.000e-122 is too small: its cube underflows"):
+        extract_cubic(family, p, h=1e-122)
+    with pytest.raises(ConditioningError, match=r"step of 4\.000e-122 is too small: its cube underflows"):
+        asymmetry_probe(family, p, [0.0, 1.0], [4e-122, 2e-122, 1e-122, 5e-123])
+    with pytest.raises(ConditioningError, match=r"step of 2\.000e-122 is too small: its cube underflows"):
+        convergence_report(family, p, [4e-122, 2e-122])
+    # its square does not, and a metric divides by that alone
+    g = extract_metric(family, p, h=1e-122).components
+    assert g[0, 0] == pytest.approx(1e240, rel=1e-6)
+
+
+def test_steps_whose_powers_overflow_are_conditioning_errors():
+    # the divergence at 1e110 is finite, but the cube it is divided by is not
+    family = GaussianFixedSigma(1.0)
+    with pytest.raises(ConditioningError, match=r"step of 1\.000e\+110 is too large: its cube overflows"):
+        extract_cubic(family, [0.0], h=1e110)
+    assert extract_metric(family, [0.0], h=1e110).components[0, 0] == pytest.approx(1.0)
+    # a probe that is symmetric divides by no power, and needs none in range
+    assert asymmetry_probe(family, [0.0], [1.0], [1e150, 1e140, 1e130, 1e120]).degenerate
+    with pytest.raises(ConditioningError, match=r"step of 1\.000e\+199 is too large: its cube overflows"):
+        asymmetry_probe(ExponentialScale(), [1e200], [1.0], [1e199, 5e198, 2.5e198, 1.25e198])
 
 
 def test_zero_cubic_tensor_does_not_panic():

@@ -26,6 +26,7 @@ from infogeo import (
     GaussianFixedSigma,
     GaussianFull,
     NaturalView,
+    NumericalError,
     UnsupportedFamily,
     bregman_divergence,
     extract_cubic,
@@ -374,6 +375,21 @@ def test_natural_view_closed_forms_check_the_natural_domain(family, method, eta)
 def test_exponential_family_closed_forms_check_the_domain(family, method, point):
     with pytest.raises(DomainError, match=f"^{family.family_id}: .* outside domain$"):
         getattr(family, method)(point)
+
+
+@pytest.mark.parametrize(
+    "div, method, point",
+    [
+        # s^4 underflows, so 6 m / s^4 is 0/0 and -3 / s^4 is -inf
+        (GaussianFull(), "forward_cubic", [0.0, 1e-100]),
+        # the mean eta_1 sigma^2 is 5e309
+        (natural_view(GaussianFull()), "fisher", [1e10, -1e-300]),
+        (natural_view(ExponentialScale()), "fisher", [-1e-200]),
+    ],
+)
+def test_closed_forms_that_overflow_raise_numerical_error(div, method, point):
+    with pytest.raises(NumericalError, match=f"^{div.family_id}: the closed-form tensor at .* overflows"):
+        getattr(div, method)(point)
 
 
 def test_bregman_divergence_checks_the_domain():
