@@ -483,8 +483,10 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
         if _unresolved(p[None], [finest] * p.size)[0]:
             raise _not_resolved(div, p, [finest])
         _check_powers(div, [finest], 3)
-    metric_oracle = np.asarray(div.fisher(p), dtype=float) if hasattr(div, "fisher") else None
+    # the cubic first: where both closed forms are refused, its overflow is the
+    # cause to name, ahead of the metric's underflow
     cubic_oracle = np.asarray(div.forward_cubic(p), dtype=float) if hasattr(div, "forward_cubic") else None
+    metric_oracle = np.asarray(div.fisher(p), dtype=float) if hasattr(div, "fisher") else None
     report = ConvergenceReport(
         base_point=p,
         family_id=div.family_id,

@@ -165,12 +165,15 @@ def _symmetric(t: np.ndarray) -> np.ndarray:
     return t.reshape(-1)[_sorted_entries(t.shape[0], t.ndim)].reshape(t.shape)
 
 
-def _closed_form(owner, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _closed_form(owner, x: np.ndarray, t: np.ndarray, underflows: bool = False) -> np.ndarray:
     """``t``, a closed form at ``x`` computed under ``np.errstate(all="ignore")``,
-    made exactly symmetric; NumericalError naming ``x`` when it is not finite."""
+    made exactly symmetric; NumericalError naming ``x`` when it is not finite,
+    or when ``underflows`` says a factor of it left the normal range."""
     t = _symmetric(t)
     if not np.isfinite(t).all():
         raise NumericalError(f"{owner.family_id}: the closed-form tensor at {x} overflows the float range")
+    if underflows:
+        raise NumericalError(f"{owner.family_id}: the closed-form tensor at {x} underflows the float range")
     return t
 
 
@@ -246,7 +249,9 @@ class ExponentialFamily(DivergenceFamily):
     ``fisher`` (g = J^T psi'' J) and ``forward_cubic`` (T = psi'''(J, J, J)
     + 3 Sym psi''(H, J)) are written here once, by the module docstring's
     rule, made exactly symmetric by ``_symmetric`` and refused with
-    NumericalError where they overflow.  A family supplies
+    NumericalError where they overflow, or where ``_underflows(x, order)``
+    (False unless a family overrides it) says psi'' or psi''' at x is lost
+    below the normal floats before J scales it back.  A family supplies
     ``_inside``, ``_divergence``, the natural domain ``_natural_inside`` and
     the unchecked inverse chart ``from_natural`` (both over the last axis),
     and these, on one point that this class has coerced and checked against
@@ -305,7 +310,7 @@ class ExponentialFamily(DivergenceFamily):
         with np.errstate(all="ignore"):
             jac = self._natural_jacobian(x)
             g = jac.T @ self._natural_fisher(self._to_natural(x)) @ jac
-        return _closed_form(self, x, g)
+        return _closed_form(self, x, g, self._underflows(x, 2))
 
     def forward_cubic(self, x) -> np.ndarray:
         """Cubic Taylor coefficient T of D(x || x + u) in the default chart."""
@@ -319,7 +324,10 @@ class ExponentialFamily(DivergenceFamily):
             psi2 = self._natural_fisher(self._to_natural(x))
             m = np.einsum("aij,ab,bk->ijk", self._natural_hessian(x), psi2, jac)
             t = t + m + m.transpose(0, 2, 1) + m.transpose(2, 0, 1)
-        return _closed_form(self, x, t)
+        return _closed_form(self, x, t, self._underflows(x, 3))
+
+    def _underflows(self, x, order: int) -> bool:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +650,11 @@ class GaussianFull(ExponentialFamily):
     def _natural_inside(self, eta):
         e1, e2 = eta.T
         return np.isfinite(e1) & (-math.inf < e2) & (e2 < 0.0)
+
+    def _underflows(self, x, order):
+        # psi'' carries s^4 and psi''' s^6, which J scales back by 1/s^6 and
+        # 1/s^9; where that power is lost the tensor left is finite but wrong
+        return x[1] < np.finfo(float).tiny ** (1.0 / (2 * order))
 
     def _log_partition(self, eta):
         e1, e2 = eta

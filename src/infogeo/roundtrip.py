@@ -249,7 +249,8 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
         identity_err = max(identity_err, float(np.max(np.abs(log_sum - log_prod))))
         s1 = x.sum(axis=0)
         s2 = (x**2).sum(axis=0)
-        s3 = (x**3).sum(axis=0)
+        # x * x * x, not x**3: numpy sends a cube to pow, over 30x slower
+        s3 = (x * x * x).sum(axis=0)
         exact.add(log_sum)
         quad.add(s1 - 0.5 * s2)
         cubic.add(s1 - 0.5 * s2 + s3 / 3.0)

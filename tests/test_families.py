@@ -392,6 +392,30 @@ def test_closed_forms_that_overflow_raise_numerical_error(div, method, point):
         getattr(div, method)(point)
 
 
+@pytest.mark.parametrize(
+    "method, sigma",
+    [
+        # 2 s^4 underflows to 0 and g_22 read 0 against 2 / s^2 = 2e200
+        ("fisher", 1e-100),
+        # s^4 is subnormal: g_22 was off by 1.1e-5 relative
+        ("fisher", 1e-80),
+        # 8 s^6 underflows while 1 / s^4 is still finite
+        ("forward_cubic", 1e-60),
+    ],
+)
+def test_closed_forms_whose_powers_of_sigma_underflow_raise_numerical_error(method, sigma):
+    with pytest.raises(NumericalError, match=r"^gaussian-full: the closed-form tensor at .* underflows"):
+        getattr(GaussianFull(), method)([0.0, sigma])
+
+
+def test_closed_forms_just_inside_the_normal_range_are_the_closed_forms():
+    # s^4 and s^6 just above the smallest normal float; a tiny mean is harmless
+    f = GaussianFull()
+    for m, s in [(0.0, 1.3e-77), (1e-300, 1.0), (0.0, 5.4e-52)]:
+        assert f.fisher([m, s]) == pytest.approx(np.diag([1.0, 2.0]) / s**2, rel=1e-12)
+    assert f.forward_cubic([0.0, 5.4e-52])[1, 1, 1] == pytest.approx(-10.0 / 5.4e-52**3, rel=1e-12)
+
+
 def test_bregman_divergence_checks_the_domain():
     # the log-odds of 1.5 was a math domain error
     with pytest.raises(DomainError):

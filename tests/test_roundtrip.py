@@ -121,6 +121,58 @@ def test_triangle_leg_skewness_at_large_location():
     assert abs(rep.leg_skewness[0]) < 0.05
 
 
+def _triangle_by_pow(legs, samples, seed):
+    """The chunk loop with x**3, whose results triangle_simulate must keep."""
+    legs = [LegDistribution.parse(leg) if isinstance(leg, str) else leg for leg in legs]
+    exact, quad, cubic, bare = (_Accumulator() for _ in range(4))
+    leg_sums, shift, rejected, identity_err = np.zeros((3, 3)), None, 0, 0.0
+    for rng, n in _chunks(samples, seed):
+        x = np.empty((3, n))
+        for i, leg in enumerate(legs):
+            x[i], rej = leg.sample(rng, n, budget=0.03 * samples - rejected)
+            rejected += rej
+        if shift is None:
+            shift = x.mean(axis=1, keepdims=True)
+        d = x - shift
+        leg_sums += np.column_stack([d.sum(axis=1), (d * d).sum(axis=1), (d * d * d).sum(axis=1)])
+        log_sum = np.log1p(x).sum(axis=0)
+        log_prod = np.log(np.prod(1.0 + x, axis=0))
+        identity_err = max(identity_err, float(np.max(np.abs(log_sum - log_prod))))
+        s1, s2, s3 = x.sum(axis=0), (x**2).sum(axis=0), (x**3).sum(axis=0)
+        exact.add(log_sum)
+        quad.add(s1 - 0.5 * s2)
+        cubic.add(s1 - 0.5 * s2 + s3 / 3.0)
+        bare.add(s3 / 3.0)
+    skew = []
+    for m1, m2, m3 in leg_sums / samples:
+        var = m2 - m1**2
+        skew.append((m3 - 3 * m1 * m2 + 2 * m1**3) / var**1.5 if var > 0 else 0.0)
+    return {"exact": exact, "quadratic": quad, "cubic": cubic, "bare_cubic": bare}, skew, rejected, identity_err
+
+
+@pytest.mark.parametrize(
+    "legs",
+    [
+        ["gaussian:0,0.01"] * 3,
+        [LegDistribution.zero_mean_skewnormal(0.01, -4.0), "gaussian:0,0.01", "gaussian:0,0.01"],
+        ["gaussian:0,0.4"] * 3,
+        ["gaussian:5,0.00001", "gaussian:0,0.01", "gaussian:0,0.01"],
+    ],
+)
+def test_triangle_matches_pow_reference(legs):
+    samples, seed = 100_000, 17
+    acc, skew, rejected, identity_err = _triangle_by_pow(legs, samples, seed)
+    rep = triangle_simulate(legs, samples, seed)
+    assert rep.rejected == rejected
+    assert rep.leg_skewness == skew
+    assert rep.identity_max_error == identity_err
+    for name, ref in acc.items():
+        assert abs(getattr(rep, f"{name}_mean") - ref.mean) <= 1e-10 * ref.std_error
+        assert getattr(rep, f"{name}_se") == pytest.approx(ref.std_error, rel=1e-10, abs=0)
+    if legs[0] == "gaussian:0,0.4":
+        assert rejected > 0
+
+
 def test_triangle_rejection_overflow():
     with pytest.raises(RejectionOverflow):
         triangle_simulate(["gaussian:0,1.5"] * 3, samples=2_000, seed=2)
