@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .roundtrip import CHUNK_SIZE, _Accumulator, _chunks
+from .roundtrip import CHUNK_SIZE, _Accumulator, _chunk_map, _moments
 
 __all__ = [
     "GapReport",
@@ -97,23 +97,32 @@ def mc_single_copy_fidelity(
 
     Trials are processed in fixed-size chunks whose generators derive from
     (seed, chunk index), so the result depends only on (trials, seed, guess)
-    and not on any execution schedule.
+    and not on any execution schedule or CPU count.
     """
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials for a meaningful estimate")
     if guess not in ("outcome", "fixed"):
         raise ValueError("guess must be 'outcome' or 'fixed'")
     acc = _Accumulator()
-    for rng, n in _chunks(trials, seed):
-        z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-        weight = np.abs(z) ** 2
-        u = weight[:, 0] / weight.sum(axis=1)  # |<0|psi>|^2, uniform on [0,1]
+
+    def chunk(rng, n):
+        # z has the parts of standard_normal((n, 2)) + 1j * standard_normal((n, 2))
+        weight = rng.standard_normal((n, 2))
+        z = np.empty((n, 2), dtype=complex)
+        z.real = weight
+        z.imag = rng.standard_normal(out=weight)
+        np.abs(z, out=weight)
+        del z
+        weight *= weight
+        u = np.add(weight[:, 0], weight[:, 1])
+        np.divide(weight[:, 0], u, out=u)  # |<0|psi>|^2, uniform on [0,1]
         if guess == "outcome":
             outcome_zero = rng.random(n) < u
-            score = np.where(outcome_zero, u, 1.0 - u)
-        else:
-            score = u
-        acc.add(score)
+            np.subtract(1.0, u, out=u, where=~outcome_zero)
+        return _moments(u)
+
+    for moments in _chunk_map(chunk, trials, seed):
+        acc.merge(*moments)
     return FidelityEstimate(
         mean=acc.mean,
         std_error=acc.std_error,

@@ -14,13 +14,18 @@ summing it over a path gives the path work, which reverses sign (to leading
 order in the step size) when the path is walked backwards.
 
 All Monte-Carlo routines chunk their draws with generators derived from
-(seed, chunk index): results depend only on the inputs and seed, never on
-the execution schedule.
+(seed, chunk index) and merge the chunks' statistics in chunk order, so
+results depend only on the inputs and seed, never on the execution
+schedule.  ``_chunk_map`` computes the chunks after the first on up to one
+thread per CPU the process may use; the results are the same bits on any
+number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,32 +148,85 @@ class LegDistribution:
         return x, rejected
 
 
-def _chunks(samples: int, seed: int):
-    """Yield ``(rng, n)`` for consecutive chunks of at most CHUNK_SIZE draws;
-    each chunk's generator derives from (seed, chunk index) alone."""
-    for index, start in enumerate(range(0, samples, CHUNK_SIZE)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-        yield rng, min(CHUNK_SIZE, samples - start)
+def _chunk_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator of chunk ``index``: it derives from (seed, index) alone."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _chunk_map(body, samples: int, seed: int):
+    """Yield ``body(rng, n)`` for consecutive chunks of at most CHUNK_SIZE
+    draws, in chunk order, with ``rng = _chunk_rng(seed, index)``.
+
+    Chunk 0 runs on the calling thread before any other chunk starts, so
+    the caller may fix state from its result that later bodies read.  The
+    other chunks run on a pool of one thread per CPU this process may use,
+    capped by their count, with at most that many chunks in flight; with
+    one such thread they run on the calling thread.  ``body`` must not
+    call into objects the caller passed in, since it may run on a worker.
+
+    When a worker's body raises, the pending chunks are cancelled and that
+    chunk and every later one run on the calling thread, where the chunk
+    raises what a serial loop would raise, or yields its result.
+    """
+    sizes = [min(CHUNK_SIZE, samples - start) for start in range(0, samples, CHUNK_SIZE)]
+    yield body(_chunk_rng(seed, 0), sizes[0])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(sizes) - 1)
+    index = 1
+    if workers > 1:
+        # imported here, not at the top: it pulls in logging, which every
+        # import of the package would pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        def submit(k):
+            return pool.submit(body, _chunk_rng(seed, k), sizes[k])
+
+        with ThreadPoolExecutor(workers) as pool:
+            ahead = [submit(k) for k in range(1, 1 + workers)]
+            try:
+                while ahead:
+                    try:
+                        result = ahead.pop(0).result()
+                    except Exception:  # whatever it was, the rerun below raises it here
+                        break
+                    if index + workers < len(sizes):
+                        ahead.append(submit(index + workers))
+                    yield result
+                    index += 1
+            finally:
+                for future in ahead:
+                    future.cancel()
+    for k in range(index, len(sizes)):
+        yield body(_chunk_rng(seed, k), sizes[k])
+
+
+def _moments(values: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int, float, float]:
+    """One chunk's (count, sum, M2) for ``_Accumulator.merge``; M2 is the sum
+    of squared deviations from the chunk's own mean.  The deviations are
+    written to ``scratch`` when it is given."""
+    k = values.size
+    total = float(values.sum())
+    dev = np.subtract(values, total / k, out=scratch)
+    dev *= dev
+    return k, total, float(dev.sum())
 
 
 @dataclass
 class _Accumulator:
-    """Mean and standard error of samples added chunk by chunk.
+    """Mean and standard error of samples merged chunk by chunk.
 
-    Each chunk contributes its count, its sum and M2, the sum of squared
-    deviations from its own mean; chunks merge by the pairwise update of
-    Chan, Golub & LeVeque (1979).  This keeps the variance accurate when the
-    mean is large against the spread, where E[x^2] - mean^2 cancels.
+    Each chunk contributes its ``_moments``: its count, its sum and M2, the
+    sum of squared deviations from its own mean; chunks merge by the
+    pairwise update of Chan, Golub & LeVeque (1979).  This keeps the
+    variance accurate when the mean is large against the spread, where
+    E[x^2] - mean^2 cancels.
     """
 
     n: int = 0
     total: float = 0.0
     m2: float = 0.0
 
-    def add(self, values: np.ndarray):
-        k = values.size
-        total = float(values.sum())
-        m2 = float(((values - total / k) ** 2).sum())
+    def merge(self, k: int, total: float, m2: float):
         if self.n:
             delta = total / k - self.mean
             m2 += self.m2 + delta**2 * self.n * k / (self.n + k)
@@ -203,7 +261,7 @@ class TriangleReport:
     identity_max_error: float  # max |sum log(1+x) - log prod(1+x)| seen
 
 
-# large finite draws can overflow the powers and sums; such legs are refused
+# large finite draws can overflow the merged sums; such legs are refused
 # after the chunk, by name, instead of warned about
 @np.errstate(over="ignore", invalid="ignore")
 def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
@@ -221,10 +279,7 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
     if samples < 1_000:
         raise ValueError("need at least 1e3 samples")
 
-    exact = _Accumulator()
-    quad = _Accumulator()
-    cubic = _Accumulator()
-    bare = _Accumulator()
+    accumulators = exact, quad, cubic, bare = [_Accumulator() for _ in range(4)]
     # per leg: sums of d, d^2 and d^3 for d = x - shift, the shift being the
     # leg's mean in the first chunk, so that the central moments do not
     # cancel when a leg's mean is large against its spread
@@ -234,33 +289,83 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
     max_rejected = 0.01 * 3 * samples
     identity_err = 0.0
 
-    for rng, n in _chunks(samples, seed):
-        x = np.empty((3, n))
-        for i, leg in enumerate(legs):
-            x[i], rej = leg.sample(rng, n, budget=max_rejected - rejected)
-            rejected += rej
-        if shift is None:
-            shift = x.mean(axis=1, keepdims=True)
-        d = x - shift
-        d2 = d * d
-        leg_sums += np.column_stack([d.sum(axis=1), d2.sum(axis=1), (d2 * d).sum(axis=1)])
-        log_sum = np.log1p(x).sum(axis=0)
-        log_prod = np.log(np.prod(1.0 + x, axis=0))
-        identity_err = max(identity_err, float(np.max(np.abs(log_sum - log_prod))))
-        s1 = x.sum(axis=0)
-        s2 = (x**2).sum(axis=0)
-        # x * x * x, not x**3: numpy sends a cube to pow, over 30x slower
-        s3 = (x * x * x).sum(axis=0)
-        exact.add(log_sum)
-        quad.add(s1 - 0.5 * s2)
-        cubic.add(s1 - 0.5 * s2 + s3 / 3.0)
-        bare.add(s3 / 3.0)
-        if not np.isfinite([identity_err, exact.m2, quad.m2, cubic.m2, bare.m2, *leg_sums.flat]).all():
-            size = np.abs(x).max(axis=1)
-            raise DomainError(
-                f"leg {legs[size.argmax()].spec()}: draws as large as {size.max():.3g} "
-                "overflow the cycle's power sums"
-            )
+    def chunk(rng, n):
+        """Draw one chunk and reduce it to its rejections, leg sums, largest
+        |x| per leg, identity error and the moments of the four statistics.
+
+        It works leg by leg on (n,) arrays, in three scratch buffers, and
+        adds the legs in order, as a sum over the leg axis of a (3, n) array
+        would.  On a worker it reads ``rejected`` as it may lag behind, so
+        its budget is never below the serial one.
+        """
+        nonlocal shift
+        # a worker does not inherit the caller's errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, drawn = [], 0
+            for leg in legs:
+                xi, rej = leg.sample(rng, n, budget=max_rejected - (rejected + drawn))
+                x.append(xi)
+                drawn += rej
+            if shift is None:
+                shift = [xi.mean() for xi in x]
+            a, b, c = np.empty(n), np.empty(n), np.empty(n)
+            sums = np.empty((3, 3))
+            for i, xi in enumerate(x):
+                d = np.subtract(xi, shift[i], out=a)
+                d2 = np.multiply(d, d, out=b)
+                sums[i] = d.sum(), d2.sum(), np.multiply(d2, d, out=b).sum()
+            size = [max(xi.max(), -xi.min()) for xi in x]
+
+            log_sum = np.log1p(x[0], out=a)
+            for xi in x[1:]:
+                log_sum += np.log1p(xi, out=b)
+            moments = [_moments(log_sum, b)]
+            log_prod = np.add(x[0], 1.0, out=b)
+            for xi in x[1:]:
+                log_prod *= np.add(xi, 1.0, out=c)
+            np.log(log_prod, out=log_prod)
+            gap = np.abs(np.subtract(log_sum, log_prod, out=b), out=b)
+            err = float(gap.max())
+
+            s1 = np.add(x[0], x[1], out=a)
+            s1 += x[2]
+            half_s2 = np.multiply(x[0], x[0], out=b)
+            for xi in x[1:]:
+                half_s2 += np.multiply(xi, xi, out=c)
+            half_s2 *= 0.5
+            quadratic = np.subtract(s1, half_s2, out=a)
+            moments.append(_moments(quadratic, b))
+            # x * x * x, not x**3: numpy sends a cube to pow, over 30x slower
+            third_s3 = np.multiply(x[0], x[0], out=b)
+            third_s3 *= x[0]
+            for xi in x[1:]:
+                cube = np.multiply(xi, xi, out=c)
+                cube *= xi
+                third_s3 += cube
+            third_s3 /= 3.0
+            bare_moments = _moments(third_s3, c)
+            moments += [_moments(np.add(quadratic, third_s3, out=a), c), bare_moments]
+        return n, drawn, sums, size, err, moments
+
+    with closing(_chunk_map(chunk, samples, seed)) as chunks:
+        for index, (n, drawn, sums, size, err, moments) in enumerate(chunks):
+            if rejected + drawn > max_rejected:
+                # a worker drew this chunk with a budget above the serial
+                # one; drawn again here with the serial budget, it raises
+                # the serial loop's RejectionOverflow
+                chunks.close()
+                chunk(_chunk_rng(seed, index), n)
+            rejected += drawn
+            leg_sums += sums
+            identity_err = max(identity_err, err)
+            for acc, m in zip(accumulators, moments):
+                acc.merge(*m)
+            if not np.isfinite([identity_err, exact.m2, quad.m2, cubic.m2, bare.m2, *leg_sums.flat]).all():
+                worst = int(np.argmax(size))
+                raise DomainError(
+                    f"leg {legs[worst].spec()}: draws as large as {size[worst]:.3g} "
+                    "overflow the cycle's power sums"
+                )
 
     skew = []
     for s1, s2, s3 in leg_sums / samples:
@@ -453,6 +558,11 @@ class TradeSampler:
         return self.step[0] * rng.standard_normal((n, len(self.point)))
 
 
+def _surcharges(tensor: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """(1/6) T_ijk s_i s_j s_k for each row s of the (n, d) ``steps``."""
+    return np.einsum("ijk,ni,nj,nk->n", tensor, steps, steps, steps) / 6.0
+
+
 @dataclass
 class SpreadReport:
     family_id: str
@@ -480,7 +590,8 @@ def spread_estimate(
 
     Every trade starts at the sampler's one point, so that point is
     checked and its cubic tensor computed once; each chunk then takes one
-    domain check of all its end points and one contraction.
+    domain check of all its end points and one contraction.  The family is
+    only called from the calling thread: workers draw steps and contract.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -489,13 +600,20 @@ def spread_estimate(
         raise DomainError(f"{family.family_id}: sampled trade leaves the domain")
     acc = _Accumulator()
     tensor = None
-    for rng, n in _chunks(samples, seed):
+
+    def chunk(rng, n):
+        """The chunk's steps, and their surcharges' moments once the tensor is known."""
         steps = sampler.sample(rng, n)
-        if not rows_inside(family, point + steps).all():
-            raise DomainError(f"{family.family_id}: sampled trade leaves the domain")
-        if tensor is None:
-            tensor = _cubic_tensors(family, point[None], method, h)[0]
-        acc.add(np.einsum("ijk,ni,nj,nk->n", tensor, steps, steps, steps) / 6.0)
+        return steps, None if tensor is None else _moments(_surcharges(tensor, steps))
+
+    with closing(_chunk_map(chunk, samples, seed)) as chunks:
+        for steps, moments in chunks:
+            if not rows_inside(family, point + steps).all():
+                raise DomainError(f"{family.family_id}: sampled trade leaves the domain")
+            if tensor is None:
+                tensor = _cubic_tensors(family, point[None], method, h)[0]
+                moments = _moments(_surcharges(tensor, steps))
+            acc.merge(*moments)
     return SpreadReport(
         family_id=family.family_id,
         sampler_spec=sampler.spec(),

@@ -2,7 +2,12 @@
 
 import contextlib
 import math
+import os
 import signal
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +31,113 @@ from infogeo import (
 )
 from infogeo.extraction import asymmetry_probe, extract_cubic
 from infogeo.families import DivergenceFamily
-from infogeo.roundtrip import CHUNK_SIZE, _Accumulator, _chunks, _cubic_tensors
+from infogeo.gap import FidelityEstimate, mc_single_copy_fidelity
+from infogeo.roundtrip import (
+    CHUNK_SIZE,
+    SpreadReport,
+    TriangleReport,
+    _Accumulator,
+    _chunk_map,
+    _cubic_tensors,
+    _moments,
+)
+
+
+# --- the serial chunk loop, the reference for the Monte-Carlo core ----------
+
+
+def _chunks(samples, seed):
+    """Yield ``(rng, n)`` for consecutive chunks of at most CHUNK_SIZE draws;
+    each chunk's generator derives from (seed, chunk index) alone."""
+    for index, start in enumerate(range(0, samples, CHUNK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+        yield rng, min(CHUNK_SIZE, samples - start)
+
+
+class _SerialAccumulator(_Accumulator):
+    """The accumulator updated with one chunk's values at a time."""
+
+    def add(self, values):
+        k = values.size
+        total = float(values.sum())
+        m2 = float(((values - total / k) ** 2).sum())
+        if self.n:
+            delta = total / k - self.mean
+            m2 += self.m2 + delta**2 * self.n * k / (self.n + k)
+        self.n += k
+        self.total += total
+        self.m2 = m2
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _triangle_serial(legs, samples, seed, cube=lambda x: x * x * x):
+    """triangle_simulate as one loop over the chunks on the calling thread."""
+    legs = [LegDistribution.parse(leg) if isinstance(leg, str) else leg for leg in legs]
+    exact, quad, cubic, bare = (_SerialAccumulator() for _ in range(4))
+    leg_sums, shift, rejected, identity_err = np.zeros((3, 3)), None, 0, 0.0
+    max_rejected = 0.01 * 3 * samples
+    for rng, n in _chunks(samples, seed):
+        x = np.empty((3, n))
+        for i, leg in enumerate(legs):
+            x[i], rej = leg.sample(rng, n, budget=max_rejected - rejected)
+            rejected += rej
+        if shift is None:
+            shift = x.mean(axis=1, keepdims=True)
+        d = x - shift
+        d2 = d * d
+        leg_sums += np.column_stack([d.sum(axis=1), d2.sum(axis=1), (d2 * d).sum(axis=1)])
+        log_sum = np.log1p(x).sum(axis=0)
+        log_prod = np.log(np.prod(1.0 + x, axis=0))
+        identity_err = max(identity_err, float(np.max(np.abs(log_sum - log_prod))))
+        s1, s2, s3 = x.sum(axis=0), (x**2).sum(axis=0), cube(x).sum(axis=0)
+        exact.add(log_sum)
+        quad.add(s1 - 0.5 * s2)
+        cubic.add(s1 - 0.5 * s2 + s3 / 3.0)
+        bare.add(s3 / 3.0)
+        if not np.isfinite([identity_err, exact.m2, quad.m2, cubic.m2, bare.m2, *leg_sums.flat]).all():
+            size = np.abs(x).max(axis=1)
+            raise DomainError(
+                f"leg {legs[size.argmax()].spec()}: draws as large as {size.max():.3g} "
+                "overflow the cycle's power sums"
+            )
+    skew = []
+    for m1, m2, m3 in leg_sums / samples:
+        var = m2 - m1**2
+        skew.append((m3 - 3 * m1 * m2 + 2 * m1**3) / var**1.5 if var > 0 else 0.0)
+    return TriangleReport(
+        samples, seed, [leg.spec() for leg in legs],
+        exact.mean, exact.std_error, quad.mean, quad.std_error, cubic.mean, cubic.std_error,
+        bare.mean, bare.std_error, skew, rejected, identity_err,
+    )
+
+
+def _fidelity_serial(trials, seed, guess):
+    """mc_single_copy_fidelity as one loop over the chunks on the calling thread."""
+    acc = _SerialAccumulator()
+    for rng, n in _chunks(trials, seed):
+        z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        weight = np.abs(z) ** 2
+        u = weight[:, 0] / weight.sum(axis=1)
+        if guess == "outcome":
+            outcome_zero = rng.random(n) < u
+            score = np.where(outcome_zero, u, 1.0 - u)
+        else:
+            score = u
+        acc.add(score)
+    return FidelityEstimate(acc.mean, acc.std_error, trials, seed, guess)
+
+
+def _spread_serial(family, sampler, samples, seed, method):
+    """spread_estimate as one loop over the chunks on the calling thread."""
+    point = np.asarray(sampler.point, dtype=float)
+    acc, tensor = _SerialAccumulator(), None
+    for rng, n in _chunks(samples, seed):
+        steps = sampler.sample(rng, n)
+        assert family.contains_rows(point + steps).all()
+        if tensor is None:
+            tensor = _cubic_tensors(family, point[None], method, None)[0]
+        acc.add(np.einsum("ijk,ni,nj,nk->n", tensor, steps, steps, steps) / 6.0)
+    return SpreadReport(family.family_id, sampler.spec(), samples, seed, acc.mean, acc.std_error, method, None)
 
 
 # --- leg distributions -------------------------------------------------------
@@ -121,35 +232,6 @@ def test_triangle_leg_skewness_at_large_location():
     assert abs(rep.leg_skewness[0]) < 0.05
 
 
-def _triangle_by_pow(legs, samples, seed):
-    """The chunk loop with x**3, whose results triangle_simulate must keep."""
-    legs = [LegDistribution.parse(leg) if isinstance(leg, str) else leg for leg in legs]
-    exact, quad, cubic, bare = (_Accumulator() for _ in range(4))
-    leg_sums, shift, rejected, identity_err = np.zeros((3, 3)), None, 0, 0.0
-    for rng, n in _chunks(samples, seed):
-        x = np.empty((3, n))
-        for i, leg in enumerate(legs):
-            x[i], rej = leg.sample(rng, n, budget=0.03 * samples - rejected)
-            rejected += rej
-        if shift is None:
-            shift = x.mean(axis=1, keepdims=True)
-        d = x - shift
-        leg_sums += np.column_stack([d.sum(axis=1), (d * d).sum(axis=1), (d * d * d).sum(axis=1)])
-        log_sum = np.log1p(x).sum(axis=0)
-        log_prod = np.log(np.prod(1.0 + x, axis=0))
-        identity_err = max(identity_err, float(np.max(np.abs(log_sum - log_prod))))
-        s1, s2, s3 = x.sum(axis=0), (x**2).sum(axis=0), (x**3).sum(axis=0)
-        exact.add(log_sum)
-        quad.add(s1 - 0.5 * s2)
-        cubic.add(s1 - 0.5 * s2 + s3 / 3.0)
-        bare.add(s3 / 3.0)
-    skew = []
-    for m1, m2, m3 in leg_sums / samples:
-        var = m2 - m1**2
-        skew.append((m3 - 3 * m1 * m2 + 2 * m1**3) / var**1.5 if var > 0 else 0.0)
-    return {"exact": exact, "quadratic": quad, "cubic": cubic, "bare_cubic": bare}, skew, rejected, identity_err
-
-
 @pytest.mark.parametrize(
     "legs",
     [
@@ -161,16 +243,17 @@ def _triangle_by_pow(legs, samples, seed):
 )
 def test_triangle_matches_pow_reference(legs):
     samples, seed = 100_000, 17
-    acc, skew, rejected, identity_err = _triangle_by_pow(legs, samples, seed)
+    ref = _triangle_serial(legs, samples, seed, cube=lambda x: x**3)
     rep = triangle_simulate(legs, samples, seed)
-    assert rep.rejected == rejected
-    assert rep.leg_skewness == skew
-    assert rep.identity_max_error == identity_err
-    for name, ref in acc.items():
-        assert abs(getattr(rep, f"{name}_mean") - ref.mean) <= 1e-10 * ref.std_error
-        assert getattr(rep, f"{name}_se") == pytest.approx(ref.std_error, rel=1e-10, abs=0)
+    assert rep.rejected == ref.rejected
+    assert rep.leg_skewness == ref.leg_skewness
+    assert rep.identity_max_error == ref.identity_max_error
+    for name in ("exact", "quadratic", "cubic", "bare_cubic"):
+        mean, se = getattr(ref, f"{name}_mean"), getattr(ref, f"{name}_se")
+        assert abs(getattr(rep, f"{name}_mean") - mean) <= 1e-10 * se
+        assert getattr(rep, f"{name}_se") == pytest.approx(se, rel=1e-10, abs=0)
     if legs[0] == "gaussian:0,0.4":
-        assert rejected > 0
+        assert ref.rejected > 0
 
 
 def test_triangle_rejection_overflow():
@@ -395,7 +478,7 @@ def test_spread_zero_for_symmetric_family():
 
 def _spread_by_rows(family, sampler, samples, seed, method):
     """The row-at-a-time estimate spread_estimate must reproduce."""
-    acc, cache = _Accumulator(), {}
+    acc, cache = _SerialAccumulator(), {}
     for rng, n in _chunks(samples, seed):
         steps = sampler.sample(rng, n)
         pt = np.asarray(sampler.point, dtype=float)
@@ -516,6 +599,140 @@ def test_accumulator_standard_error_at_large_mean():
     x = 1e6 + 1e-3 * np.random.default_rng(0).standard_normal(100_000)
     acc = _Accumulator()
     for start in range(0, x.size, CHUNK_SIZE):
-        acc.add(x[start:start + CHUNK_SIZE])
+        acc.merge(*_moments(x[start:start + CHUNK_SIZE]))
     assert acc.mean == pytest.approx(x.mean(), rel=1e-15)
     assert acc.std_error == pytest.approx(x.std() / math.sqrt(x.size), rel=0.01)
+
+
+# --- the Monte-Carlo core: chunks on every CPU, the serial loop's bits -------
+
+SKEWED = [LegDistribution.zero_mean_skewnormal(0.01, -4.0), "gaussian:0,0.01", "gaussian:0,0.01"]
+WIDE = ["gaussian:0,0.4"] * 3  # about 0.6% of the draws are redrawn
+LOGNORMAL = ["shifted-lognormal:0.001,0.05", LegDistribution.zero_mean_skewnormal(0.04, -3.0), "gaussian:0.002,0.03"]
+# one chunk, two, and sixteen and a partial one
+SAMPLE_COUNTS = [50_000, 2 * CHUNK_SIZE, 16 * CHUNK_SIZE + 1234]
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("legs", [SKEWED, WIDE, LOGNORMAL], ids=["skewed", "wide", "lognormal"])
+def test_triangle_is_the_serial_loop_bit_for_bit(legs, samples):
+    rep = triangle_simulate(legs, samples, 21)
+    assert rep == _triangle_serial(legs, samples, 21)
+    if legs is WIDE:
+        assert rep.rejected > 0
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("guess", ["outcome", "fixed"])
+def test_fidelity_is_the_serial_loop_bit_for_bit(guess, samples):
+    assert mc_single_copy_fidelity(samples, 22, guess) == _fidelity_serial(samples, 22, guess)
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize(
+    "family, spec, method",
+    [(GaussianFull(), "gauss:0.3,1.5,0.05", "oracle"), (ExponentialScale(), "gauss:1.2,0.05", "fd")],
+    ids=["oracle", "fd"],
+)
+def test_spread_is_the_serial_loop_bit_for_bit(family, spec, method, samples):
+    sampler = TradeSampler.parse(spec, family.dimension)
+    rep = spread_estimate(family, sampler, samples, 23, method=method)
+    assert rep == _spread_serial(family, sampler, samples, 23, method)
+
+
+def test_chunk_map_yields_in_chunk_order_with_a_bounded_look_ahead():
+    caller = threading.get_ident()
+    lock = threading.Lock()
+    started, threads = 0, []
+
+    def body(rng, n):
+        nonlocal started
+        with lock:
+            started += 1
+            threads.append(threading.get_ident())
+        return n, float(rng.standard_normal(n).sum())
+
+    samples = 9 * CHUNK_SIZE + 7
+    workers = min(len(os.sched_getaffinity(0)), 9)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for result in _chunk_map(body, samples, 5):
+            got.append(result)
+            with lock:
+                assert started - len(got) <= workers
+            time.sleep(0.002)  # a slow consumer: the pool must not run ahead
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [(n, float(rng.standard_normal(n).sum())) for rng, n in _chunks(samples, 5)]
+    assert threads[0] == caller
+    assert (len(set(threads)) > 1) == (workers > 1)
+
+
+@pytest.mark.parametrize(
+    "scale, samples",
+    [
+        # the serial budget runs out in chunk 1 (scale 0.48, 3 chunks) and in
+        # chunk 2 (0.45, 3 chunks and a partial one), for every seed in 0-59
+        (0.48, 3 * CHUNK_SIZE),
+        (0.45, 3 * CHUNK_SIZE + 1000),
+    ],
+)
+def test_a_budget_running_out_in_a_later_chunk_raises_the_serial_error(scale, samples):
+    legs = [f"gaussian:0,{scale}"] * 3
+    with pytest.raises(RejectionOverflow) as serial:
+        _triangle_serial(legs, samples, 3)
+    with pytest.raises(RejectionOverflow) as raised:
+        triangle_simulate(legs, samples, 3)
+    assert str(raised.value) == str(serial.value)
+
+
+def test_power_sums_overflowing_in_a_later_chunk_raise_the_serial_error():
+    # seed 1: the first chunk's largest draw stays below the overflow, and a
+    # later chunk's, 6.55e51, does not
+    legs = ["shifted-lognormal:60,13", "gaussian:0,0.01", "gaussian:0,0.01"]
+    triangle_simulate(legs, CHUNK_SIZE, 1)
+    with pytest.raises(DomainError) as serial:
+        _triangle_serial(legs, 4 * CHUNK_SIZE, 1)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")  # a worker thread's warning is recorded too
+        with pytest.raises(DomainError) as raised:
+            triangle_simulate(legs, 4 * CHUNK_SIZE, 1)
+    assert str(raised.value) == str(serial.value)
+    assert seen == []
+
+
+def test_a_leg_without_mass_above_minus_one_ends_in_the_first_chunk():
+    legs = ["gaussian:0,0.01", "gaussian:-2,0", "gaussian:0,0.01"]
+    samples = 16 * CHUNK_SIZE + 1234
+    with pytest.raises(RejectionOverflow) as serial:
+        _triangle_serial(legs, samples, 1)
+    with _deadline(2), pytest.raises(RejectionOverflow) as raised:
+        triangle_simulate(legs, samples, 1)
+    assert str(raised.value) == str(serial.value)
+
+
+class _ThreadRecordingFamily(_RowByRowFamily):
+    """A family without ``contains_rows`` that records the threads calling it."""
+
+    def __init__(self, family):
+        super().__init__(family)
+        self.threads = set()
+
+    def contains(self, x):
+        self.threads.add(threading.get_ident())
+        return super().contains(x)
+
+    def divergence(self, p, q):
+        self.threads.add(threading.get_ident())
+        return super().divergence(p, q)
+
+
+def test_spread_calls_the_family_only_from_the_calling_thread():
+    family = _ThreadRecordingFamily(ExponentialScale())
+    sampler = TradeSampler.parse("gauss:1.2,0.05", 1)
+    samples = 3 * CHUNK_SIZE + 100
+    rep = spread_estimate(family, sampler, samples, 8, method="fd")
+    assert family.threads == {threading.get_ident()}
+    assert rep == spread_estimate(ExponentialScale(), sampler, samples, 8, method="fd")
