@@ -165,15 +165,12 @@ def _symmetric(t: np.ndarray) -> np.ndarray:
     return t.reshape(-1)[_sorted_entries(t.shape[0], t.ndim)].reshape(t.shape)
 
 
-def _closed_form(owner, x: np.ndarray, t: np.ndarray, underflows: bool = False) -> np.ndarray:
+def _closed_form(owner, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``t``, a closed form at ``x`` computed under ``np.errstate(all="ignore")``,
-    made exactly symmetric; NumericalError naming ``x`` when it is not finite,
-    or when ``underflows`` says a factor of it left the normal range."""
+    made exactly symmetric; NumericalError naming ``x`` when it is not finite."""
     t = _symmetric(t)
     if not np.isfinite(t).all():
         raise NumericalError(f"{owner.family_id}: the closed-form tensor at {x} overflows the float range")
-    if underflows:
-        raise NumericalError(f"{owner.family_id}: the closed-form tensor at {x} underflows the float range")
     return t
 
 
@@ -249,9 +246,7 @@ class ExponentialFamily(DivergenceFamily):
     ``fisher`` (g = J^T psi'' J) and ``forward_cubic`` (T = psi'''(J, J, J)
     + 3 Sym psi''(H, J)) are written here once, by the module docstring's
     rule, made exactly symmetric by ``_symmetric`` and refused with
-    NumericalError where they overflow, or where ``_underflows(x, order)``
-    (False unless a family overrides it) says psi'' or psi''' at x is lost
-    below the normal floats before J scales it back.  A family supplies
+    NumericalError where they overflow.  A family supplies
     ``_inside``, ``_divergence``, the natural domain ``_natural_inside`` and
     the unchecked inverse chart ``from_natural`` (both over the last axis),
     and these, on one point that this class has coerced and checked against
@@ -310,7 +305,7 @@ class ExponentialFamily(DivergenceFamily):
         with np.errstate(all="ignore"):
             jac = self._natural_jacobian(x)
             g = jac.T @ self._natural_fisher(self._to_natural(x)) @ jac
-        return _closed_form(self, x, g, self._underflows(x, 2))
+        return _closed_form(self, x, g)
 
     def forward_cubic(self, x) -> np.ndarray:
         """Cubic Taylor coefficient T of D(x || x + u) in the default chart."""
@@ -324,10 +319,7 @@ class ExponentialFamily(DivergenceFamily):
             psi2 = self._natural_fisher(self._to_natural(x))
             m = np.einsum("aij,ab,bk->ijk", self._natural_hessian(x), psi2, jac)
             t = t + m + m.transpose(0, 2, 1) + m.transpose(2, 0, 1)
-        return _closed_form(self, x, t, self._underflows(x, 3))
-
-    def _underflows(self, x, order: int) -> bool:
-        return False
+        return _closed_form(self, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +604,9 @@ class Categorical(ExponentialFamily):
         return mixed[:, : self.dimension]
 
 
+_UNIT_GAUSSIAN = np.array([0.0, 1.0])
+
+
 class GaussianFull(ExponentialFamily):
     """Univariate Gaussians; chart = (mean, standard deviation)."""
 
@@ -651,10 +646,20 @@ class GaussianFull(ExponentialFamily):
         e1, e2 = eta.T
         return np.isfinite(e1) & (-math.inf < e2) & (e2 < 0.0)
 
-    def _underflows(self, x, order):
-        # psi'' carries s^4 and psi''' s^6, which J scales back by 1/s^6 and
-        # 1/s^9; where that power is lost the tensor left is finite but wrong
-        return x[1] < np.finfo(float).tiny ** (1.0 / (2 * order))
+    # the family is location-scale, so g(m, s) = g(0, 1) / s^2 and
+    # T(m, s) = T(0, 1) / s^3 exactly; the generic rule at (m, s) adds terms
+    # of size (m/s)^2 that cancel, and its powers of s leave the float range
+    # long before the tensor does, while at (0, 1) it does neither
+    def fisher(self, x) -> np.ndarray:
+        return self._scaled(super().fisher(_UNIT_GAUSSIAN), x, 2)
+
+    def forward_cubic(self, x) -> np.ndarray:
+        return self._scaled(super().forward_cubic(_UNIT_GAUSSIAN), x, 3)
+
+    def _scaled(self, unit: np.ndarray, x, order: int) -> np.ndarray:
+        x = self._point(x)
+        with np.errstate(all="ignore"):
+            return _closed_form(self, x, unit / x[1] ** order)
 
     def _log_partition(self, eta):
         e1, e2 = eta

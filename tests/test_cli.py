@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import infogeo
@@ -247,8 +248,6 @@ CONDITIONING_ERRORS = [
     ["asymmetry", "--family", "gaussian-full", "--at", "0,1e-120", "--dir", "0,1",
      "--steps", "4e-122,2e-122,1e-122,5e-123"],
     ["convergence", "--family", "gaussian-full", "--at", "0,1e-120", "--steps", "4e-122,2e-122"],
-    # a closed form whose sigma^4 underflows: the oracle's g_22 read 0
-    ["tensor", "--family", "gaussian-full", "--at", "0,1e-100", "--h", "1e-102"],
 ]
 
 
@@ -297,8 +296,9 @@ def test_closed_form_divergence_overflow_is_one_line(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["demon", "--family", "gaussian-full", "--waypoints", "0,1e-100;0,2e-100", "--method", "oracle"],
-        ["convergence", "--family", "gaussian-full", "--at", "0,1e-100", "--steps", "1e-102,5e-103"],
+        # the cubic -10 / s^3 is -3.7e308 at s = 3e-103
+        ["demon", "--family", "gaussian-full", "--waypoints", "0,3e-103;0,6e-103", "--method", "oracle"],
+        ["convergence", "--family", "gaussian-full", "--at", "0,3e-103", "--steps", "2.4e-102,1.2e-102"],
     ],
 )
 def test_closed_form_tensor_overflow_is_one_line(capsys, argv):
@@ -307,8 +307,30 @@ def test_closed_form_tensor_overflow_is_one_line(capsys, argv):
     assert captured.out == ""
     assert captured.err == (
         "geo: numerical conditioning: gaussian-full: the closed-form tensor at "
-        "[0.e+000 1.e-100] overflows the float range\n"
+        "[0.e+000 3.e-103] overflows the float range\n"
     )
+
+
+def test_gaussian_closed_forms_at_small_sigma_and_large_mean(tmp_path):
+    # at s = 1e-100 the cubic is -1e301 and the metric's s^4 factors used to
+    # underflow; at m/s = 1e8 the chain rule's (m/s)^2 terms cancelled g_22 to 0
+    def report(name, argv):
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        return json.loads((tmp_path / name).read_text())["result"]
+
+    demon = report("demon", ["demon", "--family", "gaussian-full", "--waypoints", "0,1e-100;0,2e-100",
+                             "--method", "oracle"])
+    # (1/6) T_222 ds^3 with T_222 = -10 / s^3, walked up from 1e-100 and back from 2e-100
+    assert demon["total"] == pytest.approx(-10.0 / 6.0, rel=1e-14)
+    assert demon["reversed_total"] == pytest.approx(10.0 / 48.0, rel=1e-14)
+    convergence = report("convergence", ["convergence", "--family", "gaussian-full", "--at", "0,1e-100",
+                                         "--steps", "1e-102,5e-103"])
+    assert convergence["cubic_oracle"][1][1][1] == pytest.approx(-1e301, rel=1e-14)
+    for name, at in [("small-sigma", ["--at", "0,1e-100", "--h", "1e-102"]), ("large-mean", ["--at", "1e8,1"])]:
+        tensor = report(name, ["tensor", "--family", "gaussian-full", *at])
+        s = float(at[1].split(",")[1])
+        assert np.array(tensor["oracle"]) == pytest.approx(np.diag([1.0, 2.0]) / s**2, rel=1e-14, abs=0)
+        assert tensor["oracle_delta"] < 1e-3
 
 
 def test_triangle_legs_whose_draws_overflow_are_refused(capsys):

@@ -380,8 +380,8 @@ def test_exponential_family_closed_forms_check_the_domain(family, method, point)
 @pytest.mark.parametrize(
     "div, method, point",
     [
-        # s^4 underflows, so 6 m / s^4 is 0/0 and -3 / s^4 is -inf
-        (GaussianFull(), "forward_cubic", [0.0, 1e-100]),
+        # the cubic -10 / s^3 is -3.7e308
+        (GaussianFull(), "forward_cubic", [0.0, 3e-103]),
         # the mean eta_1 sigma^2 is 5e309
         (natural_view(GaussianFull()), "fisher", [1e10, -1e-300]),
         (natural_view(ExponentialScale()), "fisher", [-1e-200]),
@@ -393,19 +393,28 @@ def test_closed_forms_that_overflow_raise_numerical_error(div, method, point):
 
 
 @pytest.mark.parametrize(
-    "method, sigma",
+    "m, s",
     [
-        # 2 s^4 underflows to 0 and g_22 read 0 against 2 / s^2 = 2e200
-        ("fisher", 1e-100),
-        # s^4 is subnormal: g_22 was off by 1.1e-5 relative
-        ("fisher", 1e-80),
-        # 8 s^6 underflows while 1 / s^4 is still finite
-        ("forward_cubic", 1e-60),
+        # 2 s^4 underflowed to 0 in the chain rule, and g_22 read 0 against 2e200
+        (0.0, 1e-100),
+        # s^4 was subnormal: g_22 was off by 1.1e-5 relative
+        (0.0, 1e-80),
+        # 8 s^6 underflowed while 1 / s^4 was still finite
+        (0.0, 1e-60),
+        # psi''_22 = 2 s^4 overflowed, and a representable metric was refused
+        (0.0, 1e100),
+        # the chain rule's terms of size (m/s)^2 cancelled g_22 to 0
+        (1e8, 1.0),
+        (-3e12, 0.5),
     ],
 )
-def test_closed_forms_whose_powers_of_sigma_underflow_raise_numerical_error(method, sigma):
-    with pytest.raises(NumericalError, match=r"^gaussian-full: the closed-form tensor at .* underflows"):
-        getattr(GaussianFull(), method)([0.0, sigma])
+def test_gaussian_closed_forms_at_extreme_mean_and_sigma(m, s):
+    f = GaussianFull()
+    assert f.fisher([m, s]) == pytest.approx(np.diag([1.0, 2.0]) / s**2, rel=1e-14, abs=0)
+    t = np.zeros((2, 2, 2))
+    t[0, 0, 1] = t[0, 1, 0] = t[1, 0, 0] = -2.0
+    t[1, 1, 1] = -10.0
+    assert f.forward_cubic([m, s]) == pytest.approx(t / s**3, rel=1e-14, abs=0)
 
 
 def test_closed_forms_just_inside_the_normal_range_are_the_closed_forms():
