@@ -293,10 +293,9 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
         """Draw one chunk and reduce it to its rejections, leg sums, largest
         |x| per leg, identity error and the moments of the four statistics.
 
-        It works leg by leg on (n,) arrays, in three scratch buffers, and
-        adds the legs in order, as a sum over the leg axis of a (3, n) array
-        would.  On a worker it reads ``rejected`` as it may lag behind, so
-        its budget is never below the serial one.
+        It works leg by leg on (n,) arrays, in three scratch buffers.  On a
+        worker it reads ``rejected`` as it may lag behind, so its budget is
+        never below the serial one.
         """
         nonlocal shift
         # a worker does not inherit the caller's errstate
@@ -316,35 +315,27 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
                 sums[i] = d.sum(), d2.sum(), np.multiply(d2, d, out=b).sum()
             size = [max(xi.max(), -xi.min()) for xi in x]
 
-            log_sum = np.log1p(x[0], out=a)
-            for xi in x[1:]:
-                log_sum += np.log1p(xi, out=b)
-            moments = [_moments(log_sum, b)]
-            log_prod = np.add(x[0], 1.0, out=b)
-            for xi in x[1:]:
-                log_prod *= np.add(xi, 1.0, out=c)
-            np.log(log_prod, out=log_prod)
-            gap = np.abs(np.subtract(log_sum, log_prod, out=b), out=b)
-            err = float(gap.max())
+            def over_legs(term, combine, out):
+                """``term(x_i, buffer)`` combined over the legs in leg order into
+                ``out``, as a reduction over the leg axis of (3, n) would."""
+                term(x[0], out)
+                for xi in x[1:]:
+                    combine(out, term(xi, c), out=out)
+                return out
 
-            s1 = np.add(x[0], x[1], out=a)
-            s1 += x[2]
-            half_s2 = np.multiply(x[0], x[0], out=b)
-            for xi in x[1:]:
-                half_s2 += np.multiply(xi, xi, out=c)
+            log_sum = over_legs(np.log1p, np.add, a)
+            moments = [_moments(log_sum, b)]
+            log_prod = np.log(over_legs(lambda v, out: np.add(v, 1.0, out), np.multiply, b), out=b)
+            err = float(np.abs(np.subtract(log_sum, log_prod, out=b), out=b).max())
+            s1 = over_legs(np.positive, np.add, a)
+            half_s2 = over_legs(lambda v, out: np.multiply(v, v, out), np.add, b)
             half_s2 *= 0.5
             quadratic = np.subtract(s1, half_s2, out=a)
             moments.append(_moments(quadratic, b))
             # x * x * x, not x**3: numpy sends a cube to pow, over 30x slower
-            third_s3 = np.multiply(x[0], x[0], out=b)
-            third_s3 *= x[0]
-            for xi in x[1:]:
-                cube = np.multiply(xi, xi, out=c)
-                cube *= xi
-                third_s3 += cube
+            third_s3 = over_legs(lambda v, out: np.multiply(np.multiply(v, v, out), v, out), np.add, b)
             third_s3 /= 3.0
-            bare_moments = _moments(third_s3, c)
-            moments += [_moments(np.add(quadratic, third_s3, out=a), c), bare_moments]
+            moments += [_moments(np.add(quadratic, third_s3, out=a), c), _moments(third_s3, c)]
         return n, drawn, sums, size, err, moments
 
     with closing(_chunk_map(chunk, samples, seed)) as chunks:

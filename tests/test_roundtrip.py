@@ -670,6 +670,19 @@ def test_chunk_map_yields_in_chunk_order_with_a_bounded_look_ahead():
     assert (len(set(threads)) > 1) == (workers > 1)
 
 
+def test_chunk_map_runs_again_on_the_calling_thread_a_chunk_that_raised_on_a_worker():
+    caller = threading.get_ident()
+
+    def body(rng, n):
+        if threading.get_ident() != caller:
+            raise RuntimeError("raised on a worker")
+        return n, float(rng.standard_normal(n).sum())
+
+    samples = 5 * CHUNK_SIZE
+    got = list(_chunk_map(body, samples, 6))
+    assert got == [(n, float(rng.standard_normal(n).sum())) for rng, n in _chunks(samples, 6)]
+
+
 @pytest.mark.parametrize(
     "scale, samples",
     [
