@@ -112,7 +112,7 @@ def mc_single_copy_fidelity(
         z.real = weight
         z.imag = rng.standard_normal(out=weight)
         np.abs(z, out=weight)
-        del z
+        del z  # the chunk's peak is then z and weight together
         weight *= weight
         u = np.add(weight[:, 0], weight[:, 1])
         np.divide(weight[:, 0], u, out=u)  # |<0|psi>|^2, uniform on [0,1]
