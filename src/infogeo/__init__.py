@@ -48,8 +48,6 @@ from .quantum import (
     PureState,
     VeroneseChart,
     bargmann_phase,
-    density_from_json,
-    density_to_json,
     fubini_study_distance,
     make_chart_divergence,
     pure_density,

@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .extraction import _DEFAULT_STEP, _tensor_error
+from .extraction import _DEFAULT_STEP, _tensor_errors
 from .extraction import asymmetry_probe, convergence_report, extract_cubic, extract_metric
 from .families import make_family, natural_view
 from .gap import gap_report, gap_table, mc_single_copy_fidelity
@@ -232,7 +232,7 @@ def _run_tensor(cfg: dict):
     }
     if oracle is not None:
         result["oracle"] = np.asarray(oracle, dtype=float).tolist()
-        result["oracle_delta"] = _tensor_error(comps, oracle)
+        result["oracle_delta"] = _tensor_errors(comps[None], oracle)[0]
     return "tensor", result
 
 

@@ -34,9 +34,12 @@ both, and whose ``divergence(p, q)`` is the one-row case of
 ``divergence_rows``.  Without them each point is passed to ``contains`` or
 ``divergence`` in turn.  An extraction is then one domain check and one
 divergence call, and so is a batch of base points: ``_tensors`` takes the
-stencils of many rows P at once (``roundtrip.demon_work`` passes it up to
-256 points of a path) and raises the error that extracting the rows one by
-one would have met first.
+stencils of many rows P at once, with one step for all of them or a step
+per row, and raises the error that extracting the rows one by one would
+have met first.  ``roundtrip.demon_work`` passes it up to 256 points of a
+path; ``convergence_report`` passes its base point once per rung of the
+ladder, each with the rung's step, so a ladder of any length is one call
+per order.
 
 A step is refused with ConditioningError when it is not resolved at the
 base point: when p + s - p differs from s by more than 1e-3 s in some
@@ -198,9 +201,10 @@ def _stencil_plan(d: int, order: int, richardson: bool):
     return plan
 
 
-def _unresolved(P: np.ndarray, u: list) -> np.ndarray:
+def _unresolved(P: np.ndarray, U) -> np.ndarray:
     """Which rows p of the (n, d) array P leave p + u - p off u by more than
-    1e-3 |u| in some coordinate.
+    1e-3 |u| in some coordinate, where u is the row's displacement, a list of
+    d floats, in the iterable U.
 
     Near a coordinate of magnitude |p_i| a displacement is rounded to a
     multiple of half an ulp of p_i, so one below about 1e3 ulps measures
@@ -209,7 +213,7 @@ def _unresolved(P: np.ndarray, u: list) -> np.ndarray:
     # in Python floats an overflow gives inf and a comparison with NaN is
     # False, without warnings; a step that is not finite is the callers' to refuse
     return np.array(
-        [any(abs(x + s - x - s) > 1e-3 * abs(s) for x, s in zip(p, u)) for p in P.tolist()], dtype=bool
+        [any(abs(x + s - x - s) > 1e-3 * abs(s) for x, s in zip(p, u)) for p, u in zip(P.tolist(), U)], dtype=bool
     )
 
 
@@ -237,7 +241,7 @@ def _check_powers(div, steps, order: int) -> None:
         )
 
 
-def _metric_test(g: np.ndarray, h_min: float):
+def _metric_test(g: np.ndarray, noise):
     """Smallest eigenvalue of each metric; a metric fails below -1e-8."""
     min_eig = np.linalg.eigvalsh(g).min(axis=-1)
     return min_eig, min_eig < -1e-8, lambda r: NumericalError(
@@ -245,13 +249,14 @@ def _metric_test(g: np.ndarray, h_min: float):
     )
 
 
-def _cubic_test(t: np.ndarray, h_min: float):
-    """Rounding-noise estimate 1e-16 / h^3; a cubic fails when it exceeds 1%
-    of its largest component, and that component is clearly non-zero."""
-    noise = 1e-16 / h_min**3
+def _cubic_test(t: np.ndarray, noise):
+    """Rounding-noise estimate 1e-16 / h^3, for every row or per row; a cubic
+    fails when it exceeds 1% of its largest component, and that component is
+    clearly non-zero."""
+    noise = np.full(len(t), noise)
     largest = np.abs(t).reshape(len(t), -1).max(axis=1)
-    return np.full(len(t), noise), (largest > 1e-9) & (noise > 0.01 * largest), lambda r: NoisePanic(
-        f"rounding-noise estimate {noise:.3e} exceeds 1% of the largest "
+    return noise, (largest > 1e-9) & (noise > 0.01 * largest), lambda r: NoisePanic(
+        f"rounding-noise estimate {noise[r]:.3e} exceeds 1% of the largest "
         f"component {largest[r]:.3e}; increase h"
     )
 
@@ -259,28 +264,34 @@ def _cubic_test(t: np.ndarray, h_min: float):
 _ACCEPT = {2: _metric_test, 3: _cubic_test}
 
 
-def _tensors(div, P, h: float, richardson: bool, order: int):
+def _tensors(div, P, h, richardson: bool, order: int):
     """Order-``order`` derivative tensors of D(p || .) at each row p of the
-    (n >= 1, d) array P.
+    (n >= 1, d) array P, with step ``h``: one float for every row, or an (n,)
+    array of a step per row.
 
     Returns (T, disagreements, statistic) over the rows: the tensors, the
     Richardson (h/2, h/4) disagreements or None, and the order's acceptance
     statistic (smallest metric eigenvalue, or cubic noise estimate).
 
-    Each row gets the checks of one extraction, in this order: base point in
-    the domain, finest step resolved, stencil in the domain, and after the
-    evaluation the steps' powers in the float range, the Richardson ladder
-    and the order's acceptance test.  All stencil points of all rows go
-    through one ``rows_inside`` and one ``divergences`` call.  When rows
-    fail, the error raised is the one that extracting row after row would
-    have met first.
+    Each row gets the checks of one extraction with its step, in this order:
+    base point in the domain, finest step resolved, stencil in the domain,
+    and after the evaluation the steps' powers in the float range, the
+    Richardson ladder and the order's acceptance test.  All stencil points
+    of all rows go through one ``rows_inside`` and one ``divergences`` call,
+    so a convergence ladder, its base point repeated once per rung, is one
+    call per order.  When rows fail, the error raised is the one that
+    extracting row after row would have met first.
     """
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"step size must be positive and finite, got {h}")
+    # a step per row is a list of Python floats, and a single step stays one
+    # float, which keeps the hot one-row path as cheap as it was; either way
+    # the powers below are libm's, which numpy's SIMD paths may not round alike
+    one = not isinstance(h, np.ndarray)
+    hs = [h] if one else h.tolist()
+    for x in hs:
+        if not 0.0 < x < np.inf:
+            raise ValueError(f"step size must be positive and finite, got {x}")
     d = div.dimension
     weights, offsets, levels, fill = _stencil_plan(d, order, richardson)
-    steps = [h / q for q in _LEVELS[richardson]]
-    fine = steps[-1]
     P = np.asarray(P, dtype=float)
     error, cut = None, len(P)
 
@@ -297,9 +308,13 @@ def _tensors(div, P, h: float, richardson: bool, order: int):
     if cut == 0:
         raise error
     P = P[:cut]
-    refuse(_unresolved(P, [fine] * d), lambda r: _not_resolved(div, P[r], [fine]))
+    # each row's steps of the levels, and the finest
+    steps = [h / q for q in _LEVELS[richardson]] if one else [[x / q for q in _LEVELS[richardson]] for x in hs]
+    fine = steps[-1] if one else [s[-1] for s in steps]
+    U = [[fine] * d] * cut if one else [[x] * d for x in fine]
+    refuse(_unresolved(P, U), lambda r: _not_resolved(div, P[r], [fine if one else fine[r]]))
     m = len(offsets)
-    points = P[:cut, None, :] + fine * offsets
+    points = P[:cut, None, :] + (fine if one else np.array(fine[:cut])[:, None, None]) * offsets
     inside = rows_inside(div, points.reshape(-1, d)).reshape(cut, m)
     refuse(~inside.all(axis=1), lambda r: DomainError(
         f"{div.family_id}: finite-difference stencil leaves the domain at {points[r, inside[r].argmin()]}"
@@ -307,33 +322,48 @@ def _tensors(div, P, h: float, richardson: bool, order: int):
     if cut == 0:
         raise error
 
-    # one base row is passed as one row, which a chart turns into one state
-    base = P[0] if cut == 1 else np.repeat(P[:cut], m, axis=0)
+    # rows that share their base point pass it as one row, which a chart
+    # turns into one state
+    base = P[0] if cut == 1 or (P[1:cut] == P[0]).all() else np.repeat(P[:cut], m, axis=0)
     f = divergences(div, base, points[:cut].reshape(-1, d)).reshape(cut, m)
-    # every row divides by the same powers, and row 0 has passed every check
-    # before this one, so it is the row that meets this refusal first
-    _check_powers(div, steps, order)
+    # one step refuses row 0 first, which has passed every check before this one
+    for r, row in enumerate([steps] if one else steps[:cut]):
+        try:
+            _check_powers(div, row, order)
+        except ConditioningError as refused:
+            error, cut = refused, r
+            break
+    if cut == 0:
+        raise error
     # W @ f for every row and level as one stack of matrix-vector products,
-    # each summed exactly as the product for a single row and level is
-    t = (weights @ f[:, levels, None])[..., 0][..., fill]
-    scale = np.array([s**order for s in steps])[:, None]
-    t = (t / scale).reshape((cut, len(steps)) + (d,) * order)
+    # each summed exactly as the product for a single row and level is: the
+    # values are taken into C order, as a single row's are, since a strided
+    # vector can take another summation order in BLAS
+    t = (weights @ f[:cut].take(levels, axis=1)[..., None])[..., 0][..., fill]
+    # the powers each level is divided by, and the rounding-noise estimate
+    # 1e-16 / h^order of the finest level
+    if one:
+        scale = np.array([s**order for s in steps])[:, None]
+        noise = 1e-16 / fine**order
+    else:
+        scale = np.array([[s**order for s in row] for row in steps[:cut]])[..., None]
+        noise = np.array([1e-16 / x**order for x in fine[:cut]])
+    t = (t / scale).reshape((cut, len(_LEVELS[richardson])) + (d,) * order)
     disagreement = None
     if richardson:
         # the (h, h/2) and (h/2, h/4) disagreements of each row
         d1, disagreement = np.abs(t[:, :-1] - t[:, 1:]).reshape(cut, 2, -1).max(axis=-1).T
         # disagreements at the rounding-noise floor of the finest level carry no
-        # information about the truncation ladder (zero tensors live there)
-        noise_floor = 1e-16 / fine**order
+        # information about the truncation ladder (zero tensors live there);
         # expected d2 ~ d1/4; tolerate 10x before declaring the ladder unusable
-        refuse((disagreement > 2.5 * d1) & (disagreement > 10.0 * noise_floor), lambda r: ConditioningError(
+        refuse((disagreement > 2.5 * d1) & (disagreement > 10.0 * noise), lambda r: ConditioningError(
             f"step-halving disagreement grew from {d1[r]:.3e} to {disagreement[r]:.3e}; "
             "the step ladder is outside the asymptotic regime"
         ))
         t = (4.0 * t[:, 2] - t[:, 1]) / 3.0
     else:
         t = t[:, 0]
-    statistic, rejected, reject = _ACCEPT[order](t, fine)
+    statistic, rejected, reject = _ACCEPT[order](t, noise)
     refuse(rejected, reject)
     if error is not None:
         raise error
@@ -428,7 +458,7 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
             f"{div.family_id}: probe point {probes[inside.argmin()]} outside domain"
         )
     u = (steps[-1] * v).tolist()
-    if _unresolved(p[None], u)[0]:
+    if _unresolved(p[None], [u])[0]:
         raise _not_resolved(div, p, u)
     values = divergences(div, p, probes) - divergences(div, probes, p)
 
@@ -456,12 +486,15 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
     )
 
 
-def _tensor_error(measured: np.ndarray, oracle: np.ndarray | None):
+def _tensor_errors(measured: np.ndarray, oracle: np.ndarray | None) -> list:
+    """Per rung of the (n, ...) stack ``measured``: max |measured - oracle|
+    over the oracle's largest |component| (absolute when that is 0), or None
+    without an oracle."""
     if oracle is None:
-        return None
+        return [None] * len(measured)
     denom = float(np.max(np.abs(oracle)))
-    diff = float(np.max(np.abs(measured - oracle)))
-    return diff / denom if denom > 0 else diff
+    diff = np.abs(measured - oracle).reshape(len(measured), -1).max(axis=1)
+    return (diff / denom if denom > 0 else diff).tolist()
 
 
 def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceReport:
@@ -471,6 +504,10 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
     / ``forward_cubic``) when it provides them; errors are then max-abs
     deviations normalized by the oracle's largest component (absolute when
     the oracle vanishes identically).
+
+    Each order is one ``_tensors`` call over the whole ladder.  When either
+    call raises, the rungs are extracted one by one, metric then cubic, so
+    that the error raised is the one that walk meets first.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     ladder = np.asarray(ladder, dtype=float)
@@ -480,7 +517,7 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
         raise DomainError(f"{div.family_id}: base point {p} outside domain")
     if ladder.size:
         finest = float(ladder.min()) / (4.0 if richardson else 1.0)
-        if _unresolved(p[None], [finest] * p.size)[0]:
+        if _unresolved(p[None], [[finest] * p.size])[0]:
             raise _not_resolved(div, p, [finest])
         _check_powers(div, [finest], 3)
     # the cubic first: where both closed forms are refused, its overflow is the
@@ -493,23 +530,27 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
         metric_oracle=metric_oracle,
         cubic_oracle=cubic_oracle,
     )
-    for h in ladder:
-        m = extract_metric(div, p, h=h, richardson=richardson)
-        c = extract_cubic(div, p, h=h, richardson=richardson)
-        report.rungs.append(
-            ConvergenceRung(
-                h=float(h),
-                metric=m.components,
-                cubic=c.components,
-                metric_error=_tensor_error(m.components, metric_oracle),
-                cubic_error=_tensor_error(c.components, cubic_oracle),
-            )
-        )
-    hs = [r.h for r in report.rungs]
-    m_err = [r.metric_error for r in report.rungs]
-    c_err = [r.cubic_error for r in report.rungs]
-    if all(e is not None for e in m_err):
+    hs = [float(h) for h in ladder]
+    if not hs:
+        return report
+    P = np.repeat(p[None], len(hs), axis=0)
+    try:
+        metric = _tensors(div, P, ladder, richardson, 2)[0]
+        cubic = _tensors(div, P, ladder, richardson, 3)[0]
+    except Exception:
+        # each call checks every rung for one order, so the error it meets
+        # first need not be a rung-by-rung walk's: the walk meets that one
+        walk = [
+            (extract_metric(div, p, h=h, richardson=richardson).components,
+             extract_cubic(div, p, h=h, richardson=richardson).components)
+            for h in ladder
+        ]
+        metric, cubic = map(np.array, zip(*walk))
+    m_err = _tensor_errors(metric, metric_oracle)
+    c_err = _tensor_errors(cubic, cubic_oracle)
+    report.rungs = [ConvergenceRung(*rung) for rung in zip(hs, metric, cubic, m_err, c_err)]
+    if metric_oracle is not None:
         report.metric_order = fit_loglog_slope(hs, m_err)
-    if all(e is not None for e in c_err):
+    if cubic_oracle is not None:
         report.cubic_order = fit_loglog_slope(hs, c_err)
     return report

@@ -41,8 +41,6 @@ __all__ = [
     "ChartDivergence",
     "make_chart_divergence",
     "parse_amplitudes",
-    "density_to_json",
-    "density_from_json",
 ]
 
 _ATOL = 1e-12
@@ -430,19 +428,3 @@ def parse_amplitudes(text: str) -> PureState:
     except ValueError as exc:
         raise ValueError(f"cannot parse amplitudes {text!r}: {exc}") from None
 
-
-def density_to_json(rho) -> dict:
-    """Serialize as row-major [re, im] pairs with a declared dimension."""
-    m = _as_matrix(rho)
-    return {
-        "dim": m.shape[0],
-        "entries": [[z.real, z.imag] for z in m.reshape(-1)],
-    }
-
-
-def density_from_json(data: dict) -> DensityMatrix:
-    d = int(data["dim"])
-    flat = np.array([complex(re, im) for re, im in data["entries"]])
-    if flat.size != d * d:
-        raise ValueError(f"expected {d * d} entries for dim {d}, got {flat.size}")
-    return DensityMatrix(flat.reshape(d, d))

@@ -229,7 +229,11 @@ class _Accumulator:
     def merge(self, k: int, total: float, m2: float):
         if self.n:
             delta = total / k - self.mean
-            m2 += self.m2 + delta**2 * self.n * k / (self.n + k)
+            try:
+                square = delta**2
+            except OverflowError:  # a Python float power raises where numpy's gives inf
+                square = math.inf
+            m2 += self.m2 + square * self.n * k / (self.n + k)
         self.n += k
         self.total += total
         self.m2 = m2

@@ -342,6 +342,19 @@ def test_triangle_legs_whose_draws_overflow_are_refused(capsys):
     assert captured.err == "geo: leg gaussian:1e+200,1: draws as large as 1e+200 overflow the cycle's power sums\n"
 
 
+def test_triangle_chunk_means_whose_difference_squared_overflows_are_refused(capsys):
+    # chunk 0's mean and a later chunk's differ by more than sqrt(max float),
+    # so the merge squares past the float range
+    argv = ["triangle", "--legs", "shifted-lognormal:60,13", "gaussian:0,0.01", "gaussian:0,0.01",
+            "--samples", "262144", "--seed", "0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("geo: "), err
+    assert err[0].endswith("overflow the cycle's power sums")
+
+
 def test_plot_csv_unsupported_kind_exits_1(capsys):
     code = main(["divergence", "--family", "exponential", "--p", "1", "--q", "2",
                  "--format", "plot-csv"])

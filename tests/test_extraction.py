@@ -236,6 +236,110 @@ def test_convergence_gaussian_metric_is_exact_at_all_steps():
         assert rung.metric_error < 1e-12
 
 
+# --- convergence ladders ------------------------------------------------------
+
+
+def _tensor_error(measured, oracle):
+    if oracle is None:
+        return None
+    denom = float(np.max(np.abs(oracle)))
+    diff = float(np.max(np.abs(measured - oracle)))
+    return diff / denom if denom > 0 else diff
+
+
+def _convergence_walk(div, p, ladder, richardson):
+    """The rung-by-rung reference: two extractions per rung, in rung order."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    metric_oracle = np.asarray(div.fisher(p), dtype=float) if hasattr(div, "fisher") else None
+    cubic_oracle = np.asarray(div.forward_cubic(p), dtype=float) if hasattr(div, "forward_cubic") else None
+    rungs = []
+    for h in np.asarray(ladder, dtype=float):
+        m = extract_metric(div, p, h=h, richardson=richardson).components
+        c = extract_cubic(div, p, h=h, richardson=richardson).components
+        rungs.append((float(h), m, c, _tensor_error(m, metric_oracle), _tensor_error(c, cubic_oracle)))
+    hs = [r[0] for r in rungs]
+    m_err, c_err = [r[3] for r in rungs], [r[4] for r in rungs]
+    metric_order = fit_loglog_slope(hs, m_err) if all(e is not None for e in m_err) else None
+    cubic_order = fit_loglog_slope(hs, c_err) if all(e is not None for e in c_err) else None
+    return rungs, metric_order, cubic_order
+
+
+_LADDER_FAMILIES = [
+    (ExponentialScale(), [1.3], 1.0),
+    (Bernoulli(), [0.45], 1.0),
+    (natural_view(Bernoulli()), [0.6], 1.0),
+    (GaussianFull(), [0.2, 1.3], 1.0),
+    (Categorical(4), [0.2, 0.3, 0.25], 0.1),
+    (make_chart_divergence("qre:bloch"), [0.1, -0.2, 0.3], 0.1),
+]
+_LADDERS = [[0.08], [0.08, 0.04], [0.08, 0.04, 0.02], [0.16, 0.08, 0.04, 0.02, 0.01], [0.1, 0.07, 0.03]]
+
+
+@pytest.mark.parametrize("richardson", [False, True], ids=["plain", "richardson"])
+@pytest.mark.parametrize(
+    "family, p, scale", _LADDER_FAMILIES,
+    ids=["exponential", "bernoulli", "natural:bernoulli", "gaussian-full", "categorical:4", "qre:bloch"],
+)
+def test_a_batched_ladder_equals_the_rung_by_rung_walk(family, p, scale, richardson):
+    for ladder in _LADDERS:
+        ladder = scale * np.array(ladder)
+        rep = convergence_report(family, p, ladder, richardson=richardson)
+        rungs, metric_order, cubic_order = _convergence_walk(family, p, ladder, richardson)
+        assert len(rep.rungs) == len(rungs)
+        for rung, (h, m, c, m_err, c_err) in zip(rep.rungs, rungs):
+            assert rung.h == h
+            assert np.array_equal(rung.metric, m) and np.array_equal(rung.cubic, c), (ladder, h)
+            assert rung.metric_error == m_err and rung.cubic_error == c_err, (ladder, h)
+        assert rep.metric_order == metric_order and rep.cubic_order == cubic_order, ladder
+
+
+def test_a_ladder_is_one_divergence_call_per_order():
+    # 7 and 8 distinct points per Richardson extraction (see the counts above)
+    div = _CountingRows(ExponentialScale())
+    rep = convergence_report(div, [1.0], [0.08, 0.04, 0.02], richardson=True)
+    assert div.rows == [3 * 7, 3 * 8]
+    assert len(rep.rungs) == 3
+
+
+def test_a_step_per_row_equals_one_extraction_per_row():
+    rng = np.random.default_rng(11)
+    for family, draw in [
+        (ExponentialScale(), lambda: [rng.uniform(0.5, 3.0)]),
+        (GaussianFull(), lambda: [rng.uniform(-1.0, 1.0), rng.uniform(0.7, 2.0)]),
+    ]:
+        P = np.array([draw() for _ in range(6)])
+        hs = rng.uniform(0.01, 0.1, len(P))
+        for order, richardson in itertools.product((2, 3), (False, True)):
+            t, disagreement, statistic = _tensors(family, P, hs, richardson, order)
+            for i, (p, h) in enumerate(zip(P, hs)):
+                ti, di, si = _tensors(family, p[None], float(h), richardson, order)
+                assert np.array_equal(t[i], ti[0])
+                assert np.array_equal(statistic[i], si[0])
+                assert disagreement is None or disagreement[i] == di[0]
+    # with rows in a strided layout, BLAS summed this rung's third difference
+    # in another order and moved its last bit
+    p = [0.2271651163414671]
+    rep = convergence_report(Bernoulli(), p, [0.1, 0.07, 0.03])
+    assert np.array_equal(rep.rungs[0].cubic, extract_cubic(Bernoulli(), p, h=0.1).components)
+
+
+# at 1.0: a step that extracts, one whose cubic meets a NoisePanic, one whose
+# cubic stencil (+-2h) leaves the domain, and one whose metric stencil does
+_RUNGS = [0.05, 1e-5, 0.6, 1.2]
+
+
+@pytest.mark.parametrize("richardson", [False, True], ids=["plain", "richardson"])
+def test_a_batched_ladder_raises_the_error_the_walk_meets_first(richardson):
+    family = ExponentialScale()
+    for ladder in itertools.permutations(_RUNGS, 3):
+        batch = _outcome(lambda: convergence_report(family, [1.0], ladder, richardson=richardson).rungs)
+        walk = _outcome(lambda: _convergence_walk(family, [1.0], ladder, richardson)[0])
+        if isinstance(walk, tuple):
+            assert batch == walk, ladder
+        else:
+            assert [r.metric_error for r in batch] == [r[3] for r in walk], ladder
+
+
 # --- stencil evaluations -----------------------------------------------------
 
 

