@@ -419,11 +419,11 @@ def extract_cubic(div, p, h: float = _DEFAULT_STEP["cubic"], richardson: bool = 
 
 def fit_loglog_slope(h_values, errors):
     """Least-squares slope of log(error) vs log(h), ignoring errors at the
-    noise floor 100 eps; None when fewer than two remain."""
+    noise floor 100 eps; None when fewer than two distinct steps remain."""
     h_values = np.asarray(h_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
     mask = errors > 100.0 * _EPS
-    if mask.sum() < 2:
+    if len(set(h_values[mask].tolist())) < 2:
         return None
     coeffs = np.polyfit(np.log(h_values[mask]), np.log(errors[mask]), 1)
     return float(coeffs[0])

@@ -218,6 +218,7 @@ class DivergenceFamily(RowDomain):
         Raises ValueError for rows of the wrong width, DomainError naming
         the first row outside the domain, and NumericalError naming the
         first pair whose divergence overflows, with no floating-point warning.
+        A value that rounds below zero comes back as zero.
         """
         P, Q = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (P, Q))
         for which, X in (("first", P), ("second", Q)):
@@ -234,7 +235,7 @@ class DivergenceFamily(RowDomain):
         if not finite.all():
             p, q = (np.broadcast_to(X, (len(values), self.dimension))[finite.argmin()] for X in (P, Q))
             raise NumericalError(f"{self.family_id}: the divergence from {p} to {q} overflows the float range")
-        return values
+        return np.maximum(values, 0.0, out=values)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.family_id}>"

@@ -18,6 +18,7 @@ orientation); reversing the loop flips the sign.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -88,6 +89,8 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         _check_density(m)
+        if np.linalg.eigvalsh(m).min() < -_ATOL:
+            raise ValueError("matrix has an eigenvalue below -1e-12")
         m.setflags(write=False)
         self.entries = m
 
@@ -100,17 +103,14 @@ class DensityMatrix:
 
 
 def _check_density(m: np.ndarray) -> None:
-    """Raise ValueError unless every matrix of the stack ``m`` is a density matrix.
-
-    Each must be Hermitian and of trace one within 1e-12, with no eigenvalue
-    below -1e-12; ``m`` has shape (k, k) or (n, k, k).
+    """Raise ValueError unless every matrix of the stack ``m`` is Hermitian and
+    of trace one within 1e-12; ``m`` has shape (k, k) or (n, k, k).  Callers
+    check the spectrum where they compute it, as ``_checked_eigh`` does.
     """
     if np.max(np.abs(m - _adjoint(m))) > _ATOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
     if np.max(np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)) > _ATOL:
         raise ValueError("trace differs from 1 by more than 1e-12")
-    if np.linalg.eigvalsh(m).min() < -_ATOL:
-        raise ValueError("matrix has an eigenvalue below -1e-12")
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -186,35 +186,44 @@ def _unit(q: np.ndarray) -> np.ndarray:
     return q / norm[..., 0]
 
 
-def _checked_eigh(m: np.ndarray):
-    """Eigen-decomposition of each matrix of the Hermitian stack ``m``."""
+def _checked_eigh(*stacks: np.ndarray):
+    """(w, v) of every matrix of the Hermitian stacks, concatenated in order.
+
+    One stacked ``eigh`` decomposes each matrix exactly as a call of its own
+    would.  Raises ValueError for an eigenvalue below -1e-12."""
+    m = np.concatenate([s.reshape(-1, *s.shape[-2:]) for s in stacks])
     w, v = np.linalg.eigh(m)
+    if w.min() < -_ATOL:
+        raise ValueError("matrix has an eigenvalue below -1e-12")
     residual = np.max(np.abs(m - (v * w[..., None, :]) @ _adjoint(v)))
     if residual > 1e-10:
         raise NumericalError(f"eigendecomposition residual {residual:.3e} > 1e-10")
     return w, v
 
 
-def _entropy(m: np.ndarray) -> np.ndarray:
-    """S of each matrix of the stack ``m``, with 0 log 0 = 0."""
-    w, _ = _checked_eigh(m)
+def _split(a: np.ndarray, *stacks: np.ndarray) -> list:
+    """The rows of ``a``, one per matrix of the concatenated ``stacks``, cut back to each stack."""
+    bounds = list(itertools.accumulate((s.size // s.shape[-1] ** 2 for s in stacks), initial=0))
+    return [a[i:j].reshape(s.shape[:-2] + a.shape[1:]) for s, i, j in zip(stacks, bounds, bounds[1:])]
+
+
+def _entropy(w: np.ndarray) -> np.ndarray:
+    """S from each row of eigenvalues ``w``, with 0 log 0 = 0."""
     w = np.clip(w, 0.0, None)
     return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho log rho] in nats, with 0 log 0 = 0."""
-    return float(_entropy(_as_matrix(rho)))
-
-
-def _log_matrix(m: np.ndarray) -> np.ndarray:
-    w, v = _checked_eigh(m)
-    return (v * np.log(w)[..., None, :]) @ _adjoint(v)
+    w, _ = _checked_eigh(_as_matrix(rho))
+    return float(_entropy(w)[0])
 
 
 def _relative_entropy_strict(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Tr[rho (log rho - log sigma)] for full-rank inputs, over stacks that broadcast."""
-    value = np.trace(rho @ (_log_matrix(rho) - _log_matrix(sigma)), axis1=-2, axis2=-1).real
+    w, v = _checked_eigh(rho, sigma)
+    log_rho, log_sigma = _split((v * np.log(w)[..., None, :]) @ _adjoint(v), rho, sigma)
+    value = np.trace(rho @ (log_rho - log_sigma), axis1=-2, axis2=-1).real
     worst = np.min(value, initial=0.0)
     if worst < -1e-12:
         raise NumericalError(f"relative entropy came out negative: {worst:.3e}")
@@ -222,7 +231,10 @@ def _relative_entropy_strict(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def _jsd(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    value = _entropy(0.5 * (rho + sigma)) - 0.5 * (_entropy(rho) + _entropy(sigma))
+    mixture = 0.5 * (rho + sigma)
+    w, _ = _checked_eigh(rho, sigma, mixture)
+    s_rho, s_sigma, s_mixture = _split(_entropy(w), rho, sigma, mixture)
+    value = s_mixture - 0.5 * (s_rho + s_sigma)
     return np.where(value > 0.0, value, 0.0)
 
 

@@ -517,6 +517,17 @@ def test_base_point_outside_domain_prints_one_line():
     assert res.stderr.splitlines() == ["geo: bernoulli: base point [1.] outside domain"]
 
 
+def test_convergence_with_coincident_steps_gives_no_order_and_no_warning():
+    # one distinct step fits no slope; numpy's polyfit would warn RankWarning
+    res = _run_geo(
+        ["convergence", "--family", "exponential", "--at", "1", "--steps", "0.05,0.05"], timeout=20
+    )
+    assert res.returncode == 0
+    assert res.stderr == ""
+    result = json.loads(res.stdout)["result"]
+    assert result["metric_order"] is None and result["cubic_order"] is None
+
+
 @pytest.mark.parametrize("leg", ["gaussian:-2,0", "gaussian:-5,0.1"])
 def test_triangle_leg_without_mass_above_minus_one_exits_1(leg):
     res = _run_geo(

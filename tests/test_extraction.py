@@ -9,6 +9,7 @@ in the default chart too.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -597,3 +598,10 @@ def test_fit_loglog_slope_ignores_noise_floor():
     slope = fit_loglog_slope(hs, errs)
     assert slope == pytest.approx(2.0, abs=0.05)
     assert fit_loglog_slope(hs, [0.0, 0.0, 0.0, 0.0]) is None
+
+
+def test_fit_loglog_slope_needs_two_distinct_steps():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_loglog_slope([0.05, 0.05], [1e-3, 1e-3]) is None
+        assert fit_loglog_slope([0.1, 0.05, 0.05], [1e-17, 1e-3, 1e-3]) is None

@@ -491,6 +491,19 @@ def test_bernoulli_gibbs_inequality(a, b):
         assert d > 0.0
 
 
+@pytest.mark.parametrize(
+    "family, p, q",
+    [
+        # the closed forms round to -5.55e-18 and -1.11e-16 at these pairs
+        (Bernoulli(), 0.05, 0.05000000000000001),
+        (ExponentialScale(), 0.08687617154257521, 0.08687617154257524),
+    ],
+)
+def test_divergence_rounding_below_zero_comes_back_zero(family, p, q):
+    assert family.divergence([p], [q]) == 0.0
+    assert family.divergence_rows([[p]], [[q]]).tolist() == [0.0]
+
+
 # --- row-wise domain predicates ----------------------------------------------
 
 _ROW_DOMAINS = [

@@ -295,6 +295,81 @@ def test_chart_divergence_validates_each_state_once(kind, chart, monkeypatch):
     assert states == [1, 1]
 
 
+def _chart_rows(chart, rng, n):
+    """``n`` seeded points inside the named chart's domain."""
+    if chart == "bloch":
+        v = rng.standard_normal((n, 3))
+        return rng.uniform(0.0, 0.9, (n, 1)) * v / np.linalg.norm(v, axis=1, keepdims=True)
+    if chart == "diag-qutrit":
+        return rng.dirichlet(np.ones(3), n)[:, :2]
+    return np.column_stack([rng.uniform(0.1, math.pi - 0.1, n), rng.uniform(-3.0, 3.0, n)])
+
+
+def _reference_divergence(kind, rho, sigma):
+    """The chart divergence with rho, sigma and their mixture each decomposed
+    by an ``eigh`` call of its own."""
+
+    def log(m):
+        w, v = np.linalg.eigh(m)
+        return (v * np.log(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+    def entropy(m):
+        w = np.clip(np.linalg.eigh(m)[0], 0.0, None)
+        return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
+
+    if kind == "qre":
+        value = np.trace(rho @ (log(rho) - log(sigma)), axis1=-2, axis2=-1).real
+        return np.where(value < 0.0, 0.0, value)
+    value = entropy(0.5 * (rho + sigma)) - 0.5 * (entropy(rho) + entropy(sigma))
+    return np.where(value > 0.0, value, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["qre", "qjsd"])
+@pytest.mark.parametrize("chart", sorted(CHART_POINTS))
+def test_chart_divergence_batch_decomposes_once(kind, chart, monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def call(m):
+            calls[name] += 1
+            return original(m)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    div = make_chart_divergence(f"{kind}:{chart}")
+    rng = np.random.default_rng(3)
+    for P, Q in ((_chart_rows(chart, rng, 1), _chart_rows(chart, rng, 9)),
+                 (_chart_rows(chart, rng, 9), _chart_rows(chart, rng, 9))):
+        calls.update(eigh=0, eigvalsh=0)
+        div.divergence_rows(P, Q)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("kind", ["qre", "qjsd"])
+@pytest.mark.parametrize("chart", sorted(CHART_POINTS))
+def test_stacked_decomposition_matches_separate_ones_bit_for_bit(kind, chart):
+    div = make_chart_divergence(f"{kind}:{chart}")
+    for seed in range(5):
+        rng = np.random.default_rng([seed, 11])
+        for n_p in (1, 40):
+            P, Q = _chart_rows(chart, rng, n_p), _chart_rows(chart, rng, 40)
+            want = _reference_divergence(kind, div.chart.states(P), div.chart.states(Q))
+            assert div.divergence_rows(P, Q).tobytes() == want.tobytes()
+
+
+def test_checked_eigh_refuses_a_negative_eigenvalue():
+    m = np.diag([1.5, -0.5]).astype(complex)  # Hermitian, trace one, not PSD
+    quantum._check_density(m)
+    with pytest.raises(ValueError, match="eigenvalue below -1e-12"):
+        quantum._checked_eigh(m)
+    with pytest.raises(ValueError, match="eigenvalue below -1e-12"):
+        quantum._checked_eigh(np.eye(2)[None] / 2, m[None])
+
+
 @pytest.mark.parametrize("chart", sorted(CHART_POINTS))
 def test_chart_points_outside_the_domain_name_the_chart(chart):
     div = make_chart_divergence(f"qre:{chart}")
