@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -417,16 +418,37 @@ def extract_cubic(div, p, h: float = _DEFAULT_STEP["cubic"], richardson: bool = 
     )
 
 
+def _line_fit(x: list, y: list):
+    """Least-squares (slope, intercept) of the points (x, y), from centred
+    sums in Python floats; None when sum (x - mean x)^2 is 0, as it is
+    unless x holds two distinct values.
+
+    x is centred through its offsets from x[0], which are exact for x close
+    together, so equal x values centre to exactly 0 and a small spread far
+    from 0 keeps its digits.
+    """
+    if not x:
+        return None
+    n = len(x)
+    offsets = [a - x[0] for a in x]
+    mean_offset = math.fsum(offsets) / n
+    dx = [o - mean_offset for o in offsets]
+    sxx = math.fsum([d * d for d in dx])
+    if sxx == 0.0:
+        return None
+    my = math.fsum(y) / n
+    slope = math.fsum([d * (b - my) for d, b in zip(dx, y)]) / sxx
+    return slope, my - slope * (x[0] + mean_offset)
+
+
 def fit_loglog_slope(h_values, errors):
     """Least-squares slope of log(error) vs log(h), ignoring errors at the
-    noise floor 100 eps; None when fewer than two distinct steps remain."""
+    noise floor 100 eps; None when fewer than two distinct log-steps remain."""
     h_values = np.asarray(h_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
     mask = errors > 100.0 * _EPS
-    if len(set(h_values[mask].tolist())) < 2:
-        return None
-    coeffs = np.polyfit(np.log(h_values[mask]), np.log(errors[mask]), 1)
-    return float(coeffs[0])
+    fit = _line_fit(np.log(h_values[mask]).tolist(), np.log(errors[mask]).tolist())
+    return None if fit is None else fit[0]
 
 
 def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
@@ -467,8 +489,9 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
     if not degenerate:
         _check_powers(div, steps, 3)
         slope = fit_loglog_slope(steps, np.abs(values))
-        # value/h^3 = c + O(h); a linear fit in h isolates the intercept c
-        coeff = float(np.polyfit(steps, values / steps**3, 1)[1])
+        # value/h^3 = c + O(h); a linear fit in h isolates the intercept c.
+        # The steps are distinct and their cubes normal, so the fit exists
+        coeff = _line_fit(steps.tolist(), (values / steps**3).tolist())[1]
         cubic = extract_cubic(div, p, h=float(steps[0]), richardson=True)
         tvvv = float(np.einsum("ijk,i,j,k->", cubic.components, v, v, v))
         ratio = coeff / tvvv if abs(tvvv) > 1e-12 else None

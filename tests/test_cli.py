@@ -518,14 +518,16 @@ def test_base_point_outside_domain_prints_one_line():
 
 
 def test_convergence_with_coincident_steps_gives_no_order_and_no_warning():
-    # one distinct step fits no slope; numpy's polyfit would warn RankWarning
-    res = _run_geo(
-        ["convergence", "--family", "exponential", "--at", "1", "--steps", "0.05,0.05"], timeout=20
-    )
-    assert res.returncode == 0
-    assert res.stderr == ""
-    result = json.loads(res.stdout)["result"]
-    assert result["metric_order"] is None and result["cubic_order"] is None
+    # a log-log fit needs two distinct log-steps: equal steps have none, and
+    # so have steps one ulp apart at 1e10, whose logs round to one value
+    for at, steps in [("1", "0.05,0.05"), ("1e12", "1e10,1.0000000000000002e10")]:
+        res = _run_geo(
+            ["convergence", "--family", "exponential", "--at", at, "--steps", steps], timeout=20
+        )
+        assert res.returncode == 0
+        assert res.stderr == ""
+        result = json.loads(res.stdout)["result"]
+        assert result["metric_order"] is None and result["cubic_order"] is None
 
 
 @pytest.mark.parametrize("leg", ["gaussian:-2,0", "gaussian:-5,0.1"])

@@ -9,7 +9,9 @@ in the default chart too.
 """
 
 import itertools
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from infogeo import (
     natural_view,
     score_moment_tensor,
 )
-from infogeo.extraction import _tensors, fit_loglog_slope
+from infogeo.extraction import _line_fit, _tensors, fit_loglog_slope
 from infogeo.families import divergences
 
 
@@ -605,3 +607,72 @@ def test_fit_loglog_slope_needs_two_distinct_steps():
         warnings.simplefilter("error")
         assert fit_loglog_slope([0.05, 0.05], [1e-3, 1e-3]) is None
         assert fit_loglog_slope([0.1, 0.05, 0.05], [1e-17, 1e-3, 1e-3]) is None
+        # distinct steps whose logs are equal fit no slope either
+        assert fit_loglog_slope([1e-300, np.nextafter(1e-300, 1)], [1e-3, 2e-3]) is None
+
+
+# _line_fit's error against the exact fit of its float inputs, in ulps of the
+# slope and of the larger of |mean y| and |slope * mean x|, which bound the
+# intercept's rounding: a few roundings of centred sums, with margin
+LINE_FIT_ULPS = 8
+
+
+def _exact_line_fit(x, y):
+    """Least-squares slope, intercept, mean x and mean y in exact rationals."""
+    X, Y = [Fraction(a) for a in x], [Fraction(b) for b in y]
+    mx, my = sum(X) / len(X), sum(Y) / len(Y)
+    slope = sum((a - mx) * (b - my) for a, b in zip(X, Y)) / sum((a - mx) ** 2 for a in X)
+    return slope, my - slope * mx, mx, my
+
+
+def _ulps(got, exact, scale):
+    return abs(Fraction(got) - exact) / Fraction(float(np.spacing(abs(float(scale)))))
+
+
+def _seeded_ladders():
+    """Seeded (x, y) ladders of 2 to 6 points: log-steps from 1e-8 to 1
+    against the logs of noisy h^2 or h^3 errors, and x near 1e8 with a spread
+    below 1 against a noisy line."""
+    for seed in range(200):
+        rng = np.random.default_rng([seed, 16])
+        n = int(rng.integers(2, 7))
+        h = np.sort(np.exp(rng.uniform(math.log(1e-8), 0.0, n)))[::-1]
+        errors = rng.uniform(0.1, 10.0) * h ** rng.choice([2.0, 3.0]) * (1.0 + 1e-3 * rng.standard_normal(n))
+        yield np.log(h).tolist(), np.log(errors).tolist()
+        x = 1e8 + rng.uniform(0.0, 1.0, n)
+        y = rng.uniform(-3.0, 3.0) * (x - 1e8) + rng.uniform(-1.0, 1.0) + 1e-3 * rng.standard_normal(n)
+        yield x.tolist(), y.tolist()
+
+
+def test_line_fit_matches_exact_rational_fit():
+    for x, y in _seeded_ladders():
+        slope, intercept, mx, my = _exact_line_fit(x, y)
+        got_slope, got_intercept = _line_fit(x, y)
+        assert _ulps(got_slope, slope, slope) <= LINE_FIT_ULPS, (x, y)
+        assert _ulps(got_intercept, intercept, max(abs(my), abs(slope * mx))) <= LINE_FIT_ULPS, (x, y)
+
+
+def test_line_fit_needs_two_distinct_x():
+    assert _line_fit([], []) is None
+    assert _line_fit([0.3], [1.0]) is None
+    # the float mean of three 0.1s is not 0.1; the fit still sees no spread
+    assert _line_fit([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]) is None
+
+
+def test_fitted_statistics_match_polyfit():
+    # np.polyfit stands in as an oracle on ladders like the benchmark's
+    ladder = np.array([1.0, 0.5, 0.25, 0.125])
+    for theta, v in [(0.6, 1.0), (1.3, -1.0), (2.7, 1.0)]:
+        probe = asymmetry_probe(ExponentialScale(), [theta], [v], 0.1 * theta * ladder)
+        slope = np.polyfit(np.log(probe.steps), np.log(np.abs(probe.values)), 1)[0]
+        coefficient = np.polyfit(probe.steps, probe.values / probe.steps**3, 1)[1]
+        assert probe.slope == pytest.approx(slope, rel=1e-12)
+        assert probe.coefficient == pytest.approx(coefficient, rel=1e-12)
+    for family, p in [(ExponentialScale(), 1.7), (Bernoulli(), 0.3)]:
+        hs = min(p, 1.0) * np.array([0.08, 0.04, 0.02])
+        rep = convergence_report(family, [p], hs, richardson=True)
+        for order, errors in [
+            (rep.metric_order, [r.metric_error for r in rep.rungs]),
+            (rep.cubic_order, [r.cubic_error for r in rep.rungs]),
+        ]:
+            assert order == pytest.approx(np.polyfit(np.log(hs), np.log(errors), 1)[0], rel=1e-12)

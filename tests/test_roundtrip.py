@@ -1,6 +1,7 @@
 """Triangle statistics, path work sums, and the spread estimator."""
 
 import contextlib
+import itertools
 import math
 import os
 import signal
@@ -40,6 +41,7 @@ from infogeo.roundtrip import (
     _chunk_map,
     _cubic_tensors,
     _moments,
+    _surcharges,
 )
 
 
@@ -638,6 +640,21 @@ def test_spread_is_the_serial_loop_bit_for_bit(family, spec, method, samples):
     sampler = TradeSampler.parse(spec, family.dimension)
     rep = spread_estimate(family, sampler, samples, 23, method=method)
     assert rep == _spread_serial(family, sampler, samples, 23, method)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_surcharges_are_the_einsum_bit_for_bit(d):
+    rng = np.random.default_rng([24, d])
+    tensor = rng.standard_normal((d, d, d))
+    tensor = sum(tensor.transpose(perm) for perm in itertools.permutations(range(3)))
+    steps = 0.3 * rng.standard_normal((CHUNK_SIZE, d))
+    # rows of signed zeros, and rows with one signed-zero coordinate
+    steps[:8] = 0.0
+    steps[8:16] = -0.0
+    steps[16:24, 0] = -0.0
+    tensor[0, 0, 0] = -0.0
+    want = np.einsum("ijk,ni,nj,nk->n", tensor, steps, steps, steps) / 6.0
+    assert _surcharges(tensor, steps).tobytes() == want.tobytes()
 
 
 def test_chunk_map_yields_in_chunk_order_with_a_bounded_look_ahead():
