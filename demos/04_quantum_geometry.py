@@ -5,10 +5,15 @@
 # they are reported measurements.  Two observations worth keeping in view:
 #   * relative entropy between uniformly smoothed pure states is a function
 #     of fidelity alone (smoothing preserves the spectrum), so on the
-#     Veronese chart its asymmetry vanishes identically.  Its cubic term
-#     does not: T_theta,phi,phi = k sin(theta) cos(theta), with
-#     k = (1 - eps) ln((3 - 2 eps) / eps), is zero only on the equator
-#     theta = pi/2, which is where it is evaluated below, and
+#     Veronese chart its asymmetry vanishes identically.  Its cubic tensor
+#     T_theta,phi,phi = k sin(theta) cos(theta), with
+#     k = (1 - eps) ln((3 - 2 eps) / eps), does not, but it is a chart
+#     term, not a cubic effect: for every symmetric divergence
+#     T = (3/2) Sym dg, and here g = k diag(1, sin^2 theta), so
+#     d_theta g_phi,phi = 2k sin(theta) cos(theta).  The chart-invariant part
+#     T - (3/2) Sym dg is zero to extraction accuracy (2.5e-6 against
+#     |T| = 3.64 at (1, 0.3)).  T is zero only on the equator theta = pi/2,
+#     which is where it is evaluated below, and
 #   * on mixed-state charts (Bloch ball interior, diagonal qutrit simplex)
 #     the cubic term is plainly non-zero for both divergences, the symmetric
 #     Jensen-Shannon one included: symmetry makes the asymmetry

@@ -17,12 +17,14 @@ one per distinct axis, of the order with which the axis occurs:
     second  {+1: 1, 0: -2, -1: 1}
     third   {+2: 1/2, +1: -1, -1: 1, -2: -1/2}
 
-A plan, cached per (dimension, order, Richardson or not), holds a weight
-matrix W and the distinct integer offsets of all the step levels in units of
-the finest step, so every stencil point is checked against the domain
-first, then evaluated once, and each level's T = W f / h^order.  Each value
-fills every permutation of its index tuple through a precomputed index, so
-the recorded pre-symmetrization residual is structurally zero.
+A plan, cached per (dimension, orders, Richardson or not), holds the
+distinct integer offsets of all the orders and step levels in units of the
+finest step, and a weight matrix W per order, so every stencil point is
+checked against the domain first, then evaluated once, and each order's
+and level's T = W f / h^order: several orders over one set of nodes, as in
+Fornberg (1988).  Each value fills every permutation of its index tuple
+through a precomputed index, so the recorded pre-symmetrization residual is
+structurally zero.
 
 Several points at once go through ``rows_inside`` for domain checks and
 ``divergences`` for values.  An object may add the optional
@@ -35,11 +37,12 @@ both, and whose ``divergence(p, q)`` is the one-row case of
 ``divergence`` in turn.  An extraction is then one domain check and one
 divergence call, and so is a batch of base points: ``_tensors`` takes the
 stencils of many rows P at once, with one step for all of them or a step
-per row, and raises the error that extracting the rows one by one would
-have met first.  ``roundtrip.demon_work`` passes it up to 256 points of a
-path; ``convergence_report`` passes its base point once per rung of the
-ladder, each with the rung's step, so a ladder of any length is one call
-per order.
+per row, and of several orders at once; for one order it raises the error
+that extracting the rows one by one would have met first.
+``roundtrip.demon_work`` passes it up to 256 points of a path;
+``convergence_report`` passes its base point once per rung of the
+ladder, each with the rung's step, and asks for the metric and cubic
+together, so a ladder of any length is one call.
 
 A step is refused with ConditioningError when it is not resolved at the
 base point: when p + s - p differs from s by more than 1e-3 s in some
@@ -157,18 +160,14 @@ _CENTRAL = {
 _LEVELS = {False: (1,), True: (1, 2, 4)}
 
 
-@functools.lru_cache(maxsize=None)
-def _stencil_plan(d: int, order: int, richardson: bool):
+def _order_stencil(d: int, order: int):
     """Stencil of every order-``order`` partial derivative in ``d`` dimensions.
 
-    Returns (W, offsets, levels, fill).  T[tuples[r]] = (W @ f)[r] / s^order,
-    where f holds D(p || p + s o) at one level's offsets o and s is its step;
-    a tuple's stencil is the tensor product of the 1-D rules of its distinct
-    axes, the rule's order being how often the axis occurs.  ``offsets`` (m,
-    d) are the distinct offsets of every level in units of the finest step,
-    and ``levels[l]`` picks level l's offsets out of them in the column order
-    of W.  ``fill`` gives, for each entry of a (d,)*order tensor in C order,
-    the row r of its sorted index tuple.
+    Returns (W, offsets, fill).  T[tuples[r]] = (W @ f)[r] / s^order, where f
+    holds D(p || p + s o) at the offsets o, in steps s; a tuple's stencil is
+    the tensor product of the 1-D rules of its distinct axes, the rule's
+    order being how often the axis occurs.  ``fill`` gives, for each entry
+    of a (d,)*order tensor in C order, the row r of its sorted index tuple.
     """
     tuples = tuple(itertools.combinations_with_replacement(range(d), order))
     rows = []
@@ -187,19 +186,36 @@ def _stencil_plan(d: int, order: int, richardson: bool):
     # the summation order that keeps metrics bit-identical to the 4-corner rule
     offsets = sorted(set().union(*rows), reverse=True)
     weights = np.array([[row.get(o, 0.0) for o in offsets] for row in rows])
-    # coarsest level first, each point once: offset 2 at h/2 is offset 1 at
-    # h, and scaling a step by a power of two leaves the coordinates bit-equal
+    fill = [tuples.index(tuple(sorted(i))) for i in itertools.product(range(d), repeat=order)]
+    return weights, offsets, np.array(fill)
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_plan(d: int, orders: tuple, richardson: bool):
+    """Stencils of each order in ``orders`` over one set of points.
+
+    Returns (offsets, plans).  ``offsets`` (m, d) are the distinct offsets of
+    every order and level in units of the finest step: order by order,
+    coarsest level first, each point once.  ``plans`` holds, per order,
+    (W, levels, fill) of ``_order_stencil``, where ``levels[l]`` picks level
+    l's offsets out of ``offsets`` in the column order of W.
+    """
     finest = _LEVELS[richardson][-1]
     union: dict[tuple, int] = {}
-    levels = [
-        [union.setdefault(tuple(finest // q * c for c in o), len(union)) for o in offsets]
-        for q in _LEVELS[richardson]
-    ]
-    fill = [tuples.index(tuple(sorted(i))) for i in itertools.product(range(d), repeat=order)]
-    plan = weights, np.array(list(union), dtype=float), np.array(levels), np.array(fill)
-    for a in plan:
+    plans = []
+    for order in orders:
+        weights, offsets, fill = _order_stencil(d, order)
+        # offset 2 at h/2 is offset 1 at h, and scaling a step by a power of
+        # two leaves the coordinates bit-equal
+        levels = [
+            [union.setdefault(tuple(finest // q * c for c in o), len(union)) for o in offsets]
+            for q in _LEVELS[richardson]
+        ]
+        plans.append((weights, np.array(levels), fill))
+    offsets = np.array(list(union), dtype=float)
+    for a in (offsets, *itertools.chain(*plans)):
         a.flags.writeable = False
-    return plan
+    return offsets, tuple(plans)
 
 
 def _unresolved(P: np.ndarray, U) -> np.ndarray:
@@ -265,23 +281,26 @@ def _cubic_test(t: np.ndarray, noise):
 _ACCEPT = {2: _metric_test, 3: _cubic_test}
 
 
-def _tensors(div, P, h, richardson: bool, order: int):
-    """Order-``order`` derivative tensors of D(p || .) at each row p of the
-    (n >= 1, d) array P, with step ``h``: one float for every row, or an (n,)
-    array of a step per row.
+def _tensors(div, P, h, richardson: bool, orders: tuple):
+    """Derivative tensors of D(p || .) of each order in ``orders`` at each
+    row p of the (n >= 1, d) array P, with step ``h``: one float for every
+    row, or an (n,) array of a step per row.
 
-    Returns (T, disagreements, statistic) over the rows: the tensors, the
-    Richardson (h/2, h/4) disagreements or None, and the order's acceptance
-    statistic (smallest metric eigenvalue, or cubic noise estimate).
+    Returns, per order, (T, disagreements, statistic) over the rows: the
+    tensors, the Richardson (h/2, h/4) disagreements or None, and the order's
+    acceptance statistic (smallest metric eigenvalue, or cubic noise
+    estimate).
 
-    Each row gets the checks of one extraction with its step, in this order:
-    base point in the domain, finest step resolved, stencil in the domain,
-    and after the evaluation the steps' powers in the float range, the
-    Richardson ladder and the order's acceptance test.  All stencil points
-    of all rows go through one ``rows_inside`` and one ``divergences`` call,
-    so a convergence ladder, its base point repeated once per rung, is one
-    call per order.  When rows fail, the error raised is the one that
-    extracting row after row would have met first.
+    Each row gets these checks with its step, in this order: base point in
+    the domain, finest step resolved, the stencil of every order in the
+    domain, and after the evaluation, order by order, the steps' powers in
+    the float range, the Richardson ladder and the order's acceptance test.
+    All stencil points of all rows and orders go through one ``rows_inside``
+    and one ``divergences`` call, so a convergence ladder, its base point
+    repeated once per rung, is one call for its metric and cubic.  When rows
+    fail, the error raised is the one that these checks meet first, row
+    after row; for a single order, that is the error extracting row after
+    row would have met first.
     """
     # a step per row is a list of Python floats, and a single step stays one
     # float, which keeps the hot one-row path as cheap as it was; either way
@@ -292,7 +311,7 @@ def _tensors(div, P, h, richardson: bool, order: int):
         if not 0.0 < x < np.inf:
             raise ValueError(f"step size must be positive and finite, got {x}")
     d = div.dimension
-    weights, offsets, levels, fill = _stencil_plan(d, order, richardson)
+    offsets, plans = _stencil_plan(d, orders, richardson)
     P = np.asarray(P, dtype=float)
     error, cut = None, len(P)
 
@@ -327,54 +346,57 @@ def _tensors(div, P, h, richardson: bool, order: int):
     # turns into one state
     base = P[0] if cut == 1 or (P[1:cut] == P[0]).all() else np.repeat(P[:cut], m, axis=0)
     f = divergences(div, base, points[:cut].reshape(-1, d)).reshape(cut, m)
-    # one step refuses row 0 first, which has passed every check before this one
-    for r, row in enumerate([steps] if one else steps[:cut]):
-        try:
-            _check_powers(div, row, order)
-        except ConditioningError as refused:
-            error, cut = refused, r
-            break
-    if cut == 0:
-        raise error
-    # W @ f for every row and level as one stack of matrix-vector products,
-    # each summed exactly as the product for a single row and level is: the
-    # values are taken into C order, as a single row's are, since a strided
-    # vector can take another summation order in BLAS
-    t = (weights @ f[:cut].take(levels, axis=1)[..., None])[..., 0][..., fill]
-    # the powers each level is divided by, and the rounding-noise estimate
-    # 1e-16 / h^order of the finest level
-    if one:
-        scale = np.array([s**order for s in steps])[:, None]
-        noise = 1e-16 / fine**order
-    else:
-        scale = np.array([[s**order for s in row] for row in steps[:cut]])[..., None]
-        noise = np.array([1e-16 / x**order for x in fine[:cut]])
-    t = (t / scale).reshape((cut, len(_LEVELS[richardson])) + (d,) * order)
-    disagreement = None
-    if richardson:
-        # the (h, h/2) and (h/2, h/4) disagreements of each row
-        d1, disagreement = np.abs(t[:, :-1] - t[:, 1:]).reshape(cut, 2, -1).max(axis=-1).T
-        # disagreements at the rounding-noise floor of the finest level carry no
-        # information about the truncation ladder (zero tensors live there);
-        # expected d2 ~ d1/4; tolerate 10x before declaring the ladder unusable
-        refuse((disagreement > 2.5 * d1) & (disagreement > 10.0 * noise), lambda r: ConditioningError(
-            f"step-halving disagreement grew from {d1[r]:.3e} to {disagreement[r]:.3e}; "
-            "the step ladder is outside the asymptotic regime"
-        ))
-        t = (4.0 * t[:, 2] - t[:, 1]) / 3.0
-    else:
-        t = t[:, 0]
-    statistic, rejected, reject = _ACCEPT[order](t, noise)
-    refuse(rejected, reject)
+    results = []
+    for order, (weights, levels, fill) in zip(orders, plans):
+        # one step refuses row 0 first, which has passed every check before this one
+        for r, row in enumerate(([steps] if one else steps)[:cut]):
+            try:
+                _check_powers(div, row, order)
+            except ConditioningError as refused:
+                error, cut = refused, r
+                break
+        if cut == 0:
+            raise error
+        # W @ f for every row and level as one stack of matrix-vector products,
+        # each summed exactly as the product for a single row and level is: the
+        # values are taken into C order, as a single row's are, since a strided
+        # vector can take another summation order in BLAS
+        t = (weights @ f[:cut].take(levels, axis=1)[..., None])[..., 0][..., fill]
+        # the powers each level is divided by, and the rounding-noise estimate
+        # 1e-16 / h^order of the finest level
+        if one:
+            scale = np.array([s**order for s in steps])[:, None]
+            noise = 1e-16 / fine**order
+        else:
+            scale = np.array([[s**order for s in row] for row in steps[:cut]])[..., None]
+            noise = np.array([1e-16 / x**order for x in fine[:cut]])
+        t = (t / scale).reshape((cut, len(_LEVELS[richardson])) + (d,) * order)
+        disagreement = None
+        if richardson:
+            # the (h, h/2) and (h/2, h/4) disagreements of each row
+            d1, disagreement = np.abs(t[:, :-1] - t[:, 1:]).reshape(cut, 2, -1).max(axis=-1).T
+            # disagreements at the rounding-noise floor of the finest level carry no
+            # information about the truncation ladder (zero tensors live there);
+            # expected d2 ~ d1/4; tolerate 10x before declaring the ladder unusable
+            refuse((disagreement > 2.5 * d1) & (disagreement > 10.0 * noise), lambda r: ConditioningError(
+                f"step-halving disagreement grew from {d1[r]:.3e} to {disagreement[r]:.3e}; "
+                "the step ladder is outside the asymptotic regime"
+            ))
+            t = (4.0 * t[:, 2] - t[:, 1]) / 3.0
+        else:
+            t = t[:, 0]
+        statistic, rejected, reject = _ACCEPT[order](t, noise)
+        refuse(rejected, reject)
+        results.append((t, disagreement, statistic))
     if error is not None:
         raise error
-    return t, disagreement, statistic
+    return results
 
 
 def _extract(div, p, h: float, richardson: bool, order: int):
     """One row of ``_tensors``: (point, tensor, disagreement, statistic)."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    t, disagreement, statistic = _tensors(div, p[None], h, richardson, order)
+    [(t, disagreement, statistic)] = _tensors(div, p[None], h, richardson, (order,))
     return p, t[0], None if disagreement is None else float(disagreement[0]), float(statistic[0])
 
 
@@ -528,9 +550,10 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
     deviations normalized by the oracle's largest component (absolute when
     the oracle vanishes identically).
 
-    Each order is one ``_tensors`` call over the whole ladder.  When either
-    call raises, the rungs are extracted one by one, metric then cubic, so
-    that the error raised is the one that walk meets first.
+    The metric and cubic of every rung come from one ``_tensors`` call over
+    the whole ladder, so one domain check and one divergence call.  When
+    that call raises, the rungs are extracted one by one, metric then cubic,
+    so that the error raised is the one that walk meets first.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     ladder = np.asarray(ladder, dtype=float)
@@ -558,11 +581,11 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
         return report
     P = np.repeat(p[None], len(hs), axis=0)
     try:
-        metric = _tensors(div, P, ladder, richardson, 2)[0]
-        cubic = _tensors(div, P, ladder, richardson, 3)[0]
+        (metric, _, _), (cubic, _, _) = _tensors(div, P, ladder, richardson, (2, 3))
     except Exception:
-        # each call checks every rung for one order, so the error it meets
-        # first need not be a rung-by-rung walk's: the walk meets that one
+        # the call checks every rung's stencils of both orders at once, so the
+        # error it meets first need not be a rung-by-rung walk's: the walk
+        # meets that one
         walk = [
             (extract_metric(div, p, h=h, richardson=richardson).components,
              extract_cubic(div, p, h=h, richardson=richardson).components)

@@ -413,7 +413,7 @@ def _cubic_tensors(family, points: np.ndarray, method: str, h: float | None) -> 
         raise ValueError("method must be 'fd' or 'oracle'")
     h = h if h is not None else _DEFAULT_STEP["cubic"]
     batches = range(0, len(points), _EXTRACTION_BATCH)
-    return np.concatenate([_tensors(family, points[i : i + _EXTRACTION_BATCH], h, True, 3)[0] for i in batches])
+    return np.concatenate([_tensors(family, points[i : i + _EXTRACTION_BATCH], h, True, (3,))[0][0] for i in batches])
 
 
 def work_surcharge(

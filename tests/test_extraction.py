@@ -33,7 +33,7 @@ from infogeo import (
     natural_view,
     score_moment_tensor,
 )
-from infogeo.extraction import _line_fit, _tensors, fit_loglog_slope
+from infogeo.extraction import _line_fit, _stencil_plan, _tensors, fit_loglog_slope
 from infogeo.families import divergences
 
 
@@ -296,12 +296,59 @@ def test_a_batched_ladder_equals_the_rung_by_rung_walk(family, p, scale, richard
         assert rep.metric_order == metric_order and rep.cubic_order == cubic_order, ladder
 
 
-def test_a_ladder_is_one_divergence_call_per_order():
-    # 7 and 8 distinct points per Richardson extraction (see the counts above)
-    div = _CountingRows(ExponentialScale())
-    rep = convergence_report(div, [1.0], [0.08, 0.04, 0.02], richardson=True)
-    assert div.rows == [3 * 7, 3 * 8]
+@pytest.mark.parametrize(
+    "family, p, rows",
+    [(ExponentialScale(), [1.0], 9), (GaussianFull(), [0.2, 1.3], 29)],
+    ids=["exponential", "gaussian-full"],
+)
+def test_a_ladder_is_one_divergence_call(family, p, rows):
+    # the metric and cubic of every rung share one call: 9 and 29 distinct
+    # points per rung with Richardson, against 7 + 8 and 25 + 28 apart
+    div = _CountingRows(family)
+    rep = convergence_report(div, p, [0.08, 0.04, 0.02], richardson=True)
+    assert div.rows == [3 * rows]
     assert len(rep.rungs) == 3
+
+
+@pytest.mark.parametrize("richardson", [False, True], ids=["plain", "richardson"])
+@pytest.mark.parametrize("d, union", [(1, (5, 9)), (2, (13, 29)), (3, (33, 85))], ids=["d1", "d2", "d3"])
+def test_a_joint_plan_evaluates_each_point_of_every_order_once(d, union, richardson):
+    offsets, plans = _stencil_plan(d, (2, 3), richardson)
+    assert len(offsets) == union[richardson]
+    assert len({tuple(o) for o in offsets.tolist()}) == len(offsets)
+    for order, (weights, levels, fill) in zip((2, 3), plans):
+        alone, [(w, lv, fl)] = _stencil_plan(d, (order,), richardson)
+        # the same weights over the same points, each point taken from the union once
+        assert np.array_equal(weights, w) and np.array_equal(fill, fl)
+        assert np.array_equal(offsets[levels], alone[lv])
+        assert len(set(levels.ravel().tolist())) == len(alone)
+
+
+_JOINT_FAMILIES = [
+    (ExponentialScale(), [1.3], 1.0),
+    (natural_view(Bernoulli()), [0.6], 1.0),
+    (GaussianFull(), [0.2, 1.3], 1.0),
+    (Categorical(4), [0.2, 0.3, 0.25], 0.1),
+    (make_chart_divergence("qre:bloch"), [0.1, -0.2, 0.3], 0.1),
+]
+
+
+@pytest.mark.parametrize("richardson", [False, True], ids=["plain", "richardson"])
+@pytest.mark.parametrize(
+    "family, p, scale", _JOINT_FAMILIES,
+    ids=["exponential", "natural:bernoulli", "gaussian-full", "categorical:4", "qre:bloch"],
+)
+def test_a_multi_order_call_equals_one_call_per_order(family, p, scale, richardson):
+    rng = np.random.default_rng(17)
+    P = np.array(p) + scale * rng.uniform(-0.2, 0.2, (4, len(p)))
+    P[2] = P[0]
+    for h in [0.04 * scale, scale * np.array([0.08, 0.04, 0.02, 0.01])]:
+        joint = _tensors(family, P, h, richardson, (2, 3))
+        for order, result in zip((2, 3), joint):
+            [alone] = _tensors(family, P, h, richardson, (order,))
+            assert (result[1] is None) == (alone[1] is None) == (not richardson)
+            for a, b in zip(result, alone):
+                assert a is None or a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_a_step_per_row_equals_one_extraction_per_row():
@@ -313,9 +360,9 @@ def test_a_step_per_row_equals_one_extraction_per_row():
         P = np.array([draw() for _ in range(6)])
         hs = rng.uniform(0.01, 0.1, len(P))
         for order, richardson in itertools.product((2, 3), (False, True)):
-            t, disagreement, statistic = _tensors(family, P, hs, richardson, order)
+            [(t, disagreement, statistic)] = _tensors(family, P, hs, richardson, (order,))
             for i, (p, h) in enumerate(zip(P, hs)):
-                ti, di, si = _tensors(family, p[None], float(h), richardson, order)
+                [(ti, di, si)] = _tensors(family, p[None], float(h), richardson, (order,))
                 assert np.array_equal(t[i], ti[0])
                 assert np.array_equal(statistic[i], si[0])
                 assert disagreement is None or disagreement[i] == di[0]
@@ -467,7 +514,7 @@ def _outcome(call):
 def test_a_batch_raises_the_error_a_row_by_row_walk_meets_first(family):
     for rows in itertools.permutations(_ROWS, 3):
         P = np.array(rows)[:, None]
-        batch = _outcome(lambda: _tensors(family, P, 5e-2, True, 3)[0])
+        batch = _outcome(lambda: _tensors(family, P, 5e-2, True, (3,))[0][0])
         walk = _outcome(lambda: np.array([extract_cubic(family, p, h=5e-2, richardson=True).components for p in P]))
         if isinstance(walk, tuple):
             assert batch == walk, rows
