@@ -1,7 +1,6 @@
 """Finite-difference extraction of the metric and cubic expansion tensors.
 
-Given any object exposing ``dimension``, ``contains(x)`` and
-``divergence(p, q)`` (a classical family, its natural view, or a quantum
+Given a divergence (a classical family, its natural view, or a quantum
 chart divergence), these routines recover the Taylor coefficients of
 
     D(p || p + u) = 1/2 g_ij u_i u_j + 1/6 T_ijk u_i u_j u_k + ...
@@ -26,15 +25,11 @@ Fornberg (1988).  Each value fills every permutation of its index tuple
 through a precomputed index, so the recorded pre-symmetrization residual is
 structurally zero.
 
-Several points at once go through ``rows_inside`` for domain checks and
-``divergences`` for values.  An object may add the optional
-``contains_rows(X)``, which answers for every row of an (n, d) array in one
-call, and ``divergence_rows(P, Q)``, which gives D(P[i] || Q[i]) for rows
-of P and Q broadcast to (n, d) in one call.  Every built-in family, natural
-view and chart divergence is a ``families.DivergenceFamily``, which has
-both, and whose ``divergence(p, q)`` is the one-row case of
-``divergence_rows``.  Without them each point is passed to ``contains`` or
-``divergence`` in turn.  An extraction is then one domain check and one
+A divergence is a ``families.DivergenceFamily``, which writes its domain
+as ``_inside`` and its values as ``_divergence`` over rows.  The engines ask
+it through ``contains(x)`` for one point, ``contains_rows(X)`` for the rows
+of an (n, d) array, and ``divergence_rows(P, Q)`` for D(P[i] || Q[i]) over
+rows broadcast to (n, d).  An extraction is one domain check and one
 divergence call, and so is a batch of base points: ``_tensors`` takes the
 stencils of many rows P at once, with one step for all of them or a step
 per row, and of several orders at once; for one order it raises the error
@@ -70,7 +65,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, DomainError, NoisePanic, NumericalError
-from .families import divergences, rows_inside
 
 __all__ = [
     "MetricTensor",
@@ -295,8 +289,8 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     the domain, finest step resolved, the stencil of every order in the
     domain, and after the evaluation, order by order, the steps' powers in
     the float range, the Richardson ladder and the order's acceptance test.
-    All stencil points of all rows and orders go through one ``rows_inside``
-    and one ``divergences`` call, so a convergence ladder, its base point
+    All stencil points of all rows and orders go through one ``contains_rows``
+    and one ``divergence_rows`` call, so a convergence ladder, its base point
     repeated once per rung, is one call for its metric and cubic.  When rows
     fail, the error raised is the one that these checks meet first, row
     after row; for a single order, that is the error extracting row after
@@ -323,7 +317,7 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
             cut = int(bad.argmax())
             error = make_error(cut)
 
-    inside = rows_inside(div, P) if P.ndim == 2 else np.zeros(cut, dtype=bool)
+    inside = div.contains_rows(P) if P.ndim == 2 else np.zeros(cut, dtype=bool)
     refuse(~inside, lambda r: DomainError(f"{div.family_id}: base point {P[r]} outside domain"))
     if cut == 0:
         raise error
@@ -335,7 +329,7 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     refuse(_unresolved(P, U), lambda r: _not_resolved(div, P[r], [fine if one else fine[r]]))
     m = len(offsets)
     points = P[:cut, None, :] + (fine if one else np.array(fine[:cut])[:, None, None]) * offsets
-    inside = rows_inside(div, points.reshape(-1, d)).reshape(cut, m)
+    inside = div.contains_rows(points.reshape(-1, d)).reshape(cut, m)
     refuse(~inside.all(axis=1), lambda r: DomainError(
         f"{div.family_id}: finite-difference stencil leaves the domain at {points[r, inside[r].argmin()]}"
     ))
@@ -345,7 +339,7 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     # rows that share their base point pass it as one row, which a chart
     # turns into one state
     base = P[0] if cut == 1 or (P[1:cut] == P[0]).all() else np.repeat(P[:cut], m, axis=0)
-    f = divergences(div, base, points[:cut].reshape(-1, d)).reshape(cut, m)
+    f = div.divergence_rows(base, points[:cut].reshape(-1, d)).reshape(cut, m)
     results = []
     for order, (weights, levels, fill) in zip(orders, plans):
         # one step refuses row 0 first, which has passed every check before this one
@@ -480,7 +474,8 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
     term), the cubic coefficient c in value ~ c h^3, and the ratio of c to
     the forward cubic contraction T_ijk v_i v_j v_k, extracted with
     Richardson at the largest step.  A divergence that is symmetric to
-    machine precision is flagged degenerate rather than fitted.
+    machine precision is flagged degenerate rather than fitted; a zero
+    direction, which would probe nothing, is refused with ValueError.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -495,8 +490,10 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
         raise ValueError(
             f"direction has {v.size} coordinate(s) but the base point has {p.size}"
         )
+    if not v.any():
+        raise ValueError(f"direction {v} is zero: every probe would sit at the base point")
     probes = p + steps[:, None] * v
-    inside = rows_inside(div, probes)
+    inside = div.contains_rows(probes)
     if not inside.all():
         raise DomainError(
             f"{div.family_id}: probe point {probes[inside.argmin()]} outside domain"
@@ -504,7 +501,7 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
     u = (steps[-1] * v).tolist()
     if _unresolved(p[None], [u])[0]:
         raise _not_resolved(div, p, u)
-    values = divergences(div, p, probes) - divergences(div, probes, p)
+    values = div.divergence_rows(p, probes) - div.divergence_rows(probes, p)
 
     degenerate = bool(np.max(np.abs(values)) < 1e-14)
     slope = coeff = tvvv = ratio = None

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -51,8 +50,6 @@ __all__ = [
     "NaturalView",
     "score_moment_tensor",
     "natural_view",
-    "rows_inside",
-    "divergences",
     "bregman_divergence",
     "make_family",
     "BUILTIN_FAMILIES",
@@ -88,49 +85,13 @@ class RowDomain:
         return x.shape == (self.dimension,) and bool(self._inside(x))
 
     def contains_rows(self, X) -> np.ndarray:
-        """Which rows of the (n, d) array ``X`` lie in the domain, as (n,) bool.
-
-        A subclass that writes its domain as ``contains`` alone is asked row
-        by row, so the two answers always agree.
-        """
+        """Which rows of the (n, d) array ``X`` lie in the domain, as (n,) bool."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"expected an (n, d) array of points, got shape {X.shape}")
-        if type(self).contains is not RowDomain.contains:
-            return np.array([self.contains(x) for x in X], dtype=bool)
         if X.shape[1] != self.dimension:
             return np.zeros(X.shape[0], dtype=bool)
         return self._inside(X)
-
-
-def rows_inside(div, X) -> np.ndarray:
-    """Which rows of the (n, d) array ``X`` lie in ``div``'s domain, as (n,) bool.
-
-    Asks ``div.contains_rows`` once when the object has it, and otherwise
-    ``div.contains`` row by row, so any object with ``contains`` works.
-    """
-    X = np.asarray(X, dtype=float)
-    batch = getattr(div, "contains_rows", None)
-    if batch is not None:
-        return np.asarray(batch(X), dtype=bool)
-    return np.array([div.contains(x) for x in X], dtype=bool)
-
-
-def divergences(div, P, Q) -> np.ndarray:
-    """D(P[i] || Q[i]) over the rows of P and Q, broadcast to (n, d), as (n,) floats.
-
-    Asks ``div.divergence_rows`` once when the object has it, and otherwise
-    ``div.divergence`` row by row, so any object with ``divergence`` works.
-    """
-    batch = getattr(div, "divergence_rows", None)
-    if batch is not None:
-        return np.asarray(batch(P, Q), dtype=float)
-    return _each_row(div, P, Q)
-
-
-def _each_row(div, P, Q) -> np.ndarray:
-    P, Q = np.broadcast_arrays(*(np.atleast_2d(np.asarray(X, dtype=float)) for X in (P, Q)))
-    return np.array([div.divergence(p, q) for p, q in zip(P, Q)], dtype=float)
 
 
 # numpy's log and exp take SIMD paths on CPUs that have them, which can round
@@ -181,12 +142,11 @@ class DivergenceFamily(RowDomain):
     A subclass writes its open domain as ``_inside`` and its divergence as
     ``_divergence(P, Q)``, over (n, d) rows that this base class has checked
     against the domain.  ``divergence(p, q)`` is the one-row case of
-    ``divergence_rows(P, Q)``, and a row with p == q gives exactly 0.0.  A
-    subclass that overrides ``divergence`` is asked pair by pair, and one
-    that overrides ``contains`` point by point, so its scalar and batched
-    answers always agree.  A classical family's ``fisher`` and
-    ``forward_cubic`` return the quadratic and cubic Taylor coefficients of
-    D(p || p + u) at u = 0 in its default chart.
+    ``divergence_rows(P, Q)``, and a row with p == q gives exactly 0.0.  The
+    engines ask for values only through ``divergence_rows``, and for domain
+    answers through ``contains`` and ``contains_rows``.  A classical family's
+    ``fisher`` and ``forward_cubic`` return the quadratic and cubic Taylor
+    coefficients of D(p || p + u) at u = 0 in its default chart.
     """
 
     family_id: str
@@ -202,18 +162,10 @@ class DivergenceFamily(RowDomain):
                 raise ValueError(
                     f"{self.family_id}: expected {self.dimension} coordinate(s), got shape {x.shape}"
                 )
-        # the checked body, not divergence_rows, which asks a subclass that
-        # overrides this method for each row
-        return float(self._checked_divergence(p, q)[0])
+        return float(self.divergence_rows(p, q)[0])
 
     def divergence_rows(self, P, Q) -> np.ndarray:
-        """D(P[i] || Q[i]) over the rows of P and Q, broadcast to (n, d)."""
-        if type(self).divergence is not DivergenceFamily.divergence:
-            return _each_row(self, P, Q)
-        return self._checked_divergence(P, Q)
-
-    def _checked_divergence(self, P, Q) -> np.ndarray:
-        """``_divergence`` over P and Q as (1 or n, d) float arrays.
+        """D(P[i] || Q[i]) over the rows of P and Q, broadcast to (n, d).
 
         Raises ValueError for rows of the wrong width, DomainError naming
         the first row outside the domain, and NumericalError naming the
@@ -381,16 +333,6 @@ class GaussianFixedSigma(ExponentialFamily):
     def random_interior(self, rng, n):
         return rng.uniform(-3.0, 3.0, size=(n, 1))
 
-    def _quad_stats(self, x, order):
-        mu = float(x[0])
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        half = 12.0 * self.sigma
-        xs = mu + half * nodes
-        pdf = np.exp(-((xs - mu) ** 2) / (2 * self.sigma**2)) / (
-            self.sigma * math.sqrt(2 * math.pi)
-        )
-        w = weights * half * pdf
-        return w, xs[:, None]
 
 
 class ExponentialScale(ExponentialFamily):
@@ -443,14 +385,6 @@ class ExponentialScale(ExponentialFamily):
     def random_interior(self, rng, n):
         return np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=(n, 1)))
 
-    def _quad_stats(self, x, order):
-        theta = float(x[0])
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        # truncate the tail at 40 mean lifetimes; mass beyond is < e^-40
-        upper = 40.0 / theta
-        xs = 0.5 * upper * (nodes + 1.0)
-        w = weights * 0.5 * upper * theta * np.exp(-theta * xs)
-        return w, xs[:, None]
 
 
 class Bernoulli(ExponentialFamily):
@@ -510,11 +444,6 @@ class Bernoulli(ExponentialFamily):
     def _score_moment(self, x):
         a = x[0]
         return np.full((1, 1, 1), a * (1.0 - a) * (1.0 - 2.0 * a))
-
-    def outcomes(self, x) -> Iterable[tuple[float, np.ndarray]]:
-        """(probability, sufficient statistic) pairs for exact summation."""
-        a = self._point(x)[0]
-        return [(1.0 - a, np.array([0.0])), (a, np.array([1.0]))]
 
     def random_interior(self, rng, n):
         return rng.uniform(0.05, 0.95, size=(n, 1))
@@ -593,11 +522,6 @@ class Categorical(ExponentialFamily):
         for i in range(d):
             t[i, i, i] += p[i]
         return t
-
-    def outcomes(self, x):
-        full = self._full(self._point(x))
-        eye = np.eye(self.k)
-        return [(float(full[i]), eye[i, : self.dimension]) for i in range(self.k)]
 
     def random_interior(self, rng, n):
         raw = rng.dirichlet(np.ones(self.k), size=n)
@@ -693,14 +617,6 @@ class GaussianFull(ExponentialFamily):
         sig = np.exp(rng.uniform(math.log(0.3), math.log(3.0), size=n))
         return np.column_stack([mu, sig])
 
-    def _quad_stats(self, x, order):
-        m, s = x
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        half = 12.0 * s
-        xs = m + half * nodes
-        pdf = np.exp(-((xs - m) ** 2) / (2 * s**2)) / (s * math.sqrt(2 * math.pi))
-        w = weights * half * pdf
-        return w, np.column_stack([xs, xs**2])
 
 
 # ---------------------------------------------------------------------------
@@ -757,48 +673,14 @@ def natural_view(family: ExponentialFamily) -> NaturalView:
     return NaturalView(family)
 
 
-def score_moment_tensor(family: ExponentialFamily, p, method: str = "closed") -> np.ndarray:
-    """Third score moment E[d_i l d_j l d_k l] in natural coordinates.
-
-    Methods:
-      closed      closed-form third cumulant (default; exact)
-      sum         exact summation over outcomes (discrete families)
-      quadrature  Gauss-Legendre with 64 nodes (continuous
-                  families; the integration window is wide enough that the
-                  truncated tail mass is below e^-40, and the integrand is a
-                  polynomial times the density, so the quadrature error is
-                  negligible at order 64)
-    """
+def score_moment_tensor(family: ExponentialFamily, p) -> np.ndarray:
+    """Third score moment E[d_i l d_j l d_k l] in natural coordinates, in
+    closed form: the third cumulant of the sufficient statistic."""
     if not isinstance(family, ExponentialFamily):
         raise UnsupportedFamily(
             f"{getattr(family, 'family_id', family)!r} has no score-moment oracle"
         )
-    x = family._point(p)
-    if method == "closed":
-        return family._score_moment(x)
-    if method == "sum":
-        if not hasattr(family, "outcomes"):
-            raise UnsupportedFamily(
-                f"{family.family_id} is not discrete; use closed or quadrature"
-            )
-        probs, stats = zip(*family.outcomes(x))
-        w = np.asarray(probs)
-        t = np.asarray(stats, dtype=float)
-        return _central_third(w, t)
-    if method == "quadrature":
-        if not hasattr(family, "_quad_stats"):
-            raise UnsupportedFamily(
-                f"{family.family_id} has no quadrature rule; use closed or sum"
-            )
-        w, t = family._quad_stats(x, 64)
-        return _central_third(w, t)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _central_third(weights: np.ndarray, stats: np.ndarray) -> np.ndarray:
-    mean = weights @ stats / weights.sum()
-    c = stats - mean
-    return np.einsum("n,ni,nj,nk->ijk", weights, c, c, c) / weights.sum()
+    return family._score_moment(family._point(p))
 
 
 def bregman_divergence(family: ExponentialFamily, p, q) -> float:

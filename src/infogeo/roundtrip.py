@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import DomainError, RejectionOverflow, UnsupportedFamily
 from .extraction import _DEFAULT_STEP, _tensors
-from .families import rows_inside
 
 __all__ = [
     "LegDistribution",
@@ -466,7 +465,7 @@ def demon_work(
     pts = np.atleast_2d(np.asarray(waypoints, dtype=float))
     if pts.shape[0] < 2:
         raise ValueError("a path needs at least 2 waypoints")
-    inside = rows_inside(family, pts)
+    inside = family.contains_rows(pts)
     if not inside.all():
         raise DomainError(
             f"{family.family_id}: waypoint {pts[inside.argmin()]} outside domain"
@@ -619,7 +618,7 @@ def spread_estimate(
 
     with closing(_chunk_map(chunk, samples, seed)) as chunks:
         for steps, moments in chunks:
-            if not rows_inside(family, point + steps).all():
+            if not family.contains_rows(point + steps).all():
                 raise DomainError(f"{family.family_id}: sampled trade leaves the domain")
             if tensor is None:
                 tensor = _cubic_tensors(family, point[None], method, h)[0]

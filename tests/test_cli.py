@@ -187,6 +187,7 @@ USAGE_ERRORS = [
     ["tensor", "--family", "qre:bloch", "--at", "0.1,0.2"],
     ["asymmetry", "--family", "exponential", "--at=", "--dir", "1", *LADDER],
     ["asymmetry", "--family", "exponential", "--at", "1", "--dir=", *LADDER],
+    ["asymmetry", "--family", "exponential", "--at", "1", "--dir", "0", *LADDER],  # zero direction
     ["asymmetry", "--family", "gaussian-full", "--at", "0,1", "--dir", "1", *LADDER],
     ["convergence", "--family", "exponential", "--at=,", "--steps", "0.1,0.05"],
     ["demon", "--family", "exponential", "--waypoints", "1,2;3,4"],

@@ -34,7 +34,7 @@ from infogeo import (
     score_moment_tensor,
 )
 from infogeo.extraction import _line_fit, _stencil_plan, _tensors, fit_loglog_slope
-from infogeo.families import divergences
+from infogeo.families import DivergenceFamily
 
 
 def test_metric_reference_values():
@@ -191,6 +191,10 @@ def test_asymmetry_probe_input_validation():
         asymmetry_probe(family, [1.0], [1.0], [0.05, 0.1, 0.025, 0.0125])  # not sorted
     with pytest.raises(DomainError):
         asymmetry_probe(family, [0.05], [-1.0], [0.1, 0.05, 0.025, 0.0125])
+    # a zero direction would probe the base point alone, and read as symmetric
+    for fam, p in [(family, [1.0]), (GaussianFull(), [0.0, 1.0])]:
+        with pytest.raises(ValueError, match="is zero"):
+            asymmetry_probe(fam, p, np.zeros(len(p)), [0.1, 0.05, 0.025, 0.0125])
 
 
 def test_asymmetry_ratio_constant_across_points_and_directions():
@@ -393,8 +397,8 @@ def test_a_batched_ladder_raises_the_error_the_walk_meets_first(richardson):
 # --- stencil evaluations -----------------------------------------------------
 
 
-class _CountingDivergence:
-    """Forwards to a family and records every (p, q) ``divergence`` sees."""
+class _CountingDivergence(DivergenceFamily):
+    """A family's domain and divergence, recording every (p, q) row ``_divergence`` sees."""
 
     def __init__(self, family):
         self.family = family
@@ -402,12 +406,12 @@ class _CountingDivergence:
         self.dimension = family.dimension
         self.calls = []
 
-    def contains(self, x):
-        return self.family.contains(x)
+    def _inside(self, X):
+        return self.family._inside(X)
 
-    def divergence(self, p, q):
-        self.calls.append((tuple(p), tuple(q)))
-        return self.family.divergence(p, q)
+    def _divergence(self, P, Q):
+        self.calls += [(tuple(p), tuple(q)) for p, q in zip(*np.broadcast_arrays(P, Q))]
+        return self.family._divergence(P, Q)
 
 
 @pytest.mark.parametrize(
@@ -480,21 +484,16 @@ def test_a_richardson_extraction_is_one_divergence_call(family, p, metric_rows, 
     assert div.rows == [{1: 4, 2: 12, 3: 32}[family.dimension]]
 
 
-class _PatchyExponential:
-    """The exponential family, row by row, with a kink in D(p || .) for 5 < p < 10
-    that fails the Richardson check there."""
+class _PatchyExponential(ExponentialScale):
+    """The exponential family with a kink in D(p || .) for 5 < p < 10 that
+    fails the Richardson check there."""
 
     family_id = "patchy"
-    dimension = 1
 
-    def contains(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return x.shape == (1,) and bool(0.0 < x[0] < np.inf)
-
-    def divergence(self, p, q):
-        u = float(q[0] - p[0])
-        kink = 1e-6 * np.sign(u) * np.sqrt(abs(u)) if 5.0 < p[0] < 10.0 else 0.0
-        return ExponentialScale().divergence(p, q) + kink
+    def _divergence(self, P, Q):
+        a, u = P.T[0], Q.T[0] - P.T[0]
+        kink = np.where((5.0 < a) & (a < 10.0), 1e-6 * np.sign(u) * np.sqrt(np.abs(u)), 0.0)
+        return super()._divergence(P, Q) + kink
 
 
 # one row each that extracts, fails the Richardson check (patchy only), fails
@@ -504,50 +503,27 @@ _ROWS = [1.0, 7.0, 1e3, 0.08, -1.0, 1e17]
 
 
 def _outcome(call):
+    """What ``call`` returns, or the refusal it raises as (type, message);
+    any other exception fails the test."""
     try:
         return call()
-    except Exception as exc:  # the error itself is the outcome compared
+    except (DomainError, ConditioningError, NoisePanic) as exc:
         return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("family", [_PatchyExponential(), ExponentialScale()], ids=["row-by-row", "batched"])
 def test_a_batch_raises_the_error_a_row_by_row_walk_meets_first(family):
+    refusals = set()
     for rows in itertools.permutations(_ROWS, 3):
         P = np.array(rows)[:, None]
         batch = _outcome(lambda: _tensors(family, P, 5e-2, True, (3,))[0][0])
         walk = _outcome(lambda: np.array([extract_cubic(family, p, h=5e-2, richardson=True).components for p in P]))
         if isinstance(walk, tuple):
-            assert batch == walk, rows
+            assert isinstance(batch, tuple) and batch == walk, rows
+            refusals.add(walk[0])
         else:
-            assert np.array_equal(batch, walk), rows
-
-
-class _ScalarOnlyExponential(ExponentialScale):
-    """A built-in family's subclass that overrides ``divergence`` alone."""
-
-    def __init__(self):
-        self.calls = []
-
-    def divergence(self, p, q):
-        self.calls.append((tuple(p), tuple(q)))
-        return super().divergence(p, q)
-
-
-def test_divergences_falls_back_row_by_row():
-    family = ExponentialScale()
-    Q = np.array([[1.1], [0.9], [1.0], [2.0]])
-    expected = family.divergence_rows([1.0], Q).tolist()
-    assert expected[2] == 0.0
-    rowless = _CountingDivergence(family)
-    assert not hasattr(rowless, "divergence_rows")
-    for div in (rowless, _ScalarOnlyExponential()):
-        assert divergences(div, [1.0], Q).tolist() == expected
-        assert div.calls == [((1.0,), (q,)) for q in Q[:, 0]]
-    # a stencil asks the subclass point by point and gets the family's tensor
-    subclass = _ScalarOnlyExponential()
-    cubic = extract_cubic(subclass, [1.0], h=0.05, richardson=True).components
-    assert np.array_equal(cubic, extract_cubic(family, [1.0], h=0.05, richardson=True).components)
-    assert len(subclass.calls) == 8  # the distinct points of the three levels
+            assert isinstance(batch, np.ndarray) and np.array_equal(batch, walk), rows
+    assert refusals == {DomainError, ConditioningError, NoisePanic}
 
 
 # --- failure modes -----------------------------------------------------------
@@ -555,13 +531,14 @@ def test_divergences_falls_back_row_by_row():
 
 def test_stencil_domain_errors():
     family = _CountingDivergence(ExponentialScale())
-    with pytest.raises(DomainError):
+    leaves = "finite-difference stencil leaves the domain"
+    with pytest.raises(DomainError, match=leaves):
         extract_metric(family, [0.005], h=1e-2)  # stencil reaches theta < 0
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=leaves):
         extract_cubic(family, [0.08], h=5e-2)  # 2h reach exits the domain
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=leaves):
         extract_cubic(family, [0.08], h=5e-2, richardson=True)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="base point"):
         extract_metric(family, [-1.0])
     assert family.calls == []  # the domain is checked before any evaluation
 
@@ -622,18 +599,18 @@ def test_zero_cubic_tensor_does_not_panic():
     assert np.max(np.abs(t.components)) < 1e-6
 
 
-class _KinkedDivergence:
+class _KinkedDivergence(DivergenceFamily):
     """A C^0 odd defect: third differences grow ~5.7x per step halving."""
 
     family_id = "kinked"
     dimension = 1
 
-    def contains(self, x):
-        return True
+    def _inside(self, X):
+        return np.isfinite(X.T[0])
 
-    def divergence(self, p, q):
-        u = float(q[0] - p[0])
-        return 0.5 * u * u + 1e-6 * np.sign(u) * np.sqrt(abs(u))
+    def _divergence(self, P, Q):
+        u = Q.T[0] - P.T[0]
+        return 0.5 * u * u + 1e-6 * np.sign(u) * np.sqrt(np.abs(u))
 
 
 def test_conditioning_error_when_ladder_disagrees():

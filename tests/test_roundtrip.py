@@ -519,8 +519,8 @@ def test_spread_trade_leaving_the_domain_raises():
         spread_estimate(ExponentialScale(), sampler, samples=1_000, seed=1, method="oracle")
 
 
-class _RowByRowFamily:
-    """A family without ``contains_rows``: its points are checked one at a time."""
+class _CountingFamily(DivergenceFamily):
+    """A family's domain and divergence that counts the points its domain is asked about."""
 
     def __init__(self, family):
         self.family = family
@@ -528,39 +528,21 @@ class _RowByRowFamily:
         self.dimension = family.dimension
         self.checked = 0
 
-    def contains(self, x):
-        self.checked += 1
-        return self.family.contains(x)
+    def _inside(self, X):
+        self.checked += 1 if X.ndim == 1 else len(X)
+        return self.family._inside(X)
 
-    def divergence(self, p, q):
-        return self.family.divergence(p, q)
+    def _divergence(self, P, Q):
+        return self.family._divergence(P, Q)
 
     def forward_cubic(self, x):
         return self.family.forward_cubic(x)
 
 
-class _ContainsOnlyFamily(DivergenceFamily):
-    """A ``DivergenceFamily`` subclass that writes its domain as ``contains`` alone."""
-
-    family_id = "exponential"
-    dimension = 1
-
-    def contains(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return x.shape == (1,) and bool(0.0 < x[0] < math.inf)
-
-    def _divergence(self, p, q):
-        return ExponentialScale()._divergence(p, q)
-
-    def forward_cubic(self, x):
-        return ExponentialScale().forward_cubic(x)
-
-
 def test_domain_checks_without_contains_rows():
+    # the subclass writes only ``_inside``, and the engines get each answer from it
     family = ExponentialScale()
-    rowless = _RowByRowFamily(family)
-    assert not hasattr(rowless, "contains_rows")
-    subclass = _ContainsOnlyFamily()
+    subclass = _CountingFamily(family)
     assert list(subclass.contains_rows([[1.0], [-1.0], [np.nan]])) == [True, False, False]
     cubic = extract_cubic(subclass, [1.0], h=0.05).components
     assert np.array_equal(cubic, extract_cubic(family, [1.0], h=0.05).components)
@@ -573,16 +555,15 @@ def test_domain_checks_without_contains_rows():
     assert spread_estimate(subclass, gauss, 500, 4) == spread_estimate(family, gauss, 500, 4)
     path = [[1.0], [1.1], [1.2]]
     assert demon_work(subclass, path).total == demon_work(family, path).total
+    subclass.checked = 0
     sampler = TradeSampler.parse("signflip:1.0,0.1", 1)
-    rep = spread_estimate(rowless, sampler, samples=500, seed=4, method="oracle")
-    assert rowless.checked == 1 + 500  # the one start point, then every end point
+    rep = spread_estimate(subclass, sampler, samples=500, seed=4, method="oracle")
+    assert subclass.checked == 1 + 500  # the one start point, then every end point
     assert rep == spread_estimate(family, sampler, samples=500, seed=4, method="oracle")
     with pytest.raises(DomainError, match="sampled trade leaves the domain"):
-        spread_estimate(rowless, TradeSampler.parse("gauss:0.1,0.05", 1), 1_000, 1, "oracle")
-    path = [[1.0], [1.1], [1.2]]
-    assert demon_work(rowless, path).total == demon_work(family, path).total
+        spread_estimate(subclass, TradeSampler.parse("gauss:0.1,0.05", 1), 1_000, 1, "oracle")
     with pytest.raises(DomainError, match=r"waypoint \[-0.5\] outside domain"):
-        demon_work(rowless, [[1.0], [-0.5]])
+        demon_work(subclass, [[1.0], [-0.5]])
 
 
 def test_spread_deterministic():
@@ -743,20 +724,20 @@ def test_a_leg_without_mass_above_minus_one_ends_in_the_first_chunk():
     assert str(raised.value) == str(serial.value)
 
 
-class _ThreadRecordingFamily(_RowByRowFamily):
-    """A family without ``contains_rows`` that records the threads calling it."""
+class _ThreadRecordingFamily(_CountingFamily):
+    """A family that records the threads asking for its domain and divergence."""
 
     def __init__(self, family):
         super().__init__(family)
         self.threads = set()
 
-    def contains(self, x):
+    def _inside(self, X):
         self.threads.add(threading.get_ident())
-        return super().contains(x)
+        return super()._inside(X)
 
-    def divergence(self, p, q):
+    def _divergence(self, P, Q):
         self.threads.add(threading.get_ident())
-        return super().divergence(p, q)
+        return super()._divergence(P, Q)
 
 
 def test_spread_calls_the_family_only_from_the_calling_thread():
