@@ -27,10 +27,12 @@ structurally zero.
 
 A divergence is a ``families.DivergenceFamily``, which writes its domain
 as ``_inside`` and its values as ``_divergence`` over rows.  The engines ask
-it through ``contains(x)`` for one point, ``contains_rows(X)`` for the rows
-of an (n, d) array, and ``divergence_rows(P, Q)`` for D(P[i] || Q[i]) over
-rows broadcast to (n, d).  An extraction is one domain check and one
-divergence call, and so is a batch of base points: ``_tensors`` takes the
+it through ``contains(x)`` for one point and ``contains_rows(X)`` for the
+rows of an (n, d) array, and having checked every row once that way, they
+evaluate D(P[i] || Q[i]) over rows broadcast to (n, d) through the
+unchecked kernel ``_values(P, Q)``, not through the checked public entry
+``divergence_rows``.  An extraction is one domain check of each point and
+one kernel call, and so is a batch of base points: ``_tensors`` takes the
 stencils of many rows P at once, with one step for all of them or a step
 per row, and of several orders at once; for one order it raises the error
 that extracting the rows one by one would have met first.
@@ -290,11 +292,12 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     domain, and after the evaluation, order by order, the steps' powers in
     the float range, the Richardson ladder and the order's acceptance test.
     All stencil points of all rows and orders go through one ``contains_rows``
-    and one ``divergence_rows`` call, so a convergence ladder, its base point
-    repeated once per rung, is one call for its metric and cubic.  When rows
-    fail, the error raised is the one that these checks meet first, row
-    after row; for a single order, that is the error extracting row after
-    row would have met first.
+    call, then through one call of the unchecked kernel ``_values``, which
+    does not check them again, so each point is checked once.  A convergence
+    ladder, its base point repeated once per rung, is one call for its
+    metric and cubic.  When rows fail, the error raised is the one that
+    these checks meet first, row after row; for a single order, that is the
+    error extracting row after row would have met first.
     """
     # a step per row is a list of Python floats, and a single step stays one
     # float, which keeps the hot one-row path as cheap as it was; either way
@@ -338,8 +341,8 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
 
     # rows that share their base point pass it as one row, which a chart
     # turns into one state
-    base = P[0] if cut == 1 or (P[1:cut] == P[0]).all() else np.repeat(P[:cut], m, axis=0)
-    f = div.divergence_rows(base, points[:cut].reshape(-1, d)).reshape(cut, m)
+    base = P[:1] if cut == 1 or (P[1:cut] == P[0]).all() else np.repeat(P[:cut], m, axis=0)
+    f = div._values(base, points[:cut].reshape(-1, d)).reshape(cut, m)
     results = []
     for order, (weights, levels, fill) in zip(orders, plans):
         # one step refuses row 0 first, which has passed every check before this one
@@ -501,7 +504,8 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
     u = (steps[-1] * v).tolist()
     if _unresolved(p[None], [u])[0]:
         raise _not_resolved(div, p, u)
-    values = div.divergence_rows(p, probes) - div.divergence_rows(probes, p)
+    # both sides' points are checked above, so the kernel takes them unchecked
+    values = div._values(p[None], probes) - div._values(probes, p[None])
 
     degenerate = bool(np.max(np.abs(values)) < 1e-14)
     slope = coeff = tvvv = ratio = None

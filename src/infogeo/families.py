@@ -140,13 +140,16 @@ class DivergenceFamily(RowDomain):
     or a quantum chart divergence.
 
     A subclass writes its open domain as ``_inside`` and its divergence as
-    ``_divergence(P, Q)``, over (n, d) rows that this base class has checked
-    against the domain.  ``divergence(p, q)`` is the one-row case of
-    ``divergence_rows(P, Q)``, and a row with p == q gives exactly 0.0.  The
-    engines ask for values only through ``divergence_rows``, and for domain
-    answers through ``contains`` and ``contains_rows``.  A classical family's
-    ``fisher`` and ``forward_cubic`` return the quadratic and cubic Taylor
-    coefficients of D(p || p + u) at u = 0 in its default chart.
+    ``_divergence(P, Q)``, over (n, d) rows that have been checked against
+    the domain.  ``divergence_rows(P, Q)`` is the checked public entry: it
+    checks the rows, then evaluates them through the unchecked kernel
+    ``_values(P, Q)``, which gives exactly 0.0 for a row with p == q,
+    refuses an overflow and clips rounding below zero.  ``divergence(p, q)``
+    is its one-row case.  The engines check every row they evaluate with
+    ``contains`` or ``contains_rows`` first, so they call ``_values``
+    directly and each row is checked once.  A classical family's ``fisher``
+    and ``forward_cubic`` return the quadratic and cubic Taylor coefficients
+    of D(p || p + u) at u = 0 in its default chart.
     """
 
     family_id: str
@@ -172,6 +175,10 @@ class DivergenceFamily(RowDomain):
         first pair whose divergence overflows, with no floating-point warning.
         A value that rounds below zero comes back as zero.
         """
+        return self._values(*self._checked_rows(P, Q))
+
+    def _checked_rows(self, P, Q) -> tuple:
+        """P and Q as float arrays of rows, each row checked against the domain."""
         P, Q = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (P, Q))
         for which, X in (("first", P), ("second", Q)):
             if X.ndim != 2 or X.shape[1] != self.dimension:
@@ -181,6 +188,11 @@ class DivergenceFamily(RowDomain):
             inside = self.contains_rows(X)
             if not inside.all():
                 raise DomainError(f"{self.family_id}: {which} argument {X[inside.argmin()]} outside domain")
+        return P, Q
+
+    def _values(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """``divergence_rows`` without its checks: float (n, d) rows of P and
+        Q, broadcast, that the caller has checked against the domain."""
         with np.errstate(all="ignore"):
             values = np.where((P == Q).all(axis=-1), 0.0, self._divergence(P, Q))
         finite = np.isfinite(values)
@@ -627,13 +639,16 @@ class GaussianFull(ExponentialFamily):
 class NaturalView(DivergenceFamily):
     """The same family re-parametrized by its natural coordinates.
 
-    Points are checked in the natural chart, then mapped by ``from_natural``
-    and passed to the family, which checks them again in its default chart.
-    This lets tensors be extracted directly in the chart where the
-    score-moment oracle lives.  In this chart the closed-form ``fisher`` is
-    the Hessian of the log-partition and ``forward_cubic`` coincides with
-    the score moment, both made exactly symmetric by ``_symmetric`` and
-    refused with NumericalError where they overflow.
+    Points are checked in the natural chart, then mapped by ``from_natural``,
+    checked once in the family's default chart, where a natural point can
+    round onto the boundary, and evaluated by the family's kernel, which
+    gives the zero, the overflow refusal and the clip, naming the family
+    and the mapped points.  This lets tensors be extracted directly in the
+    chart where the score-moment oracle lives.  In this chart the
+    closed-form ``fisher`` is the Hessian of the log-partition and
+    ``forward_cubic`` coincides with the score moment, both made exactly
+    symmetric by ``_symmetric`` and refused with NumericalError where they
+    overflow.
     """
 
     def __init__(self, family: ExponentialFamily):
@@ -646,8 +661,11 @@ class NaturalView(DivergenceFamily):
     def _inside(self, eta):
         return self.family._natural_inside(eta)
 
-    def _divergence(self, P, Q):
-        return self.family.divergence_rows(self.family.from_natural(P), self.family.from_natural(Q))
+    def _values(self, P, Q):
+        family = self.family
+        with np.errstate(all="ignore"):
+            mapped = family.from_natural(P), family.from_natural(Q)
+        return family._values(*family._checked_rows(*mapped))
 
     def fisher(self, eta):
         eta = _checked_point(self, self.contains, eta, "point")

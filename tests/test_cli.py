@@ -237,6 +237,22 @@ def test_natural_view_error_names_the_coordinate_given(capsys):
     assert err == "geo: exponential:natural: second argument [1.] outside domain\n"
 
 
+def test_natural_view_passes_on_its_familys_refusals(capsys):
+    # natural points whose mapped points the family refuses: the messages name
+    # the family and the points it was given
+    assert main(["divergence", "--family", "natural:bernoulli", "--p", "25", "--q", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "geo: bernoulli: first argument [1.] outside domain\n"
+    assert main(["divergence", "--family", "natural:gaussian-full", "--p", "1e200,-0.5", "--q", "0,-0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "geo: numerical conditioning: gaussian-full: the divergence from [1.e+200 1.e+000] to [0. 1.] "
+        "overflows the float range\n"
+    )
+
+
 CONDITIONING_ERRORS = [
     ["tensor", "--family", "exponential", "--at", "1", "--order", "cubic", "--h", "1e-5"],
     # steps below the resolution of the base point

@@ -26,6 +26,7 @@ from infogeo import (
     NumericalError,
     UnsupportedFamily,
     bregman_divergence,
+    extract_metric,
     make_chart_divergence,
     make_family,
     natural_view,
@@ -512,6 +513,38 @@ def test_natural_view_protocol():
 def test_natural_view_checks_points_in_the_natural_chart(family, p, q, message):
     with pytest.raises(DomainError, match=message):
         natural_view(family).divergence(p, q)
+
+
+def test_natural_view_refuses_what_its_family_refuses():
+    # eta = 25 is a natural point, but the mean 1 - 1.4e-11 it maps to lies
+    # within the family's margin of 1: the family names the point it was given
+    with pytest.raises(DomainError) as refused:
+        natural_view(Bernoulli()).divergence([25.0], [0.0])
+    assert str(refused.value) == "bernoulli: first argument [1.] outside domain"
+    with pytest.raises(DomainError) as refused:
+        extract_metric(natural_view(Bernoulli()), [20.0], h=5.0)
+    assert str(refused.value) == "bernoulli: second argument [1.] outside domain"
+    # sigma^2 = -1/(2 eta_2) overflows, without a floating-point warning
+    with pytest.raises(DomainError) as refused:
+        natural_view(GaussianFull()).divergence([0.0, -1e-320], [0.0, -0.5])
+    assert str(refused.value) == "gaussian-full: first argument [nan inf] outside domain"
+    with pytest.raises(NumericalError) as overflow:
+        natural_view(GaussianFull()).divergence([1e200, -0.5], [0.0, -0.5])
+    assert str(overflow.value) == (
+        "gaussian-full: the divergence from [1.e+200 1.e+000] to [0. 1.] overflows the float range"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, p, q",
+    [(Bernoulli(), [20.0], [np.nextafter(20.0, 21.0)]), (Categorical(3), [5.0, 0.0], [5.0, 1e-16])],
+    ids=["bernoulli", "categorical:3"],
+)
+def test_natural_points_mapped_to_one_point_are_exactly_zero_apart(family, p, q):
+    assert p != q and np.array_equal(family.from_natural(p), family.from_natural(q))
+    view = natural_view(family)
+    assert view.divergence(p, q) == 0.0
+    assert view.divergence_rows([p, q], [q, p]).tolist() == [0.0, 0.0]
 
 
 @given(

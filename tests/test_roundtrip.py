@@ -403,13 +403,13 @@ def test_demon_fd_is_bit_identical_to_the_walk_by_waypoints(family, path, tensor
 
 
 class _CountingGaussianFull(GaussianFull):
-    """Records the row count of each ``divergence_rows`` call."""
+    """Records the row count of each call of the unchecked kernel ``_values``."""
 
     def __init__(self):
         self.rows = []
 
-    def divergence_rows(self, P, Q):
-        values = super().divergence_rows(P, Q)
+    def _values(self, P, Q):
+        values = super()._values(P, Q)
         self.rows.append(len(values))
         return values
 
@@ -544,12 +544,19 @@ def test_domain_checks_without_contains_rows():
     family = ExponentialScale()
     subclass = _CountingFamily(family)
     assert list(subclass.contains_rows([[1.0], [-1.0], [np.nan]])) == [True, False, False]
+    subclass.checked = 0
     cubic = extract_cubic(subclass, [1.0], h=0.05).components
+    assert subclass.checked == 1 + 4  # the base point, then the 4 stencil points, each once
     assert np.array_equal(cubic, extract_cubic(family, [1.0], h=0.05).components)
     with pytest.raises(DomainError, match=r"stencil leaves the domain at \[-0.04\]"):
         extract_cubic(subclass, [0.01], h=0.05)
     steps = [0.2, 0.1, 0.05, 0.025]
+    subclass.checked = 0
     probe = asymmetry_probe(subclass, [1.0], [1.0], steps)
+    # the base point and the 4 probe points, then the Richardson cubic's base
+    # point and its 8 distinct stencil points: no point is asked about twice
+    # by one extraction, and the value calls ask about none
+    assert subclass.checked == 1 + 4 + 1 + 8
     assert np.array_equal(probe.values, asymmetry_probe(family, [1.0], [1.0], steps).values)
     gauss = TradeSampler.parse("gauss:1.0,0.05", 1)
     assert spread_estimate(subclass, gauss, 500, 4) == spread_estimate(family, gauss, 500, 4)
@@ -564,6 +571,35 @@ def test_domain_checks_without_contains_rows():
         spread_estimate(subclass, TradeSampler.parse("gauss:0.1,0.05", 1), 1_000, 1, "oracle")
     with pytest.raises(DomainError, match=r"waypoint \[-0.5\] outside domain"):
         demon_work(subclass, [[1.0], [-0.5]])
+
+
+class _CountingExponential(ExponentialScale):
+    """The exponential family, counting the points its rate domain and its
+    natural domain are asked about."""
+
+    def __init__(self):
+        self.checked = {"rate": 0, "natural": 0}
+
+    def _inside(self, X):
+        self.checked["rate"] += 1 if X.ndim == 1 else len(X)
+        return super()._inside(X)
+
+    def _natural_inside(self, eta):
+        self.checked["natural"] += 1 if eta.ndim == 1 else len(eta)
+        return super()._natural_inside(eta)
+
+
+def test_a_natural_view_checks_each_point_once_in_each_chart():
+    family = _CountingExponential()
+    view = natural_view(family)
+    cubic = extract_cubic(view, [-1.0], h=0.05).components
+    # the base point and the 4 stencil points in the natural chart, and the
+    # 5 rates they map to, in the family's chart
+    assert family.checked == {"rate": 1 + 4, "natural": 1 + 4}
+    assert np.array_equal(cubic, extract_cubic(natural_view(ExponentialScale()), [-1.0], h=0.05).components)
+    family.checked = {"rate": 0, "natural": 0}
+    assert view.divergence([-1.0], [-2.0]) == natural_view(ExponentialScale()).divergence([-1.0], [-2.0])
+    assert family.checked == {"rate": 2, "natural": 2}
 
 
 def test_spread_deterministic():
