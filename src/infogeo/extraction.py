@@ -34,8 +34,9 @@ unchecked kernel ``_values(P, Q)``, not through the checked public entry
 ``divergence_rows``.  An extraction is one domain check of each point and
 one kernel call, and so is a batch of base points: ``_tensors`` takes the
 stencils of many rows P at once, with one step for all of them or a step
-per row, and of several orders at once; for one order it raises the error
-that extracting the rows one by one would have met first.
+per row, and of several orders at once, and raises the error that
+extracting the rows one by one, each order after the one before, would
+have met first.
 ``roundtrip.demon_work`` passes it up to 256 points of a path;
 ``convergence_report`` passes its base point once per rung of the
 ladder, each with the rung's step, and asks for the metric and cubic
@@ -66,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, NoisePanic, NumericalError
+from .errors import ConditioningError, DomainError, NoisePanic, NumericalError, UnsupportedFamily
 
 __all__ = [
     "MetricTensor",
@@ -85,6 +86,10 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _POWER_NAME = {2: "square", 3: "cube"}
 _DEFAULT_STEP = {"metric": 1e-2, "cubic": 5e-2}
+# the widest point a stencil is taken at: a plan's dense weights grow like d^6,
+# and a Richardson cubic plan takes 0.17 s to build at d = 12, 0.7 s at 16
+# and 32 s at 29
+_MAX_DIMENSION = 12
 
 
 @dataclass
@@ -288,16 +293,16 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     estimate).
 
     Each row gets these checks with its step, in this order: base point in
-    the domain, finest step resolved, the stencil of every order in the
-    domain, and after the evaluation, order by order, the steps' powers in
-    the float range, the Richardson ladder and the order's acceptance test.
-    All stencil points of all rows and orders go through one ``contains_rows``
+    the domain, at most ``_MAX_DIMENSION`` coordinates, finest step resolved,
+    then order by order the order's stencil in the domain, the steps' powers
+    in the float range, the Richardson ladder and the acceptance test.  All
+    stencil points of all rows and orders go through one ``contains_rows``
     call, then through one call of the unchecked kernel ``_values``, which
     does not check them again, so each point is checked once.  A convergence
     ladder, its base point repeated once per rung, is one call for its
     metric and cubic.  When rows fail, the error raised is the one that
-    these checks meet first, row after row; for a single order, that is the
-    error extracting row after row would have met first.
+    extracting row after row, order after order, would have met first; an
+    overflowing divergence is refused by the kernel, for the whole call.
     """
     # a step per row is a list of Python floats, and a single step stays one
     # float, which keeps the hot one-row path as cheap as it was; either way
@@ -308,7 +313,6 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
         if not 0.0 < x < np.inf:
             raise ValueError(f"step size must be positive and finite, got {x}")
     d = div.dimension
-    offsets, plans = _stencil_plan(d, orders, richardson)
     P = np.asarray(P, dtype=float)
     error, cut = None, len(P)
 
@@ -324,6 +328,11 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     refuse(~inside, lambda r: DomainError(f"{div.family_id}: base point {P[r]} outside domain"))
     if cut == 0:
         raise error
+    if d > _MAX_DIMENSION:
+        raise UnsupportedFamily(
+            f"{div.family_id}: finite-difference stencils take at most {_MAX_DIMENSION} coordinates, not {d}"
+        )
+    offsets, plans = _stencil_plan(d, orders, richardson)
     P = P[:cut]
     # each row's steps of the levels, and the finest
     steps = [h / q for q in _LEVELS[richardson]] if one else [[x / q for q in _LEVELS[richardson]] for x in hs]
@@ -333,18 +342,33 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     m = len(offsets)
     points = P[:cut, None, :] + (fine if one else np.array(fine[:cut])[:, None, None]) * offsets
     inside = div.contains_rows(points.reshape(-1, d)).reshape(cut, m)
-    refuse(~inside.all(axis=1), lambda r: DomainError(
-        f"{div.family_id}: finite-difference stencil leaves the domain at {points[r, inside[r].argmin()]}"
-    ))
+    outside = not inside.all()
+
+    def leaves(levels: np.ndarray) -> None:
+        # refuse the rows whose stencil of one order leaves the domain, naming
+        # the point that the order's own plan meets first
+        picked = levels.ravel()
+        out = ~inside[:cut, picked]
+        refuse(out.any(axis=1), lambda r: DomainError(
+            f"{div.family_id}: finite-difference stencil leaves the domain at {points[r, picked[out[r].argmax()]]}"
+        ))
+
+    if outside:
+        leaves(plans[0][1])
     if cut == 0:
         raise error
+    # a point outside that only a later order reaches is evaluated at its row's
+    # base point, which gives exactly 0; that order refuses the row before reading it
+    evaluated = np.where(inside[:cut, :, None], points[:cut], P[:cut, None, :]) if outside else points[:cut]
 
     # rows that share their base point pass it as one row, which a chart
     # turns into one state
     base = P[:1] if cut == 1 or (P[1:cut] == P[0]).all() else np.repeat(P[:cut], m, axis=0)
-    f = div._values(base, points[:cut].reshape(-1, d)).reshape(cut, m)
+    f = div._values(base, evaluated.reshape(-1, d)).reshape(cut, m)
     results = []
     for order, (weights, levels, fill) in zip(orders, plans):
+        if outside:
+            leaves(levels)
         # one step refuses row 0 first, which has passed every check before this one
         for r, row in enumerate(([steps] if one else steps)[:cut]):
             try:
@@ -552,9 +576,9 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
     the oracle vanishes identically).
 
     The metric and cubic of every rung come from one ``_tensors`` call over
-    the whole ladder, so one domain check and one divergence call.  When
-    that call raises, the rungs are extracted one by one, metric then cubic,
-    so that the error raised is the one that walk meets first.
+    the whole ladder, so one domain check and one divergence call.  That
+    call raises the error that extracting the rungs one by one, metric then
+    cubic, would meet first.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     ladder = np.asarray(ladder, dtype=float)
@@ -581,18 +605,7 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
     if not hs:
         return report
     P = np.repeat(p[None], len(hs), axis=0)
-    try:
-        (metric, _, _), (cubic, _, _) = _tensors(div, P, ladder, richardson, (2, 3))
-    except Exception:
-        # the call checks every rung's stencils of both orders at once, so the
-        # error it meets first need not be a rung-by-rung walk's: the walk
-        # meets that one
-        walk = [
-            (extract_metric(div, p, h=h, richardson=richardson).components,
-             extract_cubic(div, p, h=h, richardson=richardson).components)
-            for h in ladder
-        ]
-        metric, cubic = map(np.array, zip(*walk))
+    (metric, _, _), (cubic, _, _) = _tensors(div, P, ladder, richardson, (2, 3))
     m_err = _tensor_errors(metric, metric_oracle)
     c_err = _tensor_errors(cubic, cubic_oracle)
     report.rungs = [ConvergenceRung(*rung) for rung in zip(hs, metric, cubic, m_err, c_err)]

@@ -139,11 +139,11 @@ class DivergenceFamily(RowDomain):
     """A directed divergence on a chart: a classical family, a natural view
     or a quantum chart divergence.
 
-    A subclass writes its open domain as ``_inside`` and its divergence as
-    ``_divergence(P, Q)``, over (n, d) rows that have been checked against
+    A subclass writes its whole open domain as ``_inside`` and its
+    divergence as ``_divergence(P, Q)``, over (n, d) rows checked against
     the domain.  ``divergence_rows(P, Q)`` is the checked public entry: it
-    checks the rows, then evaluates them through the unchecked kernel
-    ``_values(P, Q)``, which gives exactly 0.0 for a row with p == q,
+    checks the rows, then evaluates them through ``_values(P, Q)``, the one
+    unchecked kernel, which gives exactly 0.0 for a row with p == q,
     refuses an overflow and clips rounding below zero.  ``divergence(p, q)``
     is its one-row case.  The engines check every row they evaluate with
     ``contains`` or ``contains_rows`` first, so they call ``_values``
@@ -214,8 +214,8 @@ class ExponentialFamily(DivergenceFamily):
     NumericalError where they overflow.  A family supplies
     ``_inside``, ``_divergence``, the natural domain ``_natural_inside`` and
     the unchecked inverse chart ``from_natural`` (both over the last axis),
-    and these, on one point that this class has coerced and checked against
-    its chart's domain:
+    and these unchecked bodies, on one point that their caller has coerced
+    and checked against its chart's domain:
 
         _to_natural(x)           eta
         _natural_jacobian(x)     J = d eta / dx, (d, d), natural index first
@@ -225,7 +225,8 @@ class ExponentialFamily(DivergenceFamily):
         _mean_from_natural(eta)  grad psi
         _natural_fisher(eta)     psi'', (d, d)
 
-    The public method of each name raises DomainError off its chart's domain.
+    The public ``to_natural``, ``natural_jacobian``, ``fisher`` and
+    ``forward_cubic`` raise DomainError off the default chart's domain.
     """
 
     def _point(self, x) -> np.ndarray:
@@ -240,29 +241,6 @@ class ExponentialFamily(DivergenceFamily):
     def natural_jacobian(self, x) -> np.ndarray:
         """d(natural)/d(default chart), shape (dim, dim)."""
         return self._natural_jacobian(self._point(x))
-
-    def natural_hessian(self, x) -> np.ndarray:
-        """d^2(natural)/d(default chart)^2, shape (dim, dim, dim)."""
-        return self._natural_hessian(self._point(x))
-
-    def log_partition(self, eta) -> float:
-        return float(self._log_partition(self._natural_point(eta)))
-
-    def mean_from_natural(self, eta) -> np.ndarray:
-        """grad psi(eta), the expectation of the sufficient statistic."""
-        return self._mean_from_natural(self._natural_point(eta))
-
-    def natural_fisher(self, eta) -> np.ndarray:
-        """Hessian of psi(eta); equals the Fisher metric in natural coords."""
-        return self._natural_fisher(self._natural_point(eta))
-
-    def score_moment(self, x) -> np.ndarray:
-        """Closed-form third central moment of the sufficient statistic.
-
-        This is E[d_i l d_j l d_k l] in natural coordinates, equal to the
-        third derivative tensor of the log-partition function.
-        """
-        return self._score_moment(self._point(x))
 
     def fisher(self, x) -> np.ndarray:
         """Quadratic Taylor coefficient g of D(x || x + u) in the default chart."""
@@ -639,16 +617,15 @@ class GaussianFull(ExponentialFamily):
 class NaturalView(DivergenceFamily):
     """The same family re-parametrized by its natural coordinates.
 
-    Points are checked in the natural chart, then mapped by ``from_natural``,
-    checked once in the family's default chart, where a natural point can
-    round onto the boundary, and evaluated by the family's kernel, which
-    gives the zero, the overflow refusal and the clip, naming the family
-    and the mapped points.  This lets tensors be extracted directly in the
-    chart where the score-moment oracle lives.  In this chart the
-    closed-form ``fisher`` is the Hessian of the log-partition and
-    ``forward_cubic`` coincides with the score moment, both made exactly
-    symmetric by ``_symmetric`` and refused with NumericalError where they
-    overflow.
+    The domain is the natural points that ``from_natural`` maps into the
+    family's domain (a natural point can round onto its boundary), answered
+    by one ``_inside``, so a refusal names the view and the point given.
+    The divergence is the family's of the mapped rows.  This lets tensors
+    be extracted directly in the chart where the score-moment oracle lives.
+    In this chart the closed-form ``fisher`` is the Hessian of the
+    log-partition and ``forward_cubic`` coincides with the score moment,
+    both made exactly symmetric by ``_symmetric`` and refused with
+    NumericalError where they overflow.
     """
 
     def __init__(self, family: ExponentialFamily):
@@ -659,24 +636,24 @@ class NaturalView(DivergenceFamily):
         self.dimension = family.dimension
 
     def _inside(self, eta):
-        return self.family._natural_inside(eta)
-
-    def _values(self, P, Q):
         family = self.family
         with np.errstate(all="ignore"):
-            mapped = family.from_natural(P), family.from_natural(Q)
-        return family._values(*family._checked_rows(*mapped))
+            return family._natural_inside(eta) & family._inside(family.from_natural(eta))
+
+    def _divergence(self, P, Q):
+        family = self.family
+        return family._divergence(family.from_natural(P), family.from_natural(Q))
 
     def fisher(self, eta):
         eta = _checked_point(self, self.contains, eta, "point")
         with np.errstate(all="ignore"):
-            g = self.family.natural_fisher(eta)
+            g = self.family._natural_fisher(eta)
         return _closed_form(self, eta, g)
 
     def forward_cubic(self, eta):
         eta = _checked_point(self, self.contains, eta, "point")
         with np.errstate(all="ignore"):
-            t = self.family.score_moment(self.family.from_natural(eta))
+            t = self.family._score_moment(self.family.from_natural(eta))
         return _closed_form(self, eta, t)
 
     def random_interior(self, rng, n):
@@ -707,13 +684,9 @@ def bregman_divergence(family: ExponentialFamily, p, q) -> float:
     Identity oracle: equals ``family.divergence(p, q)`` for every
     exponential-family member.
     """
-    ep = family.to_natural(p)
-    eq = family.to_natural(q)
-    return (
-        family.log_partition(eq)
-        - family.log_partition(ep)
-        - float((eq - ep) @ family.mean_from_natural(ep))
-    )
+    ep, eq = family.to_natural(p), family.to_natural(q)
+    eq, ep = family._natural_point(eq), family._natural_point(ep)
+    return float(family._log_partition(eq) - family._log_partition(ep) - (eq - ep) @ family._mean_from_natural(ep))
 
 
 BUILTIN_FAMILIES = ("gaussian", "exponential", "bernoulli", "categorical", "gaussian-full")

@@ -54,7 +54,11 @@ class PureState:
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size < 2:
             raise ValueError("pure states need dimension >= 2")
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amps)
+        # a NaN or infinite amplitude makes the norm NaN or infinite
+        if not np.isfinite(norm):
+            raise ValueError("amplitudes must be finite, with a norm in the float range")
         if norm < 1e-12:
             raise ValueError("zero vector is not a state")
         amps = amps / norm

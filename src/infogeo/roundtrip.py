@@ -84,6 +84,9 @@ class LegDistribution:
             raise ValueError(f"{self.kind} takes no shape parameter")
         if not all(map(math.isfinite, (self.location, self.scale, self.shape or 0.0))):
             raise ValueError(f"leg {self.spec()}: parameters must be finite")
+        # delta = shape / sqrt(1 + shape^2) takes the square
+        if self.kind == "skewnormal" and not self.shape * self.shape < math.inf:
+            raise ValueError(f"leg {self.spec()}: the shape's square overflows the float range")
 
     @classmethod
     def parse(cls, spec: str) -> "LegDistribution":
@@ -102,7 +105,7 @@ class LegDistribution:
     @classmethod
     def zero_mean_skewnormal(cls, scale: float, shape: float) -> "LegDistribution":
         """Skew-normal leg with its location chosen so the mean is zero."""
-        delta = shape / math.sqrt(1.0 + shape**2)
+        delta = cls("skewnormal", 0.0, scale, shape)._delta()
         return cls("skewnormal", -scale * delta * math.sqrt(2.0 / math.pi), scale, shape)
 
     def spec(self) -> str:
@@ -110,11 +113,14 @@ class LegDistribution:
             return f"skewnormal:{self.location:g},{self.scale:g},{self.shape:g}"
         return f"{self.kind}:{self.location:g},{self.scale:g}"
 
+    def _delta(self) -> float:
+        return self.shape / math.sqrt(1.0 + self.shape**2)
+
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "gaussian":
             return self.location + self.scale * rng.standard_normal(n)
         if self.kind == "skewnormal":
-            delta = self.shape / math.sqrt(1.0 + self.shape**2)
+            delta = self._delta()
             z1 = np.abs(rng.standard_normal(n))
             z2 = rng.standard_normal(n)
             return self.location + self.scale * (
@@ -390,9 +396,11 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
 # Path work
 # ---------------------------------------------------------------------------
 
-# base points per batched extraction: one divergence call takes up to about
-# 700 stencil points per base point (a d = 6 Richardson cubic), so this
-# bounds the memory of a call on a long path
+# base points per batched extraction: one divergence call takes up to 6168
+# stencil points per base point (a d = 12 Richardson cubic; stencils stop at
+# extraction._MAX_DIMENSION = 12, since a plan's dense weights grow like d^6
+# and take 0.17 s to build there), so this bounds the memory of a call on a
+# long path
 _EXTRACTION_BATCH = 256
 
 
@@ -550,7 +558,8 @@ class TradeSampler:
         if self.kind == "signflip":
             signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
             return signs[:, None] * np.asarray(self.step, dtype=float)
-        return self.step[0] * rng.standard_normal((n, len(self.point)))
+        with np.errstate(over="ignore"):  # spread_estimate refuses the infinite end points
+            return self.step[0] * rng.standard_normal((n, len(self.point)))
 
 
 def _surcharges(tensor: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -618,7 +627,9 @@ def spread_estimate(
 
     with closing(_chunk_map(chunk, samples, seed)) as chunks:
         for steps, moments in chunks:
-            if not family.contains_rows(point + steps).all():
+            with np.errstate(over="ignore"):  # an infinite end point is outside every domain
+                ends = point + steps
+            if not family.contains_rows(ends).all():
                 raise DomainError(f"{family.family_id}: sampled trade leaves the domain")
             if tensor is None:
                 tensor = _cubic_tensors(family, point[None], method, h)[0]

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,17 @@ USAGE_ERRORS = [
      "--samples", "1000", "--seed", "1"],
     ["divergence", "--family", "gaussian:inf", "--p", "0", "--q", "1"],
     ["divergence", "--family", "gaussian:1e200", "--p", "0", "--q", "1"],
+    # a skew-normal shape whose square overflows, states that are not finite or
+    # whose norm overflows, and sampled end points that overflow
+    ["triangle", "--legs", "skewnormal:0,0.01,1e308", "gaussian:0,0.01", "gaussian:0,0.01",
+     "--samples", "1000", "--seed", "1"],
+    ["veronese", "--state", "nan,1"],
+    ["veronese", "--state", "1e308,1e308"],
+    ["spread", "--family", "exponential", "--sampler", "gauss:1,1e308", "--samples", "1000", "--seed", "1"],
+    ["spread", "--family", "exponential", "--sampler", "fixed:1e308,1e308", "--samples", "1000", "--seed", "1"],
+    # stencils over more coordinates than a plan is built for, refused before it is
+    ["tensor", "--family", "categorical:30", "--at", "1", "--order", "cubic"],
+    ["tensor", "--family", "categorical:14", "--at", ",".join(["0.05"] * 13), "--order", "cubic"],
 ]
 
 
@@ -222,7 +234,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         (tmp_path / f"loop{i}.json").write_text(json.dumps(loop))
         loops.append(["holonomy", "--loop", str(tmp_path / f"loop{i}.json")])
     for argv in USAGE_ERRORS + loops:
-        assert main(argv) == 1, argv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("geo: "), (argv, err)
 
@@ -239,16 +253,16 @@ def test_natural_view_error_names_the_coordinate_given(capsys):
 
 def test_natural_view_passes_on_its_familys_refusals(capsys):
     # natural points whose mapped points the family refuses: the messages name
-    # the family and the points it was given
+    # the view and the points it was given
     assert main(["divergence", "--family", "natural:bernoulli", "--p", "25", "--q", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "geo: bernoulli: first argument [1.] outside domain\n"
+    assert captured.err == "geo: bernoulli:natural: first argument [25.] outside domain\n"
     assert main(["divergence", "--family", "natural:gaussian-full", "--p", "1e200,-0.5", "--q", "0,-0.5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "geo: numerical conditioning: gaussian-full: the divergence from [1.e+200 1.e+000] to [0. 1.] "
+        "geo: numerical conditioning: gaussian-full:natural: the divergence from [ 1.e+200 -5.e-001] to [ 0.  -0.5] "
         "overflows the float range\n"
     )
 

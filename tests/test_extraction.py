@@ -10,6 +10,7 @@ in the default chart too.
 
 import itertools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from infogeo import (
     GaussianFixedSigma,
     GaussianFull,
     NoisePanic,
+    NumericalError,
+    UnsupportedFamily,
     asymmetry_probe,
     convergence_report,
     extract_cubic,
@@ -394,6 +397,15 @@ def test_a_batched_ladder_raises_the_error_the_walk_meets_first(richardson):
             assert [r.metric_error for r in batch] == [r[3] for r in walk], ladder
 
 
+def test_a_natural_view_ladder_raises_the_error_the_walk_meets_first():
+    # the metric at h = 0.05 is not positive; the cubic's stencil (+-2h)
+    # reaches eta_2 = 0, outside the domain, but the walk meets the metric first
+    div = natural_view(GaussianFull())
+    walk = _outcome(lambda: _convergence_walk(div, [1.0, -0.1], [0.05], False))
+    assert walk == (NumericalError, "extracted metric has eigenvalue -1.127e+00 < -1e-8")
+    assert _outcome(lambda: convergence_report(div, [1.0, -0.1], [0.05]).rungs) == walk
+
+
 # --- stencil evaluations -----------------------------------------------------
 
 
@@ -508,15 +520,33 @@ def _outcome(call):
     any other exception fails the test."""
     try:
         return call()
-    except (DomainError, ConditioningError, NoisePanic) as exc:
+    except (DomainError, ConditioningError, NoisePanic, NumericalError) as exc:
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("family", [_PatchyExponential(), ExponentialScale()], ids=["row-by-row", "batched"])
-def test_a_batch_raises_the_error_a_row_by_row_walk_meets_first(family):
+# natural points that extract, meet a NoisePanic, leave the domain with
+# their stencil or their base point (in the natural chart or once mapped),
+# and are not resolved by the finest step
+_NATURAL_ROWS = {
+    "bernoulli": [[0.6], [19.5], [20.7], [25.0], [-21.0], [1e17]],
+    "gaussian-full": [[0.2, -0.5], [1.0, -0.1], [0.0, -1e4], [1e17, -0.5], [1.0, 0.5]],
+}
+
+
+@pytest.mark.parametrize(
+    "family, rows, refused",
+    [
+        (_PatchyExponential(), [[x] for x in _ROWS], {DomainError, ConditioningError, NoisePanic}),
+        (ExponentialScale(), [[x] for x in _ROWS], {DomainError, ConditioningError, NoisePanic}),
+        (natural_view(Bernoulli()), _NATURAL_ROWS["bernoulli"], {DomainError, NoisePanic}),
+        (natural_view(GaussianFull()), _NATURAL_ROWS["gaussian-full"], {DomainError, ConditioningError, NoisePanic}),
+    ],
+    ids=["row-by-row", "batched", "natural:bernoulli", "natural:gaussian-full"],
+)
+def test_a_batch_raises_the_error_a_row_by_row_walk_meets_first(family, rows, refused):
     refusals = set()
-    for rows in itertools.permutations(_ROWS, 3):
-        P = np.array(rows)[:, None]
+    for rows in itertools.permutations(rows, 3):
+        P = np.array(rows)
         batch = _outcome(lambda: _tensors(family, P, 5e-2, True, (3,))[0][0])
         walk = _outcome(lambda: np.array([extract_cubic(family, p, h=5e-2, richardson=True).components for p in P]))
         if isinstance(walk, tuple):
@@ -524,7 +554,64 @@ def test_a_batch_raises_the_error_a_row_by_row_walk_meets_first(family):
             refusals.add(walk[0])
         else:
             assert isinstance(batch, np.ndarray) and np.array_equal(batch, walk), rows
-    assert refusals == {DomainError, ConditioningError, NoisePanic}
+    assert refusals == refused
+
+
+def _bits(call):
+    """``_outcome`` of ``call``, with an array result reduced to its bytes."""
+    result = _outcome(call)
+    return result.tobytes() if isinstance(result, np.ndarray) else result
+
+
+def _rung_bytes(rungs):
+    return [(h, m.tobytes(), c.tobytes(), me, ce) for h, m, c, me, ce in rungs]
+
+
+# each draws a base point; the patchy family's Richardson ladders fail for
+# 5 < p < 10, and the natural views' points reach across the boundaries that
+# their mapped points meet, |eta| ~ 20.7 for Bernoulli and eta_2 = 0 for
+# gaussian-full
+_SWEEP = [
+    (_PatchyExponential(), lambda rng: [10 ** rng.uniform(-1.5, 1.2)]),
+    (Bernoulli(), lambda rng: [rng.uniform(0.0, 0.3)]),
+    (GaussianFull(), lambda rng: [rng.uniform(-1.0, 1.0), 10 ** rng.uniform(-1.5, 0.0)]),
+    (natural_view(Bernoulli()), lambda rng: [rng.uniform(-22.0, 22.0)]),
+    (natural_view(GaussianFull()), lambda rng: [rng.uniform(-3.0, 3.0), -(10 ** rng.uniform(-2.0, 0.0))]),
+]
+
+
+def test_seeded_ladders_and_batches_raise_what_the_walk_meets_first():
+    rng = np.random.default_rng(20)
+    outcomes = set()
+    for _ in range(120):
+        for div, draw in _SWEEP:
+            richardson = bool(rng.integers(2))
+            steps = 10 ** rng.uniform(-3.0, -0.5, 3)
+            # a ladder of one to three rungs at a base point in the domain
+            p = draw(rng)
+            while not div.contains(p):
+                p = draw(rng)
+            ladder = steps[: rng.integers(1, 4)]
+            batch = _outcome(lambda: _rung_bytes(
+                (r.h, r.metric, r.cubic, r.metric_error, r.cubic_error)
+                for r in convergence_report(div, p, ladder, richardson=richardson).rungs
+            ))
+            walk = _outcome(lambda: _rung_bytes(_convergence_walk(div, p, ladder, richardson)[0]))
+            assert batch == walk, (div, p, ladder, richardson)
+            outcomes.add(walk[0] if isinstance(walk, tuple) else None)
+            # three rows of one order, with one step or a step per row
+            P = np.array([draw(rng) for _ in range(3)])
+            order = int(rng.integers(2, 4))
+            h = steps if rng.integers(2) else float(steps[0])
+            hs = np.broadcast_to(h, 3)
+            extract = {2: extract_metric, 3: extract_cubic}[order]
+            batch = _bits(lambda: _tensors(div, P, h, richardson, (order,))[0][0])
+            walk = _bits(lambda: np.array(
+                [extract(div, p, h=float(x), richardson=richardson).components for p, x in zip(P, hs)]
+            ))
+            assert batch == walk, (div, P, h, order, richardson)
+            outcomes.add(walk[0] if isinstance(walk, tuple) else None)
+    assert outcomes == {None, DomainError, ConditioningError, NoisePanic, NumericalError}
 
 
 # --- failure modes -----------------------------------------------------------
@@ -542,6 +629,17 @@ def test_stencil_domain_errors():
     with pytest.raises(DomainError, match="base point"):
         extract_metric(family, [-1.0])
     assert family.calls == []  # the domain is checked before any evaluation
+
+
+def test_stencils_over_many_coordinates_are_refused_before_their_plan():
+    # a d = 29 Richardson cubic plan took 32 s to build before its base point
+    # was refused; above d = 12 no plan is built
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"^categorical:30: base point \[1\.\] outside domain$"):
+        extract_cubic(Categorical(30), [1.0], richardson=True)
+    with pytest.raises(UnsupportedFamily, match="at most 12 coordinates, not 29$"):
+        extract_cubic(Categorical(30), np.full(29, 0.02), richardson=True)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_noise_panic_on_tiny_steps():

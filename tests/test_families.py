@@ -157,7 +157,7 @@ def test_natural_chart_round_trip_and_jacobian():
             back = family.from_natural(eta)
             assert np.allclose(back, x, rtol=1e-10, atol=1e-12)
             jac = family.natural_jacobian(x)
-            hess = family.natural_hessian(x)
+            hess = family._natural_hessian(x)
             assert jac.shape == (d, d) and hess.shape == (d, d, d)
             fd_jac = np.empty((d, d))
             fd_hess = np.empty((d, d, d))
@@ -194,7 +194,7 @@ def test_log_partition_gradient_is_mean():
                     for i in range(family.dimension)
                 ]
             )
-            assert np.allclose(family.mean_from_natural(eta), grad, rtol=1e-9, atol=1e-12)
+            assert np.allclose(family._mean_from_natural(eta), grad, rtol=1e-9, atol=1e-12)
 
 
 def _mp_partial(func, at, orders):
@@ -216,7 +216,7 @@ def test_natural_fisher_matches_log_partition_hessian():
                     for a in range(d)
                 ]
             )
-            assert np.allclose(family.natural_fisher(eta), hess, rtol=1e-8, atol=1e-10)
+            assert np.allclose(natural_view(family).fisher(eta), hess, rtol=1e-8, atol=1e-10)
 
 
 def test_score_moment_matches_log_partition_third_derivative():
@@ -392,20 +392,11 @@ def test_natural_view_closed_forms_check_the_natural_domain(family, method, eta)
 @pytest.mark.parametrize(
     "family, method, point",
     [
-        # sigma^2 = -1/(2 eta_2) is negative: from_natural took a square root of it
-        (GaussianFull(), "natural_fisher", [1.0, 1.0]),
-        # eta_2 = 0: divided by zero
-        (GaussianFull(), "mean_from_natural", [1.0, 0.0]),
-        # math.log(-2 eta_2) of a negative number
-        (GaussianFull(), "log_partition", [1.0, 0.5]),
-        (Bernoulli(), "natural_fisher", [math.nan]),
         # default-chart points: wrong signs, a negative metric, math domain errors
-        (ExponentialScale(), "score_moment", [-1.0]),
         (ExponentialScale(), "forward_cubic", [-1.0]),
         (Bernoulli(), "fisher", [1.5]),
         (Bernoulli(), "to_natural", [1.5]),
         (Bernoulli(), "natural_jacobian", [0.0]),
-        (Categorical(3), "natural_hessian", [0.6, 0.6]),
     ],
 )
 def test_exponential_family_closed_forms_check_the_domain(family, method, point):
@@ -418,8 +409,8 @@ def test_exponential_family_closed_forms_check_the_domain(family, method, point)
     [
         # the cubic -10 / s^3 is -3.7e308
         (GaussianFull(), "forward_cubic", [0.0, 3e-103]),
-        # the mean eta_1 sigma^2 is 5e309
-        (natural_view(GaussianFull()), "fisher", [1e10, -1e-300]),
+        # psi''_22 = 4 m^2 s^2 + 2 s^4 is about 1e599
+        (natural_view(GaussianFull()), "fisher", [1e150, -1e-150]),
         (natural_view(ExponentialScale()), "fisher", [-1e-200]),
     ],
 )
@@ -517,21 +508,21 @@ def test_natural_view_checks_points_in_the_natural_chart(family, p, q, message):
 
 def test_natural_view_refuses_what_its_family_refuses():
     # eta = 25 is a natural point, but the mean 1 - 1.4e-11 it maps to lies
-    # within the family's margin of 1: the family names the point it was given
+    # within the family's margin of 1: the view names the point it was given
     with pytest.raises(DomainError) as refused:
         natural_view(Bernoulli()).divergence([25.0], [0.0])
-    assert str(refused.value) == "bernoulli: first argument [1.] outside domain"
+    assert str(refused.value) == "bernoulli:natural: first argument [25.] outside domain"
     with pytest.raises(DomainError) as refused:
         extract_metric(natural_view(Bernoulli()), [20.0], h=5.0)
-    assert str(refused.value) == "bernoulli: second argument [1.] outside domain"
+    assert str(refused.value) == "bernoulli:natural: finite-difference stencil leaves the domain at [25.]"
     # sigma^2 = -1/(2 eta_2) overflows, without a floating-point warning
     with pytest.raises(DomainError) as refused:
         natural_view(GaussianFull()).divergence([0.0, -1e-320], [0.0, -0.5])
-    assert str(refused.value) == "gaussian-full: first argument [nan inf] outside domain"
+    assert str(refused.value) == "gaussian-full:natural: first argument [ 0.e+000 -1.e-320] outside domain"
     with pytest.raises(NumericalError) as overflow:
         natural_view(GaussianFull()).divergence([1e200, -0.5], [0.0, -0.5])
     assert str(overflow.value) == (
-        "gaussian-full: the divergence from [1.e+200 1.e+000] to [0. 1.] overflows the float range"
+        "gaussian-full:natural: the divergence from [ 1.e+200 -5.e-001] to [ 0.  -0.5] overflows the float range"
     )
 
 

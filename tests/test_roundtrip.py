@@ -21,6 +21,7 @@ from infogeo import (
     GaussianFixedSigma,
     GaussianFull,
     LegDistribution,
+    NoisePanic,
     RejectionOverflow,
     TradeSampler,
     demon_work,
@@ -430,6 +431,17 @@ def test_a_long_demon_path_is_extracted_in_batches():
     rep = demon_work(family, path, method="fd")
     assert family.rows == [256 * 28, 256 * 28, 88 * 28]
     assert (rep.per_step, rep.total, rep.reversed_total) == _demon_by_waypoints(GaussianFull(), path, "start")
+
+
+def test_a_demon_path_raises_the_error_of_its_first_refused_waypoint():
+    # the cubic at eta = 19.5 is below its rounding noise, and the stencil at
+    # 20.7 reaches 20.8, whose mean 1 - 9.2e-10 is inside Bernoulli's margin
+    family = natural_view(Bernoulli())
+    with pytest.raises(NoisePanic) as exc:
+        extract_cubic(family, [19.5], h=5e-2, richardson=True)
+    with pytest.raises(NoisePanic) as batched:
+        demon_work(family, [[19.5], [20.7]])
+    assert str(batched.value) == str(exc.value)
 
 
 def test_demon_stencil_leaving_the_domain_names_the_first_waypoint():
