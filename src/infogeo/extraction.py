@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, DomainError, NoisePanic, NumericalError, UnsupportedFamily
+from .families import _format_point
 
 __all__ = [
     "MetricTensor",
@@ -238,7 +239,7 @@ def _unresolved(P: np.ndarray, U) -> np.ndarray:
 def _not_resolved(div, p, u: list) -> ConditioningError:
     return ConditioningError(
         f"{div.family_id}: a step of {max(map(abs, u)):.3e} is not resolved at "
-        f"{p}; a larger step, or a point nearer the origin, is needed"
+        f"{_format_point(p)}; a larger step, or a point nearer the origin, is needed"
     )
 
 
@@ -325,7 +326,7 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
             error = make_error(cut)
 
     inside = div.contains_rows(P) if P.ndim == 2 else np.zeros(cut, dtype=bool)
-    refuse(~inside, lambda r: DomainError(f"{div.family_id}: base point {P[r]} outside domain"))
+    refuse(~inside, lambda r: DomainError(f"{div.family_id}: base point {_format_point(P[r])} outside domain"))
     if cut == 0:
         raise error
     if d > _MAX_DIMENSION:
@@ -350,7 +351,8 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
         picked = levels.ravel()
         out = ~inside[:cut, picked]
         refuse(out.any(axis=1), lambda r: DomainError(
-            f"{div.family_id}: finite-difference stencil leaves the domain at {points[r, picked[out[r].argmax()]]}"
+            f"{div.family_id}: finite-difference stencil leaves the domain at "
+            f"{_format_point(points[r, picked[out[r].argmax()]])}"
         ))
 
     if outside:
@@ -510,21 +512,19 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
     if steps.size < 4 or not np.all(np.diff(steps) < 0):
         raise ValueError("need at least 4 strictly decreasing step scales")
     if not np.all((0.0 < steps) & (steps < np.inf)):
-        raise ValueError(f"step scales must be positive and finite, got {steps}")
+        raise ValueError(f"step scales must be positive and finite, got {_format_point(steps)}")
     if not div.contains(p):
-        raise DomainError(f"{div.family_id}: base point {p} outside domain")
+        raise DomainError(f"{div.family_id}: base point {_format_point(p)} outside domain")
     if v.shape != p.shape:
         raise ValueError(
             f"direction has {v.size} coordinate(s) but the base point has {p.size}"
         )
     if not v.any():
-        raise ValueError(f"direction {v} is zero: every probe would sit at the base point")
+        raise ValueError(f"direction {_format_point(v)} is zero: every probe would sit at the base point")
     probes = p + steps[:, None] * v
     inside = div.contains_rows(probes)
     if not inside.all():
-        raise DomainError(
-            f"{div.family_id}: probe point {probes[inside.argmin()]} outside domain"
-        )
+        raise DomainError(f"{div.family_id}: probe point {_format_point(probes[inside.argmin()])} outside domain")
     u = (steps[-1] * v).tolist()
     if _unresolved(p[None], [u])[0]:
         raise _not_resolved(div, p, u)
@@ -570,10 +570,10 @@ def _tensor_errors(measured: np.ndarray, oracle: np.ndarray | None) -> list:
 def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceReport:
     """Run metric and cubic extraction across a step ladder.
 
-    The oracle tensors are the divergence object's closed forms (``fisher``
-    / ``forward_cubic``) when it provides them; errors are then max-abs
-    deviations normalized by the oracle's largest component (absolute when
-    the oracle vanishes identically).
+    The oracle tensors are the divergence object's closed forms, evaluated
+    at the checked base point by its unchecked kernel ``_closed_rows`` when
+    it has one; errors are then max-abs deviations normalized by the
+    oracle's largest component (absolute when the oracle vanishes).
 
     The metric and cubic of every rung come from one ``_tensors`` call over
     the whole ladder, so one domain check and one divergence call.  That
@@ -583,18 +583,16 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
     p = np.atleast_1d(np.asarray(p, dtype=float))
     ladder = np.asarray(ladder, dtype=float)
     # before the closed forms, which may divide by zero outside the domain
-    # and overflow where the finest step is not resolved or its cube underflows
+    # and overflow where the finest step's cube underflows
     if not div.contains(p):
-        raise DomainError(f"{div.family_id}: base point {p} outside domain")
+        raise DomainError(f"{div.family_id}: base point {_format_point(p)} outside domain")
     if ladder.size:
-        finest = float(ladder.min()) / (4.0 if richardson else 1.0)
-        if _unresolved(p[None], [[finest] * p.size])[0]:
-            raise _not_resolved(div, p, [finest])
-        _check_powers(div, [finest], 3)
+        _check_powers(div, [float(ladder.min()) / (4.0 if richardson else 1.0)], 3)
     # the cubic first: where both closed forms are refused, its overflow is the
     # cause to name, ahead of the metric's underflow
-    cubic_oracle = np.asarray(div.forward_cubic(p), dtype=float) if hasattr(div, "forward_cubic") else None
-    metric_oracle = np.asarray(div.fisher(p), dtype=float) if hasattr(div, "fisher") else None
+    closed = hasattr(div, "_closed_rows")
+    cubic_oracle = div._closed_rows(p[None], 3)[0] if closed else None
+    metric_oracle = div._closed_rows(p[None], 2)[0] if closed else None
     report = ConvergenceReport(
         base_point=p,
         family_id=div.family_id,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -56,11 +57,16 @@ __all__ = [
 ]
 
 
+def _format_point(x) -> str:
+    """A point as the text of ``str``, on one line however many coordinates it has."""
+    return np.array2string(np.asarray(x), max_line_width=sys.maxsize)
+
+
 def _checked_point(owner, inside, x, which: str) -> np.ndarray:
     """``x`` as a float vector of ``owner``'s width that ``inside`` accepts, else DomainError."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (owner.dimension,) or not inside(x):
-        raise DomainError(f"{owner.family_id}: {which} {x} outside domain")
+        raise DomainError(f"{owner.family_id}: {which} {_format_point(x)} outside domain")
     return x
 
 
@@ -113,26 +119,27 @@ def _exp(x) -> np.ndarray:
     return np.asarray(_LIBM_EXP(x), dtype=float)
 
 
+def _pow(x, k: int) -> np.ndarray:
+    """x ** k element by element through the C library's pow, as a float's power: numpy's array power,
+    which takes x ** 2 as x * x, rounds about 1 in 1000 squares and 1 in 20 cubes otherwise."""
+    x = np.asarray(x, dtype=float)
+    try:
+        return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
+    except OverflowError:  # raised by a Python float's power, where numpy's gives inf or a subnormal
+        return np.array([v**k for v in x.ravel()]).reshape(x.shape)
+
+
+def _tensor(entries: list, shape: tuple) -> np.ndarray:
+    """The tensor of ``shape`` over the last axes with C-order ``entries``: floats, or arrays over the first axes."""
+    entries = np.broadcast_arrays(*entries)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + shape)
+
+
 @functools.lru_cache(maxsize=None)
 def _sorted_entries(d: int, order: int) -> np.ndarray:
     """For each entry of a (d,)*order tensor in C order, the flat index of
     the entry with the same indices sorted."""
     return np.ravel_multi_index(np.sort(np.indices((d,) * order).reshape(order, -1), axis=0), (d,) * order)
-
-
-def _symmetric(t: np.ndarray) -> np.ndarray:
-    """``t`` with each entry taken from its sorted index: exactly symmetric,
-    and unchanged bit for bit when ``t`` already is."""
-    return t.reshape(-1)[_sorted_entries(t.shape[0], t.ndim)].reshape(t.shape)
-
-
-def _closed_form(owner, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``t``, a closed form at ``x`` computed under ``np.errstate(all="ignore")``,
-    made exactly symmetric; NumericalError naming ``x`` when it is not finite."""
-    t = _symmetric(t)
-    if not np.isfinite(t).all():
-        raise NumericalError(f"{owner.family_id}: the closed-form tensor at {x} overflows the float range")
-    return t
 
 
 class DivergenceFamily(RowDomain):
@@ -147,9 +154,8 @@ class DivergenceFamily(RowDomain):
     refuses an overflow and clips rounding below zero.  ``divergence(p, q)``
     is its one-row case.  The engines check every row they evaluate with
     ``contains`` or ``contains_rows`` first, so they call ``_values``
-    directly and each row is checked once.  A classical family's ``fisher``
-    and ``forward_cubic`` return the quadratic and cubic Taylor coefficients
-    of D(p || p + u) at u = 0 in its default chart.
+    directly and each row is checked once.  A family and its natural view
+    have their tensors in closed form too, in the same shape (``_ClosedForms``).
     """
 
     family_id: str
@@ -187,7 +193,8 @@ class DivergenceFamily(RowDomain):
                 )
             inside = self.contains_rows(X)
             if not inside.all():
-                raise DomainError(f"{self.family_id}: {which} argument {X[inside.argmin()]} outside domain")
+                x = _format_point(X[inside.argmin()])
+                raise DomainError(f"{self.family_id}: {which} argument {x} outside domain")
         return P, Q
 
     def _values(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -197,7 +204,7 @@ class DivergenceFamily(RowDomain):
             values = np.where((P == Q).all(axis=-1), 0.0, self._divergence(P, Q))
         finite = np.isfinite(values)
         if not finite.all():
-            p, q = (np.broadcast_to(X, (len(values), self.dimension))[finite.argmin()] for X in (P, Q))
+            p, q = (_format_point(X[finite.argmin()]) for X in np.broadcast_arrays(P, Q))
             raise NumericalError(f"{self.family_id}: the divergence from {p} to {q} overflows the float range")
         return np.maximum(values, 0.0, out=values)
 
@@ -205,32 +212,64 @@ class DivergenceFamily(RowDomain):
         return f"<{type(self).__name__} {self.family_id}>"
 
 
-class ExponentialFamily(DivergenceFamily):
+class _ClosedForms(DivergenceFamily):
+    """A divergence whose metric g and cubic T, the quadratic and cubic Taylor
+    coefficients of D(p || p + u) at u = 0, have closed forms.
+
+    A subclass writes them once as ``_closed(X, order)``, over (n, d) rows
+    checked against the domain: g (n, d, d) for order 2, T (n, d, d, d) for
+    order 3.  ``_closed_rows`` is the one unchecked kernel: it makes them
+    exactly symmetric and refuses the first row where they overflow with
+    NumericalError.  The engines call it on rows they have checked; the
+    public ``fisher(x)`` and ``forward_cubic(x)`` are its checked one-row case.
+    """
+
+    def _point(self, x) -> np.ndarray:
+        return _checked_point(self, self.contains, x, "point")
+
+    def _closed_rows(self, X: np.ndarray, order: int) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            t = self._closed(X, order)
+        # each entry taken from its sorted index, which leaves a symmetric t as it is
+        flat = t.reshape(len(t), -1)[:, _sorted_entries(self.dimension, order)]
+        finite = np.isfinite(flat).all(axis=1)
+        if not finite.all():
+            x = _format_point(X[finite.argmin()])
+            raise NumericalError(f"{self.family_id}: the closed-form tensor at {x} overflows the float range")
+        return flat.reshape(t.shape)
+
+    def fisher(self, x) -> np.ndarray:
+        """Quadratic Taylor coefficient g of D(x || x + u)."""
+        return self._closed_rows(self._point(x)[None], 2)[0]
+
+    def forward_cubic(self, x) -> np.ndarray:
+        """Cubic Taylor coefficient T of D(x || x + u)."""
+        return self._closed_rows(self._point(x)[None], 3)[0]
+
+
+class ExponentialFamily(_ClosedForms):
     """A family with a natural chart eta(x) and a log-partition function psi.
 
-    ``fisher`` (g = J^T psi'' J) and ``forward_cubic`` (T = psi'''(J, J, J)
-    + 3 Sym psi''(H, J)) are written here once, by the module docstring's
-    rule, made exactly symmetric by ``_symmetric`` and refused with
-    NumericalError where they overflow.  A family supplies
-    ``_inside``, ``_divergence``, the natural domain ``_natural_inside`` and
-    the unchecked inverse chart ``from_natural`` (both over the last axis),
-    and these unchecked bodies, on one point that their caller has coerced
-    and checked against its chart's domain:
+    Its closed forms in the default chart, g = J^T psi'' J and T =
+    psi'''(J, J, J) + 3 Sym psi''(H, J), are written here once, by the module
+    docstring's rule.  A family supplies ``_inside``, ``_divergence``, the
+    natural domain ``_natural_inside``, the unchecked inverse chart
+    ``from_natural`` and these unchecked bodies, all over the last axis, on
+    rows that their caller has coerced and checked against its chart's
+    domain (a (d,) point is one row):
 
         _to_natural(x)           eta
         _natural_jacobian(x)     J = d eta / dx, (d, d), natural index first
         _natural_hessian(x)      H = d^2 eta / dx^2, (d, d, d), likewise
         _score_moment(x)         psi''' at eta(x), (d, d, d)
-        _log_partition(eta)      psi
-        _mean_from_natural(eta)  grad psi
         _natural_fisher(eta)     psi'', (d, d)
 
-    The public ``to_natural``, ``natural_jacobian``, ``fisher`` and
-    ``forward_cubic`` raise DomainError off the default chart's domain.
+    and, on one point, ``_log_partition(eta)`` (psi) and
+    ``_mean_from_natural(eta)`` (grad psi).  The bodies take powers through
+    ``_pow``, the C library's, as a float scalar's power does.  The public
+    ``to_natural``, ``natural_jacobian``, ``fisher`` and ``forward_cubic``
+    raise DomainError off the default chart's domain.
     """
-
-    def _point(self, x) -> np.ndarray:
-        return _checked_point(self, self.contains, x, "point")
 
     def _natural_point(self, eta) -> np.ndarray:
         return _checked_point(self, self._natural_inside, eta, "natural point")
@@ -242,27 +281,17 @@ class ExponentialFamily(DivergenceFamily):
         """d(natural)/d(default chart), shape (dim, dim)."""
         return self._natural_jacobian(self._point(x))
 
-    def fisher(self, x) -> np.ndarray:
-        """Quadratic Taylor coefficient g of D(x || x + u) in the default chart."""
-        x = self._point(x)
-        with np.errstate(all="ignore"):
-            jac = self._natural_jacobian(x)
-            g = jac.T @ self._natural_fisher(self._to_natural(x)) @ jac
-        return _closed_form(self, x, g)
-
-    def forward_cubic(self, x) -> np.ndarray:
-        """Cubic Taylor coefficient T of D(x || x + u) in the default chart."""
-        x = self._point(x)
-        with np.errstate(all="ignore"):
-            jac = self._natural_jacobian(x)
-            t = self._score_moment(x)
-            for _ in range(3):  # psi'''(J, J, J), one natural index at a time
-                t = np.einsum("a...,ai->...i", t, jac)
-            # psi''_ab H_aij J_bk, added once for each index that J carries
-            psi2 = self._natural_fisher(self._to_natural(x))
-            m = np.einsum("aij,ab,bk->ijk", self._natural_hessian(x), psi2, jac)
-            t = t + m + m.transpose(0, 2, 1) + m.transpose(2, 0, 1)
-        return _closed_form(self, x, t)
+    def _closed(self, X, order):
+        jac = self._natural_jacobian(X)
+        psi2 = self._natural_fisher(self._to_natural(X))
+        if order == 2:
+            return np.swapaxes(jac, 1, 2) @ psi2 @ jac
+        t = self._score_moment(X)
+        for _ in range(3):  # psi'''(J, J, J), one natural index at a time
+            t = np.einsum("nabc,nai->nbci", t, jac)
+        # psi''_ab H_aij J_bk, added once for each index that J carries
+        m = np.einsum("naij,nab,nbk->nijk", self._natural_hessian(X), psi2, jac)
+        return t + m + m.transpose(0, 1, 3, 2) + m.transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +330,10 @@ class GaussianFixedSigma(ExponentialFamily):
         return np.atleast_1d(np.asarray(eta, dtype=float)) * self.sigma**2
 
     def _natural_jacobian(self, x):
-        return np.array([[1.0 / self.sigma**2]])
+        return np.full(x.shape[:-1] + (1, 1), 1.0 / self.sigma**2)
 
     def _natural_hessian(self, x):
-        return np.zeros((1, 1, 1))
+        return np.zeros(x.shape[:-1] + (1, 1, 1))
 
     def _natural_inside(self, eta):
         return np.isfinite(eta.T[0])
@@ -315,14 +344,13 @@ class GaussianFixedSigma(ExponentialFamily):
     _mean_from_natural = from_natural
 
     def _natural_fisher(self, eta):
-        return np.array([[self.sigma**2]])
+        return np.full(eta.shape[:-1] + (1, 1), self.sigma**2)
 
     def _score_moment(self, x):
-        return np.zeros((1, 1, 1))
+        return np.zeros(x.shape[:-1] + (1, 1, 1))
 
     def random_interior(self, rng, n):
         return rng.uniform(-3.0, 3.0, size=(n, 1))
-
 
 
 class ExponentialScale(ExponentialFamily):
@@ -350,10 +378,10 @@ class ExponentialScale(ExponentialFamily):
         return -np.atleast_1d(np.asarray(eta, dtype=float))
 
     def _natural_jacobian(self, x):
-        return np.array([[-1.0]])
+        return np.full(x.shape[:-1] + (1, 1), -1.0)
 
     def _natural_hessian(self, x):
-        return np.zeros((1, 1, 1))
+        return np.zeros(x.shape[:-1] + (1, 1, 1))
 
     def _natural_inside(self, eta):
         eta = eta.T[0]
@@ -366,15 +394,14 @@ class ExponentialScale(ExponentialFamily):
         return -1.0 / eta
 
     def _natural_fisher(self, eta):
-        return np.array([[1.0 / eta[0] ** 2]])
+        return (1.0 / _pow(eta, 2))[..., None]
 
     def _score_moment(self, x):
         # psi'''(eta) = -2/eta^3 = 2/theta^3
-        return np.full((1, 1, 1), 2.0 / x[0] ** 3)
+        return (2.0 / _pow(x, 3))[..., None, None]
 
     def random_interior(self, rng, n):
         return np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=(n, 1)))
-
 
 
 class Bernoulli(ExponentialFamily):
@@ -402,8 +429,7 @@ class Bernoulli(ExponentialFamily):
         return a * _log(a / b) + (1.0 - a) * _log((1.0 - a) / (1.0 - b))
 
     def _to_natural(self, x):
-        a = x[0]
-        return np.array([math.log(a / (1.0 - a))])
+        return _log(x / (1.0 - x))
 
     def from_natural(self, eta):
         t = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -412,12 +438,10 @@ class Bernoulli(ExponentialFamily):
         return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def _natural_jacobian(self, x):
-        a = x[0]
-        return np.array([[1.0 / (a * (1.0 - a))]])
+        return (1.0 / (x * (1.0 - x)))[..., None]
 
     def _natural_hessian(self, x):
-        a = x[0]
-        return np.full((1, 1, 1), (2.0 * a - 1.0) / (a * (1.0 - a)) ** 2)
+        return ((2.0 * x - 1.0) / _pow(x * (1.0 - x), 2))[..., None, None]
 
     def _natural_inside(self, eta):
         return np.isfinite(eta.T[0])
@@ -428,12 +452,11 @@ class Bernoulli(ExponentialFamily):
     _mean_from_natural = from_natural
 
     def _natural_fisher(self, eta):
-        p = self.from_natural(eta)[0]
-        return np.array([[p * (1.0 - p)]])
+        p = self.from_natural(eta)
+        return (p * (1.0 - p))[..., None]
 
     def _score_moment(self, x):
-        a = x[0]
-        return np.full((1, 1, 1), a * (1.0 - a) * (1.0 - 2.0 * a))
+        return (x * (1.0 - x) * (1.0 - 2.0 * x))[..., None, None]
 
     def random_interior(self, rng, n):
         return rng.uniform(0.05, 0.95, size=(n, 1))
@@ -468,7 +491,7 @@ class Categorical(ExponentialFamily):
 
     def _to_natural(self, x):
         full = self._full(x)
-        return np.log(full[:-1] / full[-1])
+        return np.log(full[..., :-1] / full[..., -1:])
 
     def from_natural(self, eta):
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -479,13 +502,12 @@ class Categorical(ExponentialFamily):
 
     def _natural_jacobian(self, x):
         full = self._full(x)
-        return np.diag(1.0 / full[:-1]) + 1.0 / full[-1]
+        return np.eye(self.dimension) * (1.0 / full[..., None, :-1]) + (1.0 / full[..., -1:])[..., None]
 
     def _natural_hessian(self, x):
         full = self._full(x)
-        diagonal = (np.arange(self.dimension),) * 3
-        h = np.full((self.dimension,) * 3, 1.0 / full[-1] ** 2)
-        h[diagonal] -= 1.0 / full[:-1] ** 2
+        h = np.full(x.shape + (self.dimension,) * 2, (1.0 / _pow(full[..., -1:], 2))[..., None, None])
+        h[(...,) + (np.arange(self.dimension),) * 3] -= 1.0 / full[..., :-1] ** 2
         return h
 
     def _natural_inside(self, eta):
@@ -499,18 +521,16 @@ class Categorical(ExponentialFamily):
 
     def _natural_fisher(self, eta):
         p = self.from_natural(eta)
-        return np.diag(p) - np.outer(p, p)
+        return np.eye(self.dimension) * p[..., None, :] - p[..., :, None] * p[..., None, :]
 
     def _score_moment(self, p):
         # third joint cumulant of the one-hot indicator vector
-        d = self.dimension
-        t = 2.0 * np.einsum("i,j,k->ijk", p, p, p)
-        eye = np.eye(d)
-        t -= np.einsum("ij,i,k->ijk", eye, p, p)
-        t -= np.einsum("jk,j,i->ijk", eye, p, p)
-        t -= np.einsum("ik,i,j->ijk", eye, p, p)
-        for i in range(d):
-            t[i, i, i] += p[i]
+        eye = np.eye(self.dimension)
+        t = 2.0 * np.einsum("...i,...j,...k->...ijk", p, p, p)
+        t -= np.einsum("ij,...i,...k->...ijk", eye, p, p)
+        t -= np.einsum("jk,...j,...i->...ijk", eye, p, p)
+        t -= np.einsum("ik,...i,...j->...ijk", eye, p, p)
+        t[(...,) + (np.arange(self.dimension),) * 3] += p
         return t
 
     def random_interior(self, rng, n):
@@ -519,7 +539,8 @@ class Categorical(ExponentialFamily):
         return mixed[:, : self.dimension]
 
 
-_UNIT_GAUSSIAN = np.array([0.0, 1.0])
+# g and T of GaussianFull at (m, s) = (0, 1), by the module docstring's rule
+_UNIT_GAUSSIAN = {2: np.diag([1.0, 2.0]), 3: np.array([[[0.0, -2.0], [-2.0, 0.0]], [[-2.0, 0.0], [0.0, -10.0]]])}
 
 
 class GaussianFull(ExponentialFamily):
@@ -539,8 +560,8 @@ class GaussianFull(ExponentialFamily):
 
     # natural chart: eta = (mu/sigma^2, -1/(2 sigma^2)), stats (x, x^2)
     def _to_natural(self, x):
-        m, s = x
-        return np.array([m / s**2, -1.0 / (2.0 * s**2)])
+        m, s2 = x[..., 0], _pow(x[..., 1], 2)
+        return np.stack([m / s2, -1.0 / (2.0 * s2)], axis=-1)
 
     def from_natural(self, eta):
         e1, e2 = np.atleast_1d(np.asarray(eta, dtype=float)).T
@@ -548,14 +569,14 @@ class GaussianFull(ExponentialFamily):
         return np.stack([e1 * s2, np.sqrt(s2)], axis=-1)
 
     def _natural_jacobian(self, x):
-        m, s = x
-        return np.array([[1.0 / s**2, -2.0 * m / s**3], [0.0, 1.0 / s**3]])
+        m, s = x[..., 0], x[..., 1]
+        s3 = _pow(s, 3)
+        return _tensor([1.0 / _pow(s, 2), -2.0 * m / s3, 0.0, 1.0 / s3], (2, 2))
 
     def _natural_hessian(self, x):
-        m, s = x
-        return np.array(
-            [[[0.0, -2.0 / s**3], [-2.0 / s**3, 6.0 * m / s**4]], [[0.0, 0.0], [0.0, -3.0 / s**4]]]
-        )
+        m, s = x[..., 0], x[..., 1]
+        h, s4 = -2.0 / _pow(s, 3), _pow(s, 4)
+        return _tensor([0.0, h, h, 6.0 * m / s4, 0.0, 0.0, 0.0, -3.0 / s4], (2, 2, 2))
 
     def _natural_inside(self, eta):
         e1, e2 = eta.T
@@ -565,16 +586,8 @@ class GaussianFull(ExponentialFamily):
     # T(m, s) = T(0, 1) / s^3 exactly; the generic rule at (m, s) adds terms
     # of size (m/s)^2 that cancel, and its powers of s leave the float range
     # long before the tensor does, while at (0, 1) it does neither
-    def fisher(self, x) -> np.ndarray:
-        return self._scaled(super().fisher(_UNIT_GAUSSIAN), x, 2)
-
-    def forward_cubic(self, x) -> np.ndarray:
-        return self._scaled(super().forward_cubic(_UNIT_GAUSSIAN), x, 3)
-
-    def _scaled(self, unit: np.ndarray, x, order: int) -> np.ndarray:
-        x = self._point(x)
-        with np.errstate(all="ignore"):
-            return _closed_form(self, x, unit / x[1] ** order)
+    def _closed(self, X, order):
+        return _UNIT_GAUSSIAN[order] / _pow(X[:, 1], order).reshape((-1,) + (1,) * order)
 
     def _log_partition(self, eta):
         e1, e2 = eta
@@ -585,22 +598,17 @@ class GaussianFull(ExponentialFamily):
         return np.array([m, m**2 + s**2])
 
     def _natural_fisher(self, eta):
-        m, s = self.from_natural(eta)
-        return np.array(
-            [[s**2, 2.0 * m * s**2], [2.0 * m * s**2, 4.0 * m**2 * s**2 + 2.0 * s**4]]
-        )
+        m, s = np.moveaxis(self.from_natural(eta), -1, 0)
+        s2 = _pow(s, 2)
+        g12 = 2.0 * m * s2
+        return _tensor([s2, g12, g12, 4.0 * _pow(m, 2) * s2 + 2.0 * _pow(s, 4)], (2, 2))
 
     def _score_moment(self, x):
-        m, s = x
-        t = np.zeros((2, 2, 2))
-        t112 = 2.0 * s**4
-        t122 = 8.0 * m * s**4
-        for perm in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-            t[perm] = t112
-        for perm in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-            t[perm] = t122
-        t[1, 1, 1] = 24.0 * m**2 * s**4 + 8.0 * s**6
-        return t
+        m, s = x[..., 0], x[..., 1]
+        s4 = _pow(s, 4)
+        t112, t122 = 2.0 * s4, 8.0 * m * s4
+        t222 = 24.0 * _pow(m, 2) * s4 + 8.0 * _pow(s, 6)
+        return _tensor([0.0, t112, t112, t122, t112, t122, t122, t222], (2, 2, 2))
 
     def random_interior(self, rng, n):
         mu = rng.uniform(-2.0, 2.0, size=n)
@@ -608,13 +616,12 @@ class GaussianFull(ExponentialFamily):
         return np.column_stack([mu, sig])
 
 
-
 # ---------------------------------------------------------------------------
 # Chart machinery and module-level operations
 # ---------------------------------------------------------------------------
 
 
-class NaturalView(DivergenceFamily):
+class NaturalView(_ClosedForms):
     """The same family re-parametrized by its natural coordinates.
 
     The domain is the natural points that ``from_natural`` maps into the
@@ -622,10 +629,9 @@ class NaturalView(DivergenceFamily):
     by one ``_inside``, so a refusal names the view and the point given.
     The divergence is the family's of the mapped rows.  This lets tensors
     be extracted directly in the chart where the score-moment oracle lives.
-    In this chart the closed-form ``fisher`` is the Hessian of the
-    log-partition and ``forward_cubic`` coincides with the score moment,
-    both made exactly symmetric by ``_symmetric`` and refused with
-    NumericalError where they overflow.
+    In this chart the closed-form g is the Hessian psi'' of the
+    log-partition and T is the score moment psi''', the family's bodies over
+    the rows.
     """
 
     def __init__(self, family: ExponentialFamily):
@@ -644,21 +650,12 @@ class NaturalView(DivergenceFamily):
         family = self.family
         return family._divergence(family.from_natural(P), family.from_natural(Q))
 
-    def fisher(self, eta):
-        eta = _checked_point(self, self.contains, eta, "point")
-        with np.errstate(all="ignore"):
-            g = self.family._natural_fisher(eta)
-        return _closed_form(self, eta, g)
-
-    def forward_cubic(self, eta):
-        eta = _checked_point(self, self.contains, eta, "point")
-        with np.errstate(all="ignore"):
-            t = self.family._score_moment(self.family.from_natural(eta))
-        return _closed_form(self, eta, t)
+    def _closed(self, eta, order):
+        family = self.family
+        return family._natural_fisher(eta) if order == 2 else family._score_moment(family.from_natural(eta))
 
     def random_interior(self, rng, n):
-        pts = self.family.random_interior(rng, n)
-        return np.array([self.family.to_natural(p) for p in pts])
+        return self.family._to_natural(self.family.random_interior(rng, n))
 
     def __repr__(self):
         return f"<NaturalView of {self.family.family_id}>"

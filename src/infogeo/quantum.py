@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NumericalError, OrthogonalLink
-from .families import DivergenceFamily, RowDomain
+from .families import DivergenceFamily, RowDomain, _format_point
 
 __all__ = [
     "PureState",
@@ -326,7 +326,7 @@ class _Chart(RowDomain):
     def point(self, x) -> DensityMatrix:
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
-            raise DomainError(f"{self.chart_id}: {x} outside the chart domain")
+            raise DomainError(f"{self.chart_id}: {_format_point(x)} outside the chart domain")
         return DensityMatrix(_smooth(self._state(x), self.eps))
 
     def states(self, X: np.ndarray) -> np.ndarray:

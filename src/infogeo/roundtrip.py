@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import DomainError, RejectionOverflow, UnsupportedFamily
 from .extraction import _DEFAULT_STEP, _tensors
+from .families import _format_point
 
 __all__ = [
     "LegDistribution",
@@ -407,15 +408,14 @@ _EXTRACTION_BATCH = 256
 def _cubic_tensors(family, points: np.ndarray, method: str, h: float | None) -> np.ndarray:
     """The cubic tensor at each row of the (n, d) array ``points``, as (n, d, d, d).
 
-    "fd" is a Richardson extraction at every row, made in batches of
-    ``_EXTRACTION_BATCH`` rows.
+    "oracle" is one call of the closed-form kernel on rows that the caller
+    has checked; "fd" is a Richardson extraction at every row, which checks
+    it as a base point, made in batches of ``_EXTRACTION_BATCH`` rows.
     """
     if method == "oracle":
-        if not hasattr(family, "forward_cubic"):
-            raise UnsupportedFamily(
-                f"{family.family_id} has no closed-form cubic tensor"
-            )
-        return np.array([np.asarray(family.forward_cubic(x), dtype=float) for x in points])
+        if not hasattr(family, "_closed_rows"):
+            raise UnsupportedFamily(f"{family.family_id} has no closed-form cubic tensor")
+        return family._closed_rows(points, 3)
     if method != "fd":
         raise ValueError("method must be 'fd' or 'oracle'")
     h = h if h is not None else _DEFAULT_STEP["cubic"]
@@ -435,9 +435,9 @@ def work_surcharge(
     start = np.atleast_1d(np.asarray(start, dtype=float))
     step = np.atleast_1d(np.asarray(step, dtype=float))
     if not family.contains(start):
-        raise DomainError(f"{family.family_id}: start {start} outside domain")
+        raise DomainError(f"{family.family_id}: start {_format_point(start)} outside domain")
     if not family.contains(start + step):
-        raise DomainError(f"{family.family_id}: end {start + step} outside domain")
+        raise DomainError(f"{family.family_id}: end {_format_point(start + step)} outside domain")
     t = _cubic_tensors(family, start[None], method, h)[0]
     return float(np.einsum("ijk,i,j,k->", t, step, step, step)) / 6.0
 
@@ -475,13 +475,16 @@ def demon_work(
         raise ValueError("a path needs at least 2 waypoints")
     inside = family.contains_rows(pts)
     if not inside.all():
-        raise DomainError(
-            f"{family.family_id}: waypoint {pts[inside.argmin()]} outside domain"
-        )
+        raise DomainError(f"{family.family_id}: waypoint {_format_point(pts[inside.argmin()])} outside domain")
 
     # the forward walk, then the backward one
     paths = (pts, pts[::-1])
-    at = np.concatenate([p[:-1] if tensor_at == "start" else 0.5 * (p[:-1] + p[1:]) for p in paths])
+    with np.errstate(over="ignore"):  # a midpoint where a + b overflows is outside every domain
+        at = np.concatenate([p[:-1] if tensor_at == "start" else 0.5 * (p[:-1] + p[1:]) for p in paths])
+    if tensor_at == "midpoint" and method == "oracle":  # fd checks each point as a base point
+        inside = family.contains_rows(at)
+        if not inside.all():
+            raise DomainError(f"{family.family_id}: point {_format_point(at[inside.argmin()])} outside domain")
     steps = np.concatenate([np.diff(p, axis=0) for p in paths])
     # each distinct point once, in the order the walks first reach it
     rows = at.view(np.dtype((np.void, at.itemsize * at.shape[1])))[:, 0]

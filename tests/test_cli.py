@@ -221,6 +221,8 @@ USAGE_ERRORS = [
     # stencils over more coordinates than a plan is built for, refused before it is
     ["tensor", "--family", "categorical:30", "--at", "1", "--order", "cubic"],
     ["tensor", "--family", "categorical:14", "--at", ",".join(["0.05"] * 13), "--order", "cubic"],
+    # a point of 12 coordinates, which numpy's text of an array wraps at 75 characters
+    ["tensor", "--family", "categorical:13", "--at", ",".join(["0.005"] + ["0.07"] * 11), "--order", "metric"],
 ]
 
 

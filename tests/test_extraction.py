@@ -395,6 +395,14 @@ def test_a_batched_ladder_raises_the_error_the_walk_meets_first(richardson):
             assert batch == walk, ladder
         else:
             assert [r.metric_error for r in batch] == [r[3] for r in walk], ladder
+    # both rungs' steps are unresolved at this mean: the walk's first rung names its finest step
+    p, ladder = [1e13, 1.0], [0.01, 0.001]
+    batch = _outcome(lambda: convergence_report(GaussianFull(), p, ladder, richardson=richardson))
+    assert batch == _outcome(lambda: _convergence_walk(GaussianFull(), p, ladder, richardson))
+    assert batch == _outcome(lambda: extract_metric(GaussianFull(), p, h=0.01, richardson=richardson))
+    step = "2.500e-03" if richardson else "1.000e-02"
+    assert batch == (ConditioningError, f"gaussian-full: a step of {step} is not resolved at [1.e+13 1.e+00]; "
+                     "a larger step, or a point nearer the origin, is needed")
 
 
 def test_a_natural_view_ladder_raises_the_error_the_walk_meets_first():
@@ -575,6 +583,8 @@ _SWEEP = [
     (_PatchyExponential(), lambda rng: [10 ** rng.uniform(-1.5, 1.2)]),
     (Bernoulli(), lambda rng: [rng.uniform(0.0, 0.3)]),
     (GaussianFull(), lambda rng: [rng.uniform(-1.0, 1.0), 10 ** rng.uniform(-1.5, 0.0)]),
+    # far from the origin, where a ladder's larger steps are resolved and its smaller ones not
+    (GaussianFull(), lambda rng: [rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(8, 14), 10 ** rng.uniform(-1.5, 0.0)]),
     (natural_view(Bernoulli()), lambda rng: [rng.uniform(-22.0, 22.0)]),
     (natural_view(GaussianFull()), lambda rng: [rng.uniform(-3.0, 3.0), -(10 ** rng.uniform(-2.0, 0.0))]),
 ]

@@ -316,6 +316,44 @@ def test_closed_form_tensors_are_exactly_symmetric(family):
             assert np.array_equal(t, t.transpose(perm)), perm
 
 
+_KERNEL_FAMILIES = [
+    GaussianFixedSigma(0.7), ExponentialScale(), Bernoulli(), Categorical(3), Categorical(5), Categorical(12),
+    GaussianFull(),
+]
+
+
+@pytest.mark.parametrize(
+    "div", _KERNEL_FAMILIES + [natural_view(f) for f in _KERNEL_FAMILIES], ids=lambda f: f.family_id
+)
+def test_the_closed_form_kernel_over_rows_is_the_one_point_forms_bit_for_bit(div):
+    # a batched einsum or matmul may sum in another order than a single row's,
+    # and numpy's array powers round otherwise than the one-point forms' did
+    rng = np.random.default_rng(21)
+    X = div.random_interior(rng, 40)
+    family = getattr(div, "family", div)
+    if isinstance(family, GaussianFull):
+        # means up to 1e14, and scales of 1e+-100 in the default chart and of
+        # 1e+-50 in the natural one, whose psi'' and psi''' take s^4 and s^6
+        span = 100.0 if family is div else 50.0
+        m, s = rng.choice([-1.0, 1.0], 40) * 10 ** rng.uniform(-3.0, 14.0, 40), 10 ** rng.uniform(-span, span, 40)
+        X = np.vstack([X, np.column_stack([m, s]) if family is div else family._to_natural(np.column_stack([m, s]))])
+    for order, one_point in ((2, div.fisher), (3, div.forward_cubic)):
+        assert div._closed_rows(X, order).tobytes() == np.array([one_point(x) for x in X]).tobytes()
+
+
+def test_the_closed_forms_take_their_powers_from_the_c_library():
+    # numpy's array power rounds about 1 in 20 cubes otherwise than the C
+    # library's pow, which a Python float's power calls
+    rng = np.random.default_rng(22)
+    scales = 10 ** rng.uniform(-100.0, 100.0, 200)
+    unit = GaussianFull().forward_cubic([0.0, 1.0])
+    X = np.column_stack([rng.uniform(-1e14, 1e14, 200), scales])
+    assert GaussianFull()._closed_rows(X, 3).tobytes() == np.array([unit / s**3 for s in scales.tolist()]).tobytes()
+    # T = psi'''(J, J, J) = -2 / theta^3, with J = -1
+    rates = ExponentialScale()._closed_rows(scales[:, None], 3).ravel()
+    assert rates.tolist() == [-(2.0 / s**3) for s in scales.tolist()]
+
+
 def test_score_moment_method_errors():
     # the closed form is the only method; the sums and quadratures above are oracles
     with pytest.raises(TypeError):

@@ -31,7 +31,7 @@ from infogeo import (
     triangle_simulate,
     work_surcharge,
 )
-from infogeo.extraction import asymmetry_probe, extract_cubic
+from infogeo.extraction import asymmetry_probe, convergence_report, extract_cubic, extract_metric
 from infogeo.families import DivergenceFamily
 from infogeo.gap import FidelityEstimate, mc_single_copy_fidelity
 from infogeo.roundtrip import (
@@ -357,6 +357,11 @@ def test_demon_validation():
         demon_work(ExponentialScale(), [[1.0], [-0.5]])
     with pytest.raises(ValueError):
         demon_work(ExponentialScale(), [[1.0], [1.1]], tensor_at="end")
+    # a midpoint where a + b overflows is outside the domain, for the closed
+    # form as for a stencil's base point
+    for method in ("oracle", "fd"):
+        with pytest.raises(DomainError, match=r"point \[inf\] outside domain$"):
+            demon_work(ExponentialScale(), [[1e308], [1.7e308]], method=method, tensor_at="midpoint")
 
 
 def _demon_by_waypoints(family, path, tensor_at, h=5e-2):
@@ -431,6 +436,45 @@ def test_a_long_demon_path_is_extracted_in_batches():
     rep = demon_work(family, path, method="fd")
     assert family.rows == [256 * 28, 256 * 28, 88 * 28]
     assert (rep.per_step, rep.total, rep.reversed_total) == _demon_by_waypoints(GaussianFull(), path, "start")
+
+
+class _CountingCategorical(Categorical):
+    """Records the rows and order of each call of the closed-form kernel ``_closed_rows``."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.calls = []
+
+    def _closed_rows(self, X, order):
+        self.calls.append((len(X), order))
+        return super()._closed_rows(X, order)
+
+
+def test_an_oracle_demon_path_is_one_kernel_call():
+    # the 4 steps of the path and its reverse start at 3 distinct waypoints
+    family = _CountingCategorical(3)
+    path = np.array([[0.2, 0.3], [0.25, 0.3], [0.3, 0.25]])
+    rep = demon_work(family, path, method="oracle")
+    assert family.calls == [(3, 3)]
+    steps = np.diff(path, axis=0)
+    assert rep.per_step == [
+        float(np.einsum("ijk,i,j,k->", Categorical(3).forward_cubic(a), d, d, d)) / 6.0 for a, d in zip(path, steps)
+    ]
+
+
+def test_a_refusal_names_a_point_of_twelve_coordinates_on_one_line():
+    # numpy's text of an array of 12 coordinates wraps at 75 characters
+    family = Categorical(13)
+    inside, outside = [0.005] + [0.07] * 11, [-0.005] + [0.07] * 11
+    for refused in (
+        lambda: extract_metric(family, inside),
+        lambda: demon_work(family, [inside, outside]),
+        lambda: family.fisher(outside),
+    ):
+        with pytest.raises(DomainError) as exc:
+            refused()
+        message = str(exc.value)
+        assert "\n" not in message and len(message.split("[")[1].split("]")[0].split()) == 12, message
 
 
 def test_a_demon_path_raises_the_error_of_its_first_refused_waypoint():
@@ -547,8 +591,8 @@ class _CountingFamily(DivergenceFamily):
     def _divergence(self, P, Q):
         return self.family._divergence(P, Q)
 
-    def forward_cubic(self, x):
-        return self.family.forward_cubic(x)
+    def _closed_rows(self, X, order):
+        return self.family._closed_rows(X, order)
 
 
 def test_domain_checks_without_contains_rows():
@@ -583,6 +627,14 @@ def test_domain_checks_without_contains_rows():
         spread_estimate(subclass, TradeSampler.parse("gauss:0.1,0.05", 1), 1_000, 1, "oracle")
     with pytest.raises(DomainError, match=r"waypoint \[-0.5\] outside domain"):
         demon_work(subclass, [[1.0], [-0.5]])
+    # the base point once, then the base points of the 3 rungs and the 27
+    # distinct points of their joint metric and cubic stencils: the closed
+    # forms are evaluated at the checked base point without a check of their own
+    counting = _CountingExponential()
+    ladder = [0.2, 0.1, 0.05]
+    report = convergence_report(counting, [1.0], ladder, richardson=True)
+    assert counting.checked == {"rate": 1 + 3 + 27, "natural": 0}
+    assert report == convergence_report(family, [1.0], ladder, richardson=True)
 
 
 class _CountingExponential(ExponentialScale):
