@@ -30,6 +30,7 @@ from .errors import (
     InfoGeoError,
     NoisePanic,
     NumericalError,
+    UnsupportedFamily,
     UsageError,
 )
 from .extraction import _DEFAULT_STEP, _tensor_errors
@@ -86,13 +87,6 @@ def _load_loop(path: str) -> list[list[list[float]]]:
     return reports.jsonable([[_amplitude(a) for a in entry] for entry in loop])
 
 
-def _parse_sweep(text: str) -> list:
-    parts = _parse_floats(text)
-    if len(parts) != 3 or int(parts[2]) < 2:
-        raise UsageError("--sweep-shape wants start,stop,count with count >= 2")
-    return [parts[0], parts[1], int(parts[2])]
-
-
 # ---------------------------------------------------------------------------
 # Config fields: what a value must be, and how its CLI argument becomes one
 # ---------------------------------------------------------------------------
@@ -138,6 +132,19 @@ def _one_of(*values) -> Field:
     return Field(f"one of {values}", lambda v: v in values, options={"choices": values})
 
 
+def _is_sweep(value) -> bool:
+    """Three finite numbers, the last an integral count of at least 2."""
+    finite = _list_of(_is_number)(value) and len(value) == 3 and all(abs(x) < math.inf for x in value)
+    return finite and value[2] >= 2 and value[2] == int(value[2])
+
+
+def _parse_sweep(text: str) -> list:
+    parts = _parse_floats(text)
+    if not _is_sweep(parts):
+        raise UsageError("--sweep-shape wants finite start,stop,count with an integral count >= 2")
+    return [parts[0], parts[1], int(parts[2])]
+
+
 TEXT = Field("a string", lambda v: isinstance(v, str))
 INT = Field("an integer", lambda v: _is_number(v) and isinstance(v, int), options={"type": int})
 NUMBER = Field("a number", _is_number, options={"type": float})
@@ -150,7 +157,7 @@ LEGS = Field(
     lambda v: _list_of(TEXT.test)(v) and len(v) == 3,
     lambda legs: [LegDistribution.parse(x).spec() for x in legs],
 )
-SWEEP = _optional(Field("[start, stop, count]", _list_of(_is_number), _parse_sweep))
+SWEEP = _optional(Field("[start, stop, count] of finite numbers, with an integral count >= 2", _is_sweep, _parse_sweep))
 POINTS = Field("a list of points", _list_of(_list_of(_is_number)))
 STATE = Field(
     "a list of [re, im] pairs",
@@ -168,6 +175,9 @@ LOOP = Field("a list of states", _list_of(_list_of(_is_pair)), _load_loop)
 def _resolve_divergence(cfg: dict):
     spec = cfg["family"]
     if spec.startswith(("qre:", "qjsd:")):
+        if "eps" not in cfg:  # a chart's smoothing, which demon and spread take no option for
+            what = "a classical family or its natural view, not a quantum chart"
+            raise UnsupportedFamily(f"{spec}: {cfg['subcommand']} takes {what}")
         return make_chart_divergence(spec, eps=cfg["eps"])
     if spec.startswith("natural:"):
         return natural_view(make_family(spec[len("natural:"):], margin=cfg["margin"]))
@@ -284,13 +294,13 @@ def _run_triangle(cfg: dict):
 
 
 def _run_demon(cfg: dict):
-    family = make_family(cfg["family"], margin=cfg["margin"])
+    family = _resolve_divergence(cfg)
     options = {name: cfg[name] for name in ("method", "h", "tensor_at")}
     return "demon", demon_work(family, cfg["waypoints"], **options)
 
 
 def _run_spread(cfg: dict):
-    family = make_family(cfg["family"], margin=cfg["margin"])
+    family = _resolve_divergence(cfg)
     sampler = TradeSampler.parse(cfg["sampler"], family.dimension)
     options = {name: cfg[name] for name in ("method", "h")}
     return "spread", spread_estimate(family, sampler, cfg["samples"], cfg["seed"], **options)
@@ -334,8 +344,7 @@ def _resolve_demon(args, cfg: dict) -> None:
 
 
 def _resolve_spread(args, cfg: dict) -> None:
-    family = make_family(args.family, margin=args.margin)
-    cfg["sampler"] = TradeSampler.parse(args.sampler, family.dimension).spec()
+    cfg["sampler"] = TradeSampler.parse(args.sampler, _resolve_divergence(cfg).dimension).spec()
     _default_fd_step(cfg)
 
 

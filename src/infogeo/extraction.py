@@ -36,7 +36,8 @@ one kernel call, and so is a batch of base points: ``_tensors`` takes the
 stencils of many rows P at once, with one step for all of them or a step
 per row, and of several orders at once, and raises the error that
 extracting the rows one by one, each order after the one before, would
-have met first.
+have met first.  Either step is a step per row to it, and what depends on
+the step alone is worked out once per distinct step.
 ``roundtrip.demon_work`` passes it up to 256 points of a path;
 ``convergence_report`` passes its base point once per rung of the
 ladder, each with the rung's step, and asks for the metric and cubic
@@ -222,8 +223,9 @@ def _stencil_plan(d: int, orders: tuple, richardson: bool):
 
 def _unresolved(P: np.ndarray, U) -> np.ndarray:
     """Which rows p of the (n, d) array P leave p + u - p off u by more than
-    1e-3 |u| in some coordinate, where u is the row's displacement, a list of
-    d floats, in the iterable U.
+    1e-3 |u| in some coordinate, where u is the row's displacement: the
+    iterable U gives a list of d floats per row, one list for the rows that
+    share a step.
 
     Near a coordinate of magnitude |p_i| a displacement is rounded to a
     multiple of half an ulp of p_i, so one below about 1e3 ulps measures
@@ -231,9 +233,10 @@ def _unresolved(P: np.ndarray, U) -> np.ndarray:
     """
     # in Python floats an overflow gives inf and a comparison with NaN is
     # False, without warnings; a step that is not finite is the callers' to refuse
-    return np.array(
-        [any(abs(x + s - x - s) > 1e-3 * abs(s) for x, s in zip(p, u)) for p, u in zip(P.tolist(), U)], dtype=bool
-    )
+    coordinates = zip(P.ravel().tolist(), itertools.chain.from_iterable(U))
+    bad = iter([abs(x + s - x - s) > 1e-3 * abs(s) for x, s in coordinates])
+    # d coordinates at a time, one row after another
+    return np.fromiter(map(any, zip(*[bad] * P.shape[1])), bool, len(P))
 
 
 def _not_resolved(div, p, u: list) -> ConditioningError:
@@ -268,11 +271,10 @@ def _metric_test(g: np.ndarray, noise):
     )
 
 
-def _cubic_test(t: np.ndarray, noise):
-    """Rounding-noise estimate 1e-16 / h^3, for every row or per row; a cubic
-    fails when it exceeds 1% of its largest component, and that component is
-    clearly non-zero."""
-    noise = np.full(len(t), noise)
+def _cubic_test(t: np.ndarray, noise: np.ndarray):
+    """Rounding-noise estimate 1e-16 / h^3 of each row; a cubic fails when it
+    exceeds 1% of its largest component, and that component is clearly
+    non-zero."""
     largest = np.abs(t).reshape(len(t), -1).max(axis=1)
     return noise, (largest > 1e-9) & (noise > 0.01 * largest), lambda r: NoisePanic(
         f"rounding-noise estimate {noise[r]:.3e} exceeds 1% of the largest "
@@ -285,8 +287,9 @@ _ACCEPT = {2: _metric_test, 3: _cubic_test}
 
 def _tensors(div, P, h, richardson: bool, orders: tuple):
     """Derivative tensors of D(p || .) of each order in ``orders`` at each
-    row p of the (n >= 1, d) array P, with step ``h``: one float for every
-    row, or an (n,) array of a step per row.
+    row p of the (n >= 1, d) array P, with step ``h``: one number for every
+    row, a 0-d array included, or an (n,) array of a step per row; either way
+    it becomes a Python float per row, and nothing after that tells the two apart.
 
     Returns, per order, (T, disagreements, statistic) over the rows: the
     tensors, the Richardson (h/2, h/4) disagreements or None, and the order's
@@ -296,33 +299,38 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     Each row gets these checks with its step, in this order: base point in
     the domain, at most ``_MAX_DIMENSION`` coordinates, finest step resolved,
     then order by order the order's stencil in the domain, the steps' powers
-    in the float range, the Richardson ladder and the acceptance test.  All
-    stencil points of all rows and orders go through one ``contains_rows``
-    call, then through one call of the unchecked kernel ``_values``, which
-    does not check them again, so each point is checked once.  A convergence
-    ladder, its base point repeated once per rung, is one call for its
-    metric and cubic.  When rows fail, the error raised is the one that
-    extracting row after row, order after order, would have met first; an
-    overflowing divergence is refused by the kernel, for the whole call.
+    in the float range, the Richardson ladder and the acceptance test.  What
+    depends on the step alone (the steps of the levels, their powers and
+    their refusal, and the noise estimate) is worked out once per distinct
+    step, so rows that share one step share that work.  All stencil points
+    of all rows and orders go through one ``contains_rows`` call, then
+    through one call of the unchecked kernel ``_values``, which does not
+    check them again, so each point is checked once.  A convergence ladder,
+    its base point repeated once per rung, is one call for its metric and
+    cubic.  When rows fail, the error raised is the one that extracting row
+    after row, order after order, would have met first; an overflowing
+    divergence is refused by the kernel, for the whole call.
     """
-    # a step per row is a list of Python floats, and a single step stays one
-    # float, which keeps the hot one-row path as cheap as it was; either way
-    # the powers below are libm's, which numpy's SIMD paths may not round alike
-    one = not isinstance(h, np.ndarray)
-    hs = [h] if one else h.tolist()
-    for x in hs:
-        if not 0.0 < x < np.inf:
-            raise ValueError(f"step size must be positive and finite, got {x}")
     d = div.dimension
     P = np.asarray(P, dtype=float)
+    # a Python float per row, so the powers below are libm's, which numpy's
+    # SIMD paths may not round alike; the distinct steps are numbered in the
+    # order the rows first carry them, and ``slot`` holds each row's number
+    h = np.asarray(h)
+    hs = h.tolist() if h.ndim else [h.item()] * len(P)
+    distinct = {}
+    slot = np.array([distinct.setdefault(x, len(distinct)) for x in hs], dtype=np.intp)
+    for x in distinct:
+        if not 0.0 < x < np.inf:
+            raise ValueError(f"step size must be positive and finite, got {x}")
     error, cut = None, len(P)
 
     def refuse(bad: np.ndarray, make_error) -> None:
         """Cut the batch before the first row below the cut that ``bad`` marks."""
         nonlocal error, cut
-        bad = bad[:cut]
-        if bad.any():
-            cut = int(bad.argmax())
+        bad = bad[:cut].tolist()
+        if any(bad):
+            cut = bad.index(True)
             error = make_error(cut)
 
     inside = div.contains_rows(P) if P.ndim == 2 else np.zeros(cut, dtype=bool)
@@ -335,13 +343,13 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
         )
     offsets, plans = _stencil_plan(d, orders, richardson)
     P = P[:cut]
-    # each row's steps of the levels, and the finest
-    steps = [h / q for q in _LEVELS[richardson]] if one else [[x / q for q in _LEVELS[richardson]] for x in hs]
-    fine = steps[-1] if one else [s[-1] for s in steps]
-    U = [[fine] * d] * cut if one else [[x] * d for x in fine]
-    refuse(_unresolved(P, U), lambda r: _not_resolved(div, P[r], [fine if one else fine[r]]))
+    # each distinct step's steps of the levels, and its finest as the
+    # displacement of every coordinate
+    steps = [[x / q for q in _LEVELS[richardson]] for x in distinct]
+    U = [[s[-1]] * d for s in steps]
+    refuse(_unresolved(P, map(U.__getitem__, slot.tolist())), lambda r: _not_resolved(div, P[r], U[slot[r]]))
     m = len(offsets)
-    points = P[:cut, None, :] + (fine if one else np.array(fine[:cut])[:, None, None]) * offsets
+    points = P[:cut, None, :] + np.array(U).take(slot[:cut], axis=0)[:, None, :] * offsets
     inside = div.contains_rows(points.reshape(-1, d)).reshape(cut, m)
     outside = not inside.all()
 
@@ -371,29 +379,29 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     for order, (weights, levels, fill) in zip(orders, plans):
         if outside:
             leaves(levels)
-        # one step refuses row 0 first, which has passed every check before this one
-        for r, row in enumerate(([steps] if one else steps)[:cut]):
+        # per distinct step, the powers its levels are divided by and the
+        # rounding-noise estimate 1e-16 / h^order of its finest level; the first
+        # step whose powers are refused cuts the batch at the first row that
+        # carries it, as every later step first appears after that row
+        table = []
+        for row in steps:
             try:
                 _check_powers(div, row, order)
             except ConditioningError as refused:
-                error, cut = refused, r
+                refuse(slot >= len(table), lambda r: refused)
                 break
+            powers = [s**order for s in row]
+            table.append(powers + [1e-16 / powers[-1]])
         if cut == 0:
             raise error
+        table = np.array(table).take(slot[:cut], axis=0)
         # W @ f for every row and level as one stack of matrix-vector products,
         # each summed exactly as the product for a single row and level is: the
         # values are taken into C order, as a single row's are, since a strided
         # vector can take another summation order in BLAS
         t = (weights @ f[:cut].take(levels, axis=1)[..., None])[..., 0][..., fill]
-        # the powers each level is divided by, and the rounding-noise estimate
-        # 1e-16 / h^order of the finest level
-        if one:
-            scale = np.array([s**order for s in steps])[:, None]
-            noise = 1e-16 / fine**order
-        else:
-            scale = np.array([[s**order for s in row] for row in steps[:cut]])[..., None]
-            noise = np.array([1e-16 / x**order for x in fine[:cut]])
-        t = (t / scale).reshape((cut, len(_LEVELS[richardson])) + (d,) * order)
+        t = (t / table[:, :-1, None]).reshape((cut, len(_LEVELS[richardson])) + (d,) * order)
+        noise = table[:, -1]
         disagreement = None
         if richardson:
             # the (h, h/2) and (h/2, h/4) disagreements of each row
@@ -416,11 +424,19 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     return results
 
 
+# per order, the record of one extraction and the stem of its method
+_RECORD = {2: (MetricTensor, "central-2nd"), 3: (CubicTensor, "central-3rd")}
+
+
 def _extract(div, p, h: float, richardson: bool, order: int):
-    """One row of ``_tensors``: (point, tensor, disagreement, statistic)."""
+    """One row of ``_tensors``, as the order's record."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     [(t, disagreement, statistic)] = _tensors(div, p[None], h, richardson, (order,))
-    return p, t[0], None if disagreement is None else float(disagreement[0]), float(statistic[0])
+    record, method = _RECORD[order]
+    return record(
+        t[0], p, h, method + "+richardson" if richardson else method, div.family_id, 0.0,
+        float(statistic[0]), None if disagreement is None else float(disagreement[0]),
+    )
 
 
 def extract_metric(div, p, h: float = _DEFAULT_STEP["metric"], richardson: bool = False) -> MetricTensor:
@@ -430,17 +446,7 @@ def extract_metric(div, p, h: float = _DEFAULT_STEP["metric"], richardson: bool 
     when the result is not positive semidefinite within 1e-8, and
     ConditioningError when Richardson levels disagree implausibly.
     """
-    p, g, disagreement, min_eig = _extract(div, p, h, richardson, 2)
-    return MetricTensor(
-        components=g,
-        base_point=p,
-        step=h,
-        method="central-2nd+richardson" if richardson else "central-2nd",
-        family_id=div.family_id,
-        presym_residual=0.0,
-        min_eigenvalue=min_eig,
-        richardson_disagreement=disagreement,
-    )
+    return _extract(div, p, h, richardson, 2)
 
 
 def extract_cubic(div, p, h: float = _DEFAULT_STEP["cubic"], richardson: bool = False) -> CubicTensor:
@@ -450,17 +456,7 @@ def extract_cubic(div, p, h: float = _DEFAULT_STEP["cubic"], richardson: bool = 
     of the largest component of a clearly non-zero tensor; the remedy is a
     larger step.
     """
-    p, t, disagreement, noise = _extract(div, p, h, richardson, 3)
-    return CubicTensor(
-        components=t,
-        base_point=p,
-        step=h,
-        method="central-3rd+richardson" if richardson else "central-3rd",
-        family_id=div.family_id,
-        presym_residual=0.0,
-        noise_estimate=noise,
-        richardson_disagreement=disagreement,
-    )
+    return _extract(div, p, h, richardson, 3)
 
 
 def _line_fit(x: list, y: list):
@@ -513,8 +509,7 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
         raise ValueError("need at least 4 strictly decreasing step scales")
     if not np.all((0.0 < steps) & (steps < np.inf)):
         raise ValueError(f"step scales must be positive and finite, got {_format_point(steps)}")
-    if not div.contains(p):
-        raise DomainError(f"{div.family_id}: base point {_format_point(p)} outside domain")
+    div._refuse_outside(p[None], "base point")
     if v.shape != p.shape:
         raise ValueError(
             f"direction has {v.size} coordinate(s) but the base point has {p.size}"
@@ -522,9 +517,7 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
     if not v.any():
         raise ValueError(f"direction {_format_point(v)} is zero: every probe would sit at the base point")
     probes = p + steps[:, None] * v
-    inside = div.contains_rows(probes)
-    if not inside.all():
-        raise DomainError(f"{div.family_id}: probe point {_format_point(probes[inside.argmin()])} outside domain")
+    div._refuse_outside(probes, "probe point")
     u = (steps[-1] * v).tolist()
     if _unresolved(p[None], [u])[0]:
         raise _not_resolved(div, p, u)
@@ -584,8 +577,7 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
     ladder = np.asarray(ladder, dtype=float)
     # before the closed forms, which may divide by zero outside the domain
     # and overflow where the finest step's cube underflows
-    if not div.contains(p):
-        raise DomainError(f"{div.family_id}: base point {_format_point(p)} outside domain")
+    div._refuse_outside(p[None], "base point")
     if ladder.size:
         _check_powers(div, [float(ladder.min()) / (4.0 if richardson else 1.0)], 3)
     # the cubic first: where both closed forms are refused, its overflow is the

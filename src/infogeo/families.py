@@ -191,11 +191,15 @@ class DivergenceFamily(RowDomain):
                 raise ValueError(
                     f"{self.family_id}: expected rows of {self.dimension} coordinate(s), got shape {X.shape}"
                 )
-            inside = self.contains_rows(X)
-            if not inside.all():
-                x = _format_point(X[inside.argmin()])
-                raise DomainError(f"{self.family_id}: {which} argument {x} outside domain")
+            self._refuse_outside(X, f"{which} argument")
         return P, Q
+
+    def _refuse_outside(self, X: np.ndarray, what: str) -> None:
+        """DomainError naming, as ``what``, the first row of the (n, d) array
+        ``X`` outside the domain; an array of more axes has no row inside."""
+        inside = (self.contains_rows(X) if X.ndim == 2 else np.zeros(len(X), dtype=bool)).tolist()
+        if not all(inside):
+            raise DomainError(f"{self.family_id}: {what} {_format_point(X[inside.index(False)])} outside domain")
 
     def _values(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """``divergence_rows`` without its checks: float (n, d) rows of P and

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import DomainError, RejectionOverflow, UnsupportedFamily
 from .extraction import _DEFAULT_STEP, _tensors
-from .families import _format_point
 
 __all__ = [
     "LegDistribution",
@@ -434,10 +433,8 @@ def work_surcharge(
     """
     start = np.atleast_1d(np.asarray(start, dtype=float))
     step = np.atleast_1d(np.asarray(step, dtype=float))
-    if not family.contains(start):
-        raise DomainError(f"{family.family_id}: start {_format_point(start)} outside domain")
-    if not family.contains(start + step):
-        raise DomainError(f"{family.family_id}: end {_format_point(start + step)} outside domain")
+    family._refuse_outside(start[None], "start")
+    family._refuse_outside((start + step)[None], "end")
     t = _cubic_tensors(family, start[None], method, h)[0]
     return float(np.einsum("ijk,i,j,k->", t, step, step, step)) / 6.0
 
@@ -473,18 +470,14 @@ def demon_work(
     pts = np.atleast_2d(np.asarray(waypoints, dtype=float))
     if pts.shape[0] < 2:
         raise ValueError("a path needs at least 2 waypoints")
-    inside = family.contains_rows(pts)
-    if not inside.all():
-        raise DomainError(f"{family.family_id}: waypoint {_format_point(pts[inside.argmin()])} outside domain")
+    family._refuse_outside(pts, "waypoint")
 
     # the forward walk, then the backward one
     paths = (pts, pts[::-1])
     with np.errstate(over="ignore"):  # a midpoint where a + b overflows is outside every domain
         at = np.concatenate([p[:-1] if tensor_at == "start" else 0.5 * (p[:-1] + p[1:]) for p in paths])
     if tensor_at == "midpoint" and method == "oracle":  # fd checks each point as a base point
-        inside = family.contains_rows(at)
-        if not inside.all():
-            raise DomainError(f"{family.family_id}: point {_format_point(at[inside.argmin()])} outside domain")
+        family._refuse_outside(at, "point")
     steps = np.concatenate([np.diff(p, axis=0) for p in paths])
     # each distinct point once, in the order the walks first reach it
     rows = at.view(np.dtype((np.void, at.itemsize * at.shape[1])))[:, 0]

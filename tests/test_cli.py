@@ -14,7 +14,9 @@ import pytest
 
 import infogeo
 from infogeo.cli import SUBCOMMANDS, main
+from infogeo.families import Bernoulli, natural_view
 from infogeo.reports import strip_timestamp
+from infogeo.roundtrip import TradeSampler, demon_work, spread_estimate
 
 
 def run_json(capsys, argv):
@@ -171,6 +173,27 @@ def test_spread_subcommand(capsys):
     assert rep["result"]["mean"] == pytest.approx(-1.0 / 3.0 * 1e-3, rel=1e-9)
 
 
+def test_demon_and_spread_take_a_natural_view(tmp_path, capsys):
+    # the family spec resolves as it does for tensor, asymmetry and convergence,
+    # and the reports carry the library's numbers and replay byte for byte
+    view = natural_view(Bernoulli())
+    runs = [
+        (["demon", "--family", "natural:bernoulli", "--waypoints=-1;0;1"],
+         "total", demon_work(view, [[-1.0], [0.0], [1.0]], h=0.05).total),
+        (["spread", "--family", "natural:bernoulli", "--sampler", "signflip:0.5,0.1",
+          "--samples", "1000", "--seed", "3", "--method", "oracle"],
+         "mean", spread_estimate(view, TradeSampler.parse("signflip:0.5,0.1", 1), 1000, 3, method="oracle").mean),
+    ]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for argv, name, value in runs:
+        assert main(argv + ["--out", str(first)]) == 0
+        result = json.loads(first.read_text())["result"]
+        assert result["family_id"] == "bernoulli:natural" and result[name] == value
+        assert main(["replay", str(first), "--out", str(second)]) == 0
+        assert strip_timestamp(first.read_text()) == strip_timestamp(second.read_text())
+    assert capsys.readouterr().err == ""
+
+
 # --- exit codes and validation ----------------------------------------------
 
 
@@ -223,6 +246,14 @@ USAGE_ERRORS = [
     ["tensor", "--family", "categorical:14", "--at", ",".join(["0.05"] * 13), "--order", "cubic"],
     # a point of 12 coordinates, which numpy's text of an array wraps at 75 characters
     ["tensor", "--family", "categorical:13", "--at", ",".join(["0.005"] + ["0.07"] * 11), "--order", "metric"],
+    # a sweep count that is not a finite integer
+    ["triangle", "--legs", "skewnormal:0,0.01,1", "gaussian:0,0.01", "gaussian:0,0.01",
+     "--samples", "1000", "--seed", "1", "--sweep-shape", "0,1,inf"],
+    ["triangle", "--legs", "skewnormal:0,0.01,1", "gaussian:0,0.01", "gaussian:0,0.01",
+     "--samples", "1000", "--seed", "1", "--sweep-shape", "0,1,nan"],
+    # quantum charts, whose smoothing demon and spread have no --eps for
+    ["demon", "--family", "qre:bloch", "--waypoints", "0.1,0,0;0.2,0,0"],
+    ["spread", "--family", "qjsd:bloch", "--sampler", "fixed:0.1,0,0,0.1,0,0", "--samples", "1000", "--seed", "1"],
 ]
 
 
@@ -502,6 +533,9 @@ TRIANGLE_CONFIG = {
         {"config": dict(TENSOR_CONFIG, at=[])},  # empty point lists
         {"config": dict(ASYMMETRY_CONFIG, direction=[])},
         {"config": dict(TRIANGLE_CONFIG, legs=[])},  # not three legs
+        # a sweep whose count is not finite, or that has no count
+        {"config": dict(TRIANGLE_CONFIG, sweep_shape=[0, 1, math.inf])},
+        {"config": dict(TRIANGLE_CONFIG, sweep_shape=[0, 1])},
         pytest.param("family,value\nexponential,0.5\n", id="csv-report"),
     ],
 )

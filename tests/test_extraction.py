@@ -369,15 +369,52 @@ def test_a_step_per_row_equals_one_extraction_per_row():
         for order, richardson in itertools.product((2, 3), (False, True)):
             [(t, disagreement, statistic)] = _tensors(family, P, hs, richardson, (order,))
             for i, (p, h) in enumerate(zip(P, hs)):
-                [(ti, di, si)] = _tensors(family, p[None], float(h), richardson, (order,))
-                assert np.array_equal(t[i], ti[0])
-                assert np.array_equal(statistic[i], si[0])
-                assert disagreement is None or disagreement[i] == di[0]
+                # the row's step as a float, and as a 0-d array
+                for step in (float(h), np.array(h)):
+                    [(ti, di, si)] = _tensors(family, p[None], step, richardson, (order,))
+                    assert np.array_equal(t[i], ti[0])
+                    assert np.array_equal(statistic[i], si[0])
+                    assert disagreement is None or disagreement[i] == di[0]
+    # a 0-d array is one step for the row, as a float is
+    for extract in (extract_metric, extract_cubic):
+        for richardson in (False, True):
+            a = extract(ExponentialScale(), [1.0], h=np.array(0.1), richardson=richardson)
+            b = extract(ExponentialScale(), [1.0], h=0.1, richardson=richardson)
+            assert a.components.tobytes() == b.components.tobytes()
+            assert a.richardson_disagreement == b.richardson_disagreement
     # with rows in a strided layout, BLAS summed this rung's third difference
     # in another order and moved its last bit
     p = [0.2271651163414671]
     rep = convergence_report(Bernoulli(), p, [0.1, 0.07, 0.03])
     assert np.array_equal(rep.rungs[0].cubic, extract_cubic(Bernoulli(), p, h=0.1).components)
+
+
+def test_one_step_for_every_row_is_that_step_on_each_row():
+    # 200 rows, as in a finite-difference demon batch: one float step and the
+    # same step per row give the same bits, and refuse with the same error
+    rng = np.random.default_rng(22)
+    P = np.column_stack([rng.uniform(-1.0, 1.0, 200), rng.uniform(0.7, 2.0, 200)])
+    div, h = GaussianFull(), 0.05
+    for richardson in (False, True):
+        shared = _tensors(div, P, h, richardson, (2, 3))
+        per_row = _tensors(div, P, np.full(len(P), h), richardson, (2, 3))
+        for a, b in zip(itertools.chain(*shared), itertools.chain(*per_row)):
+            assert a is None and b is None or a.shape == b.shape and a.tobytes() == b.tobytes()
+    # row 150 far from the origin, where the step is not resolved
+    Q = P.copy()
+    Q[150] = [1e13, 1.0]
+    refused = _outcome(lambda: _tensors(div, Q, h, True, (3,)))
+    assert refused == _outcome(lambda: _tensors(div, Q, np.full(len(Q), h), True, (3,)))
+    assert refused[0] is ConditioningError and "not resolved at [1.e+13 1.e+00]" in refused[1]
+    # and at row 90 or 170 a step whose cube underflows, at a point where it is
+    # resolved: the first of the two rows names its refusal, as a walk row by
+    # row would, among rows that all share one other step
+    for row, first in [(90, "cube underflows"), (170, "not resolved")]:
+        R, hs = Q.copy(), np.full(len(Q), h)
+        R[row], hs[row] = [0.0, 1e-100], 1e-110
+        batch = _bits(lambda: _tensors(div, R, hs, True, (3,))[0][0])
+        walk = _bits(lambda: np.array([extract_cubic(div, q, h=x, richardson=True).components for q, x in zip(R, hs)]))
+        assert batch == walk and batch[0] is ConditioningError and first in batch[1], row
 
 
 # at 1.0: a step that extracts, one whose cubic meets a NoisePanic, one whose
@@ -467,11 +504,11 @@ class _CountingRows:
         self.dimension = family.dimension
         self.rows = []
 
-    def contains(self, x):
-        return self.family.contains(x)
-
     def contains_rows(self, X):
         return self.family.contains_rows(X)
+
+    def _refuse_outside(self, X, what):
+        return self.family._refuse_outside(X, what)
 
     def divergence(self, p, q):
         raise AssertionError("a batched object was asked for one pair")
