@@ -625,6 +625,13 @@ def run_config(cfg: dict) -> dict:
 
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # attach a value that starts with one '-' to its option (--at=-0.5,1), the one form argparse reads it in
+    command = SUBCOMMANDS.get(argv[0]) if argv else None
+    valued = {flag for flag, kind, _ in (*command.args, *OUTPUT) if kind is not FLAG} if command else ()
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in valued and argv[i][:1] == "-" and argv[i][:2] != "--" and argv[i] != "-h":
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     if args.subcommand is None:
         parser.print_usage(sys.stderr)

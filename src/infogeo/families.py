@@ -631,11 +631,11 @@ class NaturalView(_ClosedForms):
     The domain is the natural points that ``from_natural`` maps into the
     family's domain (a natural point can round onto its boundary), answered
     by one ``_inside``, so a refusal names the view and the point given.
-    The divergence is the family's of the mapped rows.  This lets tensors
-    be extracted directly in the chart where the score-moment oracle lives.
-    In this chart the closed-form g is the Hessian psi'' of the
-    log-partition and T is the score moment psi''', the family's bodies over
-    the rows.
+    The divergence is the family's of both sides' rows, mapped as one stack.
+    This lets tensors be extracted directly in the chart where the
+    score-moment oracle lives.  In this chart the closed-form g is the
+    Hessian psi'' of the log-partition and T is the score moment psi''', the
+    family's bodies over the rows.
     """
 
     def __init__(self, family: ExponentialFamily):
@@ -651,8 +651,8 @@ class NaturalView(_ClosedForms):
             return family._natural_inside(eta) & family._inside(family.from_natural(eta))
 
     def _divergence(self, P, Q):
-        family = self.family
-        return family._divergence(family.from_natural(P), family.from_natural(Q))
+        X = self.family.from_natural(np.concatenate([P, Q]))
+        return self.family._divergence(X[: len(P)], X[len(P) :])
 
     def _closed(self, eta, order):
         family = self.family

@@ -274,6 +274,33 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("geo: "), (argv, err)
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value, want",
+    [
+        (["tensor", "--family", "gaussian-full", "--order", "metric"], "--at", "-0.5,1", 0),
+        (["demon", "--family", "natural:bernoulli"], "--waypoints", "-1;0;1", 0),
+        # negative steps are refused by the extraction, in one line, as with --steps=
+        (["asymmetry", "--family", "exponential", "--at", "1", "--dir", "1"], "--steps", "-0.1,-0.2,-0.3,-0.4", 1),
+    ],
+)
+def test_an_option_value_may_start_with_a_dash(capsys, argv, flag, value, want):
+    # a separate value that starts with '-' reads as the --flag=value form does
+    results = []
+    for given in ([flag, value], [f"{flag}={value}"]):
+        assert main(argv + given) == want
+        captured = capsys.readouterr()
+        results.append((strip_timestamp(captured.out), captured.err))
+    assert results[0] == results[1]
+    assert len(results[0][1].splitlines()) == want  # no stderr, or the one line of a refusal
+
+
+def test_an_option_followed_by_an_option_still_lacks_its_value(capsys):
+    assert main(["tensor", "--family", "gaussian-full", "--at", "--order", "metric"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "geo: argument --at: expected one argument\n"
+
+
 def test_domain_error_exits_1(capsys):
     assert main(["divergence", "--family", "exponential", "--p", "-1", "--q", "1"]) == 1
 

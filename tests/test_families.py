@@ -341,6 +341,28 @@ def test_the_closed_form_kernel_over_rows_is_the_one_point_forms_bit_for_bit(div
         assert div._closed_rows(X, order).tobytes() == np.array([one_point(x) for x in X]).tobytes()
 
 
+@pytest.mark.parametrize("family", [Bernoulli(), Categorical(5), GaussianFull()], ids=lambda f: f.family_id)
+def test_a_natural_view_maps_both_sides_of_a_call_in_one(family, monkeypatch):
+    view = natural_view(family)
+    calls = []
+    from_natural = family.from_natural
+
+    def counted(eta):
+        calls.append(len(eta))
+        return from_natural(eta)
+
+    monkeypatch.setattr(family, "from_natural", counted)
+    rng = np.random.default_rng(23)
+    for n in (1, 7, 64):
+        P, Q = view.random_interior(rng, 1), view.random_interior(rng, n)
+        for A, B in ((P, Q), (Q, P)):
+            calls.clear()
+            values = view._values(A, B)
+            assert calls == [1 + n]
+            want = family._values(from_natural(A), from_natural(B))
+            assert values.tobytes() == want.tobytes()
+
+
 def test_the_closed_forms_take_their_powers_from_the_c_library():
     # numpy's array power rounds about 1 in 20 cubes otherwise than the C
     # library's pow, which a Python float's power calls

@@ -15,6 +15,7 @@ from infogeo import (
     DiagonalQutritChart,
     DimensionMismatch,
     DomainError,
+    NumericalError,
     OrthogonalLink,
     PureState,
     VeroneseChart,
@@ -281,7 +282,7 @@ CHART_POINTS = {
 @pytest.mark.parametrize("kind", ["qre", "qjsd"])
 @pytest.mark.parametrize("chart", sorted(CHART_POINTS))
 def test_chart_divergence_validates_each_state_once(kind, chart, monkeypatch):
-    states = []  # how many states each validation saw
+    states = []  # how many states each validation saw: both sides in one
     check = quantum._check_density
 
     def counting_check(m):
@@ -292,7 +293,7 @@ def test_chart_divergence_validates_each_state_once(kind, chart, monkeypatch):
     p, q, _ = CHART_POINTS[chart]
     value = make_chart_divergence(f"{kind}:{chart}").divergence(p, q)
     assert value > 0.0
-    assert states == [1, 1]
+    assert states == [2]
 
 
 def _chart_rows(chart, rng, n):
@@ -368,6 +369,27 @@ def test_checked_eigh_refuses_a_negative_eigenvalue():
         quantum._checked_eigh(m)
     with pytest.raises(ValueError, match="eigenvalue below -1e-12"):
         quantum._checked_eigh(np.eye(2)[None] / 2, m[None])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [1, 40])
+def test_checked_eigh_refuses_eigenvectors_that_do_not_rebuild_the_matrix(k, n, monkeypatch):
+    rng = np.random.default_rng([k, n])
+    a = rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))
+    m = a @ a.conj().swapaxes(-1, -2)
+    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    w, v = quantum._checked_eigh(m)  # the true decomposition passes
+    assert w.shape == (n, k) and v.shape == (n, k, k)
+    eigh = np.linalg.eigh
+
+    def off_by_1e8(x):
+        w, v = eigh(x)
+        v[-1] += 1e-8  # only the last matrix of the stack is off
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", off_by_1e8)
+    with pytest.raises(NumericalError, match=r"^eigendecomposition residual \d\.\d{3}e-\d\d > 1e-10$"):
+        quantum._checked_eigh(m)
 
 
 @pytest.mark.parametrize("chart", sorted(CHART_POINTS))
