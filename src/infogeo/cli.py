@@ -132,16 +132,21 @@ def _one_of(*values) -> Field:
     return Field(f"one of {values}", lambda v: v in values, options={"choices": values})
 
 
+# the most shapes a sweep runs: each is a whole triangle simulation of
+# --samples draws, so the count bounds the run time
+_MAX_SWEEP = 1000
+
+
 def _is_sweep(value) -> bool:
-    """Three finite numbers, the last an integral count of at least 2."""
+    """Three finite numbers, the last an integral count from 2 to ``_MAX_SWEEP``."""
     finite = _list_of(_is_number)(value) and len(value) == 3 and all(abs(x) < math.inf for x in value)
-    return finite and value[2] >= 2 and value[2] == int(value[2])
+    return finite and 2 <= value[2] <= _MAX_SWEEP and value[2] == int(value[2])
 
 
 def _parse_sweep(text: str) -> list:
     parts = _parse_floats(text)
     if not _is_sweep(parts):
-        raise UsageError("--sweep-shape wants finite start,stop,count with an integral count >= 2")
+        raise UsageError(f"--sweep-shape wants finite start,stop,count with an integral count from 2 to {_MAX_SWEEP}")
     return [parts[0], parts[1], int(parts[2])]
 
 
@@ -157,7 +162,9 @@ LEGS = Field(
     lambda v: _list_of(TEXT.test)(v) and len(v) == 3,
     lambda legs: [LegDistribution.parse(x).spec() for x in legs],
 )
-SWEEP = _optional(Field("[start, stop, count] of finite numbers, with an integral count >= 2", _is_sweep, _parse_sweep))
+SWEEP = _optional(Field(
+    f"[start, stop, count] of finite numbers, with an integral count from 2 to {_MAX_SWEEP}", _is_sweep, _parse_sweep
+))
 POINTS = Field("a list of points", _list_of(_list_of(_is_number)))
 STATE = Field(
     "a list of [re, im] pairs",

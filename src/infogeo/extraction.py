@@ -27,17 +27,19 @@ structurally zero.
 
 A divergence is a ``families.DivergenceFamily``, which writes its domain
 as ``_inside`` and its values as ``_divergence`` over rows.  The engines ask
-it through ``contains(x)`` for one point and ``contains_rows(X)`` for the
-rows of an (n, d) array, and having checked every row once that way, they
-evaluate D(P[i] || Q[i]) over rows broadcast to (n, d) through the
-unchecked kernel ``_values(P, Q)``, not through the checked public entry
-``divergence_rows``.  An extraction is one domain check of each point and
-one kernel call, and so is a batch of base points: ``_tensors`` takes the
-stencils of many rows P at once, with one step for all of them or a step
-per row, and of several orders at once, and raises the error that
-extracting the rows one by one, each order after the one before, would
-have met first.  Either step is a step per row to it, and what depends on
-the step alone is worked out once per distinct step.
+it about the rows of an (n, d) array through ``_rows(X)``, one domain pass
+that also gives the rows Y the divergence is written on (a natural view's
+images under ``from_natural``).  Having checked every row once that way,
+they evaluate D(P[i] || Q[i]) over rows broadcast to (n, d) through the
+unchecked kernel ``_values(P, Q, Y_P, Y_Q)``, which takes the Y of that
+pass, not through the checked public entry ``divergence_rows``.  An
+extraction is one domain pass over its base point and stencil points
+together and one kernel call, and so is a batch of base points:
+``_tensors`` takes the stencils of many rows P at once, with one step for
+all of them or a step per row, and of several orders at once, and raises
+the error that extracting the rows one by one, each order after the one
+before, would have met first.  Either step is a step per row to it, and
+what depends on the step alone is worked out once per distinct step.
 ``roundtrip.demon_work`` passes it up to 256 points of a path;
 ``convergence_report`` passes its base point once per rung of the
 ladder, each with the rung's step, and asks for the metric and cubic
@@ -69,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, DomainError, NoisePanic, NumericalError, UnsupportedFamily
-from .families import _format_point
+from .families import _format_point, _refuse_rows
 
 __all__ = [
     "MetricTensor",
@@ -302,14 +304,16 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     in the float range, the Richardson ladder and the acceptance test.  What
     depends on the step alone (the steps of the levels, their powers and
     their refusal, and the noise estimate) is worked out once per distinct
-    step, so rows that share one step share that work.  All stencil points
-    of all rows and orders go through one ``contains_rows`` call, then
-    through one call of the unchecked kernel ``_values``, which does not
-    check them again, so each point is checked once.  A convergence ladder,
-    its base point repeated once per rung, is one call for its metric and
-    cubic.  When rows fail, the error raised is the one that extracting row
-    after row, order after order, would have met first; an overflowing
-    divergence is refused by the kernel, for the whole call.
+    step, so rows that share one step share that work.  The base points and
+    the stencil points of all rows and orders go through one ``_rows`` call,
+    made once the base points' width and the plan's size are checked, and
+    its mapped rows through one call of the unchecked kernel ``_values``,
+    which does not check or map them again, so each point is checked and
+    mapped once.  A convergence ladder, its base point repeated once per
+    rung, is one call for its metric and cubic.  When rows fail, the error
+    raised is the one that extracting row after row, order after order,
+    would have met first; an overflowing divergence is refused by the
+    kernel, for the whole call.
     """
     d = div.dimension
     P = np.asarray(P, dtype=float)
@@ -333,25 +337,31 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
             cut = bad.index(True)
             error = make_error(cut)
 
-    inside = div.contains_rows(P) if P.ndim == 2 else np.zeros(cut, dtype=bool)
-    refuse(~inside, lambda r: DomainError(f"{div.family_id}: base point {_format_point(P[r])} outside domain"))
-    if cut == 0:
-        raise error
-    if d > _MAX_DIMENSION:
+    if P.ndim != 2 or P.shape[1] != d or d > _MAX_DIMENSION:
+        # no stencil is built for base points of the wrong width, which numpy
+        # would broadcast, nor a plan past the widest: the base points first
+        div._refuse_outside(P, "base point")
         raise UnsupportedFamily(
             f"{div.family_id}: finite-difference stencils take at most {_MAX_DIMENSION} coordinates, not {d}"
         )
+    n = len(P)
     offsets, plans = _stencil_plan(d, orders, richardson)
-    P = P[:cut]
     # each distinct step's steps of the levels, and its finest as the
     # displacement of every coordinate
     steps = [[x / q for q in _LEVELS[richardson]] for x in distinct]
     U = [[s[-1]] * d for s in steps]
-    refuse(_unresolved(P, map(U.__getitem__, slot.tolist())), lambda r: _not_resolved(div, P[r], U[slot[r]]))
     m = len(offsets)
-    points = P[:cut, None, :] + np.array(U).take(slot[:cut], axis=0)[:, None, :] * offsets
-    inside = div.contains_rows(points.reshape(-1, d)).reshape(cut, m)
-    outside = not inside.all()
+    with np.errstate(over="ignore"):  # an infinite point is outside every domain
+        points = P[:, None, :] + np.array(U).take(slot, axis=0)[:, None, :] * offsets
+    # the base points and every stencil point in one domain pass
+    X = np.concatenate([P, points.reshape(-1, d)])
+    inside, Y = div._rows(X)
+    refuse(~inside[:n], lambda r: DomainError(f"{div.family_id}: base point {_format_point(P[r])} outside domain"))
+    if cut == 0:
+        raise error
+    refuse(_unresolved(P[:cut], map(U.__getitem__, slot.tolist())), lambda r: _not_resolved(div, P[r], U[slot[r]]))
+    inside = inside[n:].reshape(n, m)
+    outside = not inside[:cut].all()
 
     def leaves(levels: np.ndarray) -> None:
         # refuse the rows whose stencil of one order leaves the domain, naming
@@ -367,14 +377,22 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
         leaves(plans[0][1])
     if cut == 0:
         raise error
-    # a point outside that only a later order reaches is evaluated at its row's
-    # base point, which gives exactly 0; that order refuses the row before reading it
-    evaluated = np.where(inside[:cut, :, None], points[:cut], P[:cut, None, :]) if outside else points[:cut]
+    shared = cut == 1 or (P[1:cut] == P[0]).all()
 
-    # rows that share their base point pass it as one row, which a chart
-    # turns into one state
-    base = P[:1] if cut == 1 or (P[1:cut] == P[0]).all() else np.repeat(P[:cut], m, axis=0)
-    f = div._values(base, evaluated.reshape(-1, d)).reshape(cut, m)
+    def pair(Z: np.ndarray) -> tuple:
+        """The base and evaluated rows of the rows Z, stacked as X is."""
+        base, evaluated = Z[:cut], Z[n : n + cut * m]
+        if outside:
+            # a point outside that only a later order reaches is evaluated at its row's
+            # base point, which gives exactly 0; that order refuses the row before reading it
+            evaluated = np.where(inside[:cut, :, None], evaluated.reshape(cut, m, -1), base[:, None, :])
+            evaluated = evaluated.reshape(cut * m, -1)
+        # rows that share their base point pass it as one row, which a chart
+        # turns into one state
+        return base[:1] if shared else np.repeat(base, m, axis=0), evaluated
+
+    rows = pair(X)
+    f = div._values(*rows, *(rows if Y is X else pair(Y))).reshape(cut, m)
     results = []
     for order, (weights, levels, fill) in zip(orders, plans):
         if outside:
@@ -509,20 +527,26 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
         raise ValueError("need at least 4 strictly decreasing step scales")
     if not np.all((0.0 < steps) & (steps < np.inf)):
         raise ValueError(f"step scales must be positive and finite, got {_format_point(steps)}")
-    div._refuse_outside(p[None], "base point")
+    # the base point and, for a direction of its width, the probe points in
+    # one domain pass; a non-finite probe point is outside every domain
+    X, width = p[None], p.shape == (div.dimension,)
+    if width and v.shape == p.shape:
+        with np.errstate(all="ignore"):
+            X = np.concatenate([X, p + steps[:, None] * v])
+    inside, Y = div._rows(X) if width else (np.zeros(1, dtype=bool), X)
+    _refuse_rows(div, X[:1], inside[:1], "base point")
     if v.shape != p.shape:
         raise ValueError(
             f"direction has {v.size} coordinate(s) but the base point has {p.size}"
         )
     if not v.any():
         raise ValueError(f"direction {_format_point(v)} is zero: every probe would sit at the base point")
-    probes = p + steps[:, None] * v
-    div._refuse_outside(probes, "probe point")
+    _refuse_rows(div, X[1:], inside[1:], "probe point")
     u = (steps[-1] * v).tolist()
     if _unresolved(p[None], [u])[0]:
         raise _not_resolved(div, p, u)
-    # both sides' points are checked above, so the kernel takes them unchecked
-    values = div._values(p[None], probes) - div._values(probes, p[None])
+    # both sides' points are checked and mapped above, so the kernel takes them unchecked
+    values = div._values(X[:1], X[1:], Y[:1], Y[1:]) - div._values(X[1:], X[:1], Y[1:], Y[:1])
 
     degenerate = bool(np.max(np.abs(values)) < 1e-14)
     slope = coeff = tvvv = ratio = None

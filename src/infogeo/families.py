@@ -62,6 +62,14 @@ def _format_point(x) -> str:
     return np.array2string(np.asarray(x), max_line_width=sys.maxsize)
 
 
+def _refuse_rows(owner, X, inside, what: str) -> None:
+    """DomainError naming, as ``what``, the first row of ``X`` that the
+    (n,) bool ``inside`` marks outside ``owner``'s domain."""
+    inside = inside.tolist()
+    if not all(inside):
+        raise DomainError(f"{owner.family_id}: {what} {_format_point(X[inside.index(False)])} outside domain")
+
+
 def _checked_point(owner, inside, x, which: str) -> np.ndarray:
     """``x`` as a float vector of ``owner``'s width that ``inside`` accepts, else DomainError."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -147,15 +155,19 @@ class DivergenceFamily(RowDomain):
     or a quantum chart divergence.
 
     A subclass writes its whole open domain as ``_inside`` and its
-    divergence as ``_divergence(P, Q)``, over (n, d) rows checked against
-    the domain.  ``divergence_rows(P, Q)`` is the checked public entry: it
-    checks the rows, then evaluates them through ``_values(P, Q)``, the one
-    unchecked kernel, which gives exactly 0.0 for a row with p == q,
-    refuses an overflow and clips rounding below zero.  ``divergence(p, q)``
-    is its one-row case.  The engines check every row they evaluate with
-    ``contains`` or ``contains_rows`` first, so they call ``_values``
-    directly and each row is checked once.  A family and its natural view
-    have their tensors in closed form too, in the same shape (``_ClosedForms``).
+    divergence as ``_divergence(Y_P, Y_Q)``.  ``_rows(X)`` is the one
+    domain pass over (n, d) rows X: it gives which rows lie in the domain
+    and the rows Y that ``_divergence`` is written on, X itself for a family
+    or a quantum chart and the family's points for a natural view.
+    ``divergence_rows(P, Q)`` is the checked public entry: it makes one
+    ``_rows`` pass over each side, then evaluates the rows through
+    ``_values(P, Q, Y_P, Y_Q)``, the one unchecked kernel, which gives
+    exactly 0.0 for a row with p == q, refuses an overflow naming p and q,
+    and clips rounding below zero.  ``divergence(p, q)`` is its one-row
+    case.  The engines check every row they evaluate in one ``_rows`` pass
+    and keep its Y, so they call ``_values`` directly, and each row is
+    checked and mapped once.  A family and its natural view have their
+    tensors in closed form too, in the same shape (``_ClosedForms``).
     """
 
     family_id: str
@@ -183,29 +195,38 @@ class DivergenceFamily(RowDomain):
         """
         return self._values(*self._checked_rows(P, Q))
 
+    def _rows(self, X: np.ndarray) -> tuple:
+        """(inside, Y): which rows of the float (n, d) array X lie in the
+        domain, as (n,) bool, and the rows ``_divergence`` is written on."""
+        return self._inside(X), X
+
     def _checked_rows(self, P, Q) -> tuple:
-        """P and Q as float arrays of rows, each row checked against the domain."""
+        """P and Q as float arrays of rows, each row checked against the
+        domain, then the rows ``_rows`` maps each of them to."""
         P, Q = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (P, Q))
+        mapped = []
         for which, X in (("first", P), ("second", Q)):
             if X.ndim != 2 or X.shape[1] != self.dimension:
                 raise ValueError(
                     f"{self.family_id}: expected rows of {self.dimension} coordinate(s), got shape {X.shape}"
                 )
-            self._refuse_outside(X, f"{which} argument")
-        return P, Q
+            mapped.append(self._refuse_outside(X, f"{which} argument"))
+        return (P, Q, *mapped)
 
-    def _refuse_outside(self, X: np.ndarray, what: str) -> None:
-        """DomainError naming, as ``what``, the first row of the (n, d) array
-        ``X`` outside the domain; an array of more axes has no row inside."""
-        inside = (self.contains_rows(X) if X.ndim == 2 else np.zeros(len(X), dtype=bool)).tolist()
-        if not all(inside):
-            raise DomainError(f"{self.family_id}: {what} {_format_point(X[inside.index(False)])} outside domain")
+    def _refuse_outside(self, X: np.ndarray, what: str) -> np.ndarray:
+        """The rows ``_rows`` maps the float (n, d) array ``X`` to, else
+        DomainError naming, as ``what``, the first row outside the domain;
+        an array of the wrong width or of more axes has no row inside."""
+        inside, Y = self._rows(X) if X.ndim == 2 and X.shape[1] == self.dimension else (np.zeros(len(X), bool), X)
+        _refuse_rows(self, X, inside, what)
+        return Y
 
-    def _values(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    def _values(self, P: np.ndarray, Q: np.ndarray, YP: np.ndarray, YQ: np.ndarray) -> np.ndarray:
         """``divergence_rows`` without its checks: float (n, d) rows of P and
-        Q, broadcast, that the caller has checked against the domain."""
+        Q, broadcast, that the caller has checked against the domain, and
+        the rows YP and YQ that ``_rows`` maps them to."""
         with np.errstate(all="ignore"):
-            values = np.where((P == Q).all(axis=-1), 0.0, self._divergence(P, Q))
+            values = np.where((P == Q).all(axis=-1), 0.0, self._divergence(YP, YQ))
         finite = np.isfinite(values)
         if not finite.all():
             p, q = (_format_point(X[finite.argmin()]) for X in np.broadcast_arrays(P, Q))
@@ -629,13 +650,15 @@ class NaturalView(_ClosedForms):
     """The same family re-parametrized by its natural coordinates.
 
     The domain is the natural points that ``from_natural`` maps into the
-    family's domain (a natural point can round onto its boundary), answered
-    by one ``_inside``, so a refusal names the view and the point given.
-    The divergence is the family's of both sides' rows, mapped as one stack.
-    This lets tensors be extracted directly in the chart where the
-    score-moment oracle lives.  In this chart the closed-form g is the
-    Hessian psi'' of the log-partition and T is the score moment psi''', the
-    family's bodies over the rows.
+    family's domain (a natural point can round onto its boundary), so a
+    refusal names the view and the point given.  ``_rows`` maps the rows
+    through ``from_natural`` once, answers the domain from the natural rows
+    and their images, and hands the images on: the kernel evaluates the
+    family's divergence on them and maps nothing itself.  This lets tensors
+    be extracted directly in the chart where the score-moment oracle lives.
+    In this chart the closed-form g is the Hessian psi'' of the
+    log-partition and T is the score moment psi''', the family's bodies
+    over the rows.
     """
 
     def __init__(self, family: ExponentialFamily):
@@ -645,14 +668,17 @@ class NaturalView(_ClosedForms):
         self.family_id = family.family_id + ":natural"
         self.dimension = family.dimension
 
-    def _inside(self, eta):
+    def _rows(self, eta):
         family = self.family
         with np.errstate(all="ignore"):
-            return family._natural_inside(eta) & family._inside(family.from_natural(eta))
+            X = family.from_natural(eta)
+            return family._natural_inside(eta) & family._inside(X), X
+
+    def _inside(self, eta):
+        return self._rows(eta)[0]
 
     def _divergence(self, P, Q):
-        X = self.family.from_natural(np.concatenate([P, Q]))
-        return self.family._divergence(X[: len(P)], X[len(P) :])
+        return self.family._divergence(P, Q)
 
     def _closed(self, eta, order):
         family = self.family

@@ -251,6 +251,9 @@ USAGE_ERRORS = [
      "--samples", "1000", "--seed", "1", "--sweep-shape", "0,1,inf"],
     ["triangle", "--legs", "skewnormal:0,0.01,1", "gaussian:0,0.01", "gaussian:0,0.01",
      "--samples", "1000", "--seed", "1", "--sweep-shape", "0,1,nan"],
+    # a sweep over more shapes than the cap of 1000
+    ["triangle", "--legs", "skewnormal:0,0.01,1", "gaussian:0,0.01", "gaussian:0,0.01",
+     "--samples", "1000", "--seed", "1", "--sweep-shape", "0,1,1001"],
     # quantum charts, whose smoothing demon and spread have no --eps for
     ["demon", "--family", "qre:bloch", "--waypoints", "0.1,0,0;0.2,0,0"],
     ["spread", "--family", "qjsd:bloch", "--sampler", "fixed:0.1,0,0,0.1,0,0", "--samples", "1000", "--seed", "1"],
@@ -560,8 +563,9 @@ TRIANGLE_CONFIG = {
         {"config": dict(TENSOR_CONFIG, at=[])},  # empty point lists
         {"config": dict(ASYMMETRY_CONFIG, direction=[])},
         {"config": dict(TRIANGLE_CONFIG, legs=[])},  # not three legs
-        # a sweep whose count is not finite, or that has no count
+        # a sweep whose count is not finite or is over the cap, or that has no count
         {"config": dict(TRIANGLE_CONFIG, sweep_shape=[0, 1, math.inf])},
+        {"config": dict(TRIANGLE_CONFIG, sweep_shape=[0, 1, 1001])},
         {"config": dict(TRIANGLE_CONFIG, sweep_shape=[0, 1])},
         pytest.param("family,value\nexponential,0.5\n", id="csv-report"),
     ],

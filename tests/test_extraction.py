@@ -504,8 +504,8 @@ class _CountingRows:
         self.dimension = family.dimension
         self.rows = []
 
-    def contains_rows(self, X):
-        return self.family.contains_rows(X)
+    def _rows(self, X):
+        return self.family._rows(X)
 
     def _refuse_outside(self, X, what):
         return self.family._refuse_outside(X, what)
@@ -513,8 +513,8 @@ class _CountingRows:
     def divergence(self, p, q):
         raise AssertionError("a batched object was asked for one pair")
 
-    def _values(self, P, Q):
-        values = self.family._values(P, Q)
+    def _values(self, P, Q, YP, YQ):
+        values = self.family._values(P, Q, YP, YQ)
         self.rows.append(len(values))
         return values
 
@@ -540,6 +540,41 @@ def test_a_richardson_extraction_is_one_divergence_call(family, p, metric_rows, 
     div = _CountingRows(family)
     extract_cubic(div, p, h=2e-2)
     assert div.rows == [{1: 4, 2: 12, 3: 32}[family.dimension]]
+
+
+@pytest.mark.parametrize(
+    "family, eta, direction, rows",
+    [
+        (Bernoulli(), [0.8], [1.0], 8),
+        (GaussianFull(), [0.2, -1.5], [1.0, 0.5], 28),
+        (Categorical(4), [-0.3, 0.1, 0.2], [1.0, -0.5, 0.25], 84),
+    ],
+    ids=["bernoulli", "gaussian-full", "categorical:4"],
+)
+def test_a_natural_view_maps_each_point_once_per_engine_call(family, eta, direction, rows, monkeypatch):
+    view = natural_view(family)
+    steps = [0.2, 0.1, 0.05, 0.025]
+    cubic = extract_cubic(view, eta, h=0.2, richardson=True)
+    probe = asymmetry_probe(view, eta, direction, steps)
+    calls = []
+    from_natural = family.from_natural
+
+    def counted(x):
+        calls.append(len(x))
+        return from_natural(x)
+
+    monkeypatch.setattr(family, "from_natural", counted)
+    # the base point and the distinct stencil points, mapped in one call that
+    # serves both the domain check and the divergence
+    t = extract_cubic(view, eta, h=0.2, richardson=True)
+    assert calls == [1 + rows]
+    assert np.array_equal(t.components, cubic.components)
+    calls.clear()
+    # the base point and the 4 probe points in one call for both value
+    # calls, then the Richardson cubic at the largest step
+    again = asymmetry_probe(view, eta, direction, steps)
+    assert calls == [1 + 4, 1 + rows]
+    assert np.array_equal(again.values, probe.values) and again.ratio == probe.ratio
 
 
 class _PatchyExponential(ExponentialScale):
@@ -738,6 +773,22 @@ def test_steps_whose_powers_overflow_are_conditioning_errors():
     assert asymmetry_probe(family, [0.0], [1.0], [1e150, 1e140, 1e130, 1e120]).degenerate
     with pytest.raises(ConditioningError, match=r"step of 1\.000e\+199 is too large: its cube overflows"):
         asymmetry_probe(ExponentialScale(), [1e200], [1.0], [1e199, 5e198, 2.5e198, 1.25e198])
+
+
+def test_stencil_and_probe_points_that_overflow_leave_the_domain_without_a_warning():
+    # a point past the float range is infinite, outside every domain, and
+    # refused in one error with no floating-point warning before it
+    family = ExponentialScale()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, h, richardson in (([1.0], 1.7e308, False), ([1.0], 1.7e308, True), ([1.79e308], 2e306, True)):
+            with pytest.raises(DomainError, match=r"stencil leaves the domain at \[inf\]$"):
+                extract_cubic(family, p, h=h, richardson=richardson)
+        with pytest.raises(DomainError, match=r"probe point \[inf\] outside domain$"):
+            asymmetry_probe(family, [1.0], [1e308], [4.0, 2.0, 1.0, 0.5])
+        # an outside base point is refused as such, though its stencil overflows
+        with pytest.raises(DomainError, match=r"base point \[-1.79e\+308\] outside domain$"):
+            extract_cubic(family, [-1.79e308], h=2e306, richardson=True)
 
 
 def test_zero_cubic_tensor_does_not_panic():

@@ -357,10 +357,13 @@ def test_a_natural_view_maps_both_sides_of_a_call_in_one(family, monkeypatch):
         P, Q = view.random_interior(rng, 1), view.random_interior(rng, n)
         for A, B in ((P, Q), (Q, P)):
             calls.clear()
-            values = view._values(A, B)
-            assert calls == [1 + n]
-            want = family._values(from_natural(A), from_natural(B))
+            inside, Y = view._rows(np.concatenate([A, B]))
+            values = view._values(A, B, Y[: len(A)], Y[len(A) :])
+            # one mapping of both sides, for the domain and the kernel alike
+            assert inside.all() and calls == [1 + n]
+            want = family._values(*(from_natural(X) for X in (A, B, A, B)))
             assert values.tobytes() == want.tobytes()
+            assert view.divergence_rows(A, B).tobytes() == want.tobytes()
 
 
 def test_the_closed_forms_take_their_powers_from_the_c_library():

@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import math
 import os
+import re
 import signal
 import sys
 import threading
@@ -408,14 +409,45 @@ def test_demon_fd_is_bit_identical_to_the_walk_by_waypoints(family, path, tensor
     assert rep.total == total and rep.reversed_total == reversed_total
 
 
+_WRONG_WIDTH = [
+    (GaussianFull(), [0.2, 1.3]),
+    (natural_view(GaussianFull()), [0.2, -1.5]),
+    (make_chart_divergence("qre:bloch"), [0.1, -0.2, 0.3]),
+]
+
+
+@pytest.mark.parametrize("div, p", _WRONG_WIDTH, ids=[div.family_id for div, _ in _WRONG_WIDTH])
+def test_a_base_point_of_the_wrong_width_is_refused(div, p):
+    # numpy would broadcast a one-coordinate point across a stencil of d
+    # coordinates; a point of d - 1 or d + 1 coordinates is outside the domain
+    steps = [0.04, 0.02, 0.01, 0.005]
+    for q in (p[:-1], p + [0.5]):
+
+        def refused(what):
+            return "^" + re.escape(f"{div.family_id}: {what} {np.array2string(np.array(q))} outside domain") + "$"
+
+        for call in (
+            lambda: extract_metric(div, q, richardson=True),
+            lambda: extract_cubic(div, q),
+            lambda: asymmetry_probe(div, q, [1.0] * len(q), steps),
+            lambda: asymmetry_probe(div, q, [1.0] * div.dimension, steps),
+            lambda: convergence_report(div, q, [0.04, 0.02], richardson=True),
+            lambda: _cubic_tensors(div, np.array([q, q]), "fd", None),
+        ):
+            with pytest.raises(DomainError, match=refused("base point")):
+                call()
+        with pytest.raises(DomainError, match=refused("waypoint")):
+            demon_work(div, [q, [x + 0.01 for x in q]], method="fd")
+
+
 class _CountingGaussianFull(GaussianFull):
     """Records the row count of each call of the unchecked kernel ``_values``."""
 
     def __init__(self):
         self.rows = []
 
-    def _values(self, P, Q):
-        values = super()._values(P, Q)
+    def _values(self, P, Q, YP, YQ):
+        values = super()._values(P, Q, YP, YQ)
         self.rows.append(len(values))
         return values
 
