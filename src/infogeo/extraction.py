@@ -518,7 +518,8 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
     the forward cubic contraction T_ijk v_i v_j v_k, extracted with
     Richardson at the largest step.  A divergence that is symmetric to
     machine precision is flagged degenerate rather than fitted; a zero
-    direction, which would probe nothing, is refused with ValueError.
+    direction, which would probe nothing, is refused with ValueError, and
+    a coefficient or T(v, v, v) past the float range with NumericalError.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -555,9 +556,18 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
         slope = fit_loglog_slope(steps, np.abs(values))
         # value/h^3 = c + O(h); a linear fit in h isolates the intercept c.
         # The steps are distinct and their cubes normal, so the fit exists
-        coeff = _line_fit(steps.tolist(), (values / steps**3).tolist())[1]
+        with np.errstate(over="ignore"):
+            scaled = (values / steps**3).tolist()
+        try:
+            coeff = _line_fit(steps.tolist(), scaled)[1]
+        except (OverflowError, ValueError):  # math.fsum of values past the float range
+            coeff = math.nan
         cubic = extract_cubic(div, p, h=float(steps[0]), richardson=True)
         tvvv = float(np.einsum("ijk,i,j,k->", cubic.components, v, v, v))
+        if not (math.isfinite(coeff) and math.isfinite(tvvv)):
+            raise NumericalError(
+                f"{div.family_id}: the cubic term of the asymmetry along {_format_point(v)} overflows the float range"
+            )
         ratio = coeff / tvvv if abs(tvvv) > 1e-12 else None
     return AsymmetryProbe(
         base_point=p,
@@ -587,10 +597,10 @@ def _tensor_errors(measured: np.ndarray, oracle: np.ndarray | None) -> list:
 def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceReport:
     """Run metric and cubic extraction across a step ladder.
 
-    The oracle tensors are the divergence object's closed forms, evaluated
-    at the checked base point by its unchecked kernel ``_closed_rows`` when
-    it has one; errors are then max-abs deviations normalized by the
-    oracle's largest component (absolute when the oracle vanishes).
+    The oracle tensors are the divergence object's closed forms, both from
+    one call of its unchecked kernel ``_closed_rows`` at the checked base
+    point when it has one; errors are then max-abs deviations normalized by
+    the oracle's largest component (absolute when the oracle vanishes).
 
     The metric and cubic of every rung come from one ``_tensors`` call over
     the whole ladder, so one domain check and one divergence call.  That
@@ -604,27 +614,19 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
     div._refuse_outside(p[None], "base point")
     if ladder.size:
         _check_powers(div, [float(ladder.min()) / (4.0 if richardson else 1.0)], 3)
+    report = ConvergenceReport(p, div.family_id)
     # the cubic first: where both closed forms are refused, its overflow is the
     # cause to name, ahead of the metric's underflow
-    closed = hasattr(div, "_closed_rows")
-    cubic_oracle = div._closed_rows(p[None], 3)[0] if closed else None
-    metric_oracle = div._closed_rows(p[None], 2)[0] if closed else None
-    report = ConvergenceReport(
-        base_point=p,
-        family_id=div.family_id,
-        metric_oracle=metric_oracle,
-        cubic_oracle=cubic_oracle,
-    )
+    if hasattr(div, "_closed_rows"):
+        report.cubic_oracle, report.metric_oracle = (t[0] for t in div._closed_rows(p[None], (3, 2)))
     hs = [float(h) for h in ladder]
     if not hs:
         return report
     P = np.repeat(p[None], len(hs), axis=0)
     (metric, _, _), (cubic, _, _) = _tensors(div, P, ladder, richardson, (2, 3))
-    m_err = _tensor_errors(metric, metric_oracle)
-    c_err = _tensor_errors(cubic, cubic_oracle)
+    m_err = _tensor_errors(metric, report.metric_oracle)
+    c_err = _tensor_errors(cubic, report.cubic_oracle)
     report.rungs = [ConvergenceRung(*rung) for rung in zip(hs, metric, cubic, m_err, c_err)]
-    if metric_oracle is not None:
-        report.metric_order = fit_loglog_slope(hs, m_err)
-    if cubic_oracle is not None:
-        report.cubic_order = fit_loglog_slope(hs, c_err)
+    if report.metric_oracle is not None:  # and so the cubic's, from the same kernel call
+        report.metric_order, report.cubic_order = fit_loglog_slope(hs, m_err), fit_loglog_slope(hs, c_err)
     return report

@@ -70,14 +70,6 @@ def _refuse_rows(owner, X, inside, what: str) -> None:
         raise DomainError(f"{owner.family_id}: {what} {_format_point(X[inside.index(False)])} outside domain")
 
 
-def _checked_point(owner, inside, x, which: str) -> np.ndarray:
-    """``x`` as a float vector of ``owner``'s width that ``inside`` accepts, else DomainError."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (owner.dimension,) or not inside(x):
-        raise DomainError(f"{owner.family_id}: {which} {_format_point(x)} outside domain")
-    return x
-
-
 class RowDomain:
     """An open domain written once, as the predicate ``_inside(X)``.
 
@@ -241,35 +233,41 @@ class _ClosedForms(DivergenceFamily):
     """A divergence whose metric g and cubic T, the quadratic and cubic Taylor
     coefficients of D(p || p + u) at u = 0, have closed forms.
 
-    A subclass writes them once as ``_closed(X, order)``, over (n, d) rows
-    checked against the domain: g (n, d, d) for order 2, T (n, d, d, d) for
-    order 3.  ``_closed_rows`` is the one unchecked kernel: it makes them
-    exactly symmetric and refuses the first row where they overflow with
-    NumericalError.  The engines call it on rows they have checked; the
-    public ``fisher(x)`` and ``forward_cubic(x)`` are its checked one-row case.
+    A subclass writes them once as ``_closed(X, orders)``, over (n, d) rows
+    checked against the domain: in one pass, g (n, d, d) for each order 2
+    and T (n, d, d, d) for each order 3 in ``orders``.  ``_closed_rows`` is
+    the one unchecked kernel: it makes them exactly symmetric and refuses
+    the first, in the order given, where a row overflows with NumericalError.
+    The engines call it on rows they have checked; the public ``fisher(x)``
+    and ``forward_cubic(x)`` are its checked one-row case.
     """
 
     def _point(self, x) -> np.ndarray:
-        return _checked_point(self, self.contains, x, "point")
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        self._refuse_outside(x[None], "point")
+        return x
 
-    def _closed_rows(self, X: np.ndarray, order: int) -> np.ndarray:
+    def _closed_rows(self, X: np.ndarray, orders: tuple) -> list:
         with np.errstate(all="ignore"):
-            t = self._closed(X, order)
-        # each entry taken from its sorted index, which leaves a symmetric t as it is
-        flat = t.reshape(len(t), -1)[:, _sorted_entries(self.dimension, order)]
-        finite = np.isfinite(flat).all(axis=1)
-        if not finite.all():
-            x = _format_point(X[finite.argmin()])
-            raise NumericalError(f"{self.family_id}: the closed-form tensor at {x} overflows the float range")
-        return flat.reshape(t.shape)
+            tensors = self._closed(X, orders)
+        symmetric = []
+        for order, t in zip(orders, tensors):
+            # each entry taken from its sorted index, which leaves a symmetric t as it is
+            flat = t.reshape(len(t), -1)[:, _sorted_entries(self.dimension, order)]
+            finite = np.isfinite(flat).all(axis=1)
+            if not finite.all():
+                x = _format_point(X[finite.argmin()])
+                raise NumericalError(f"{self.family_id}: the closed-form tensor at {x} overflows the float range")
+            symmetric.append(flat.reshape(t.shape))
+        return symmetric
 
     def fisher(self, x) -> np.ndarray:
         """Quadratic Taylor coefficient g of D(x || x + u)."""
-        return self._closed_rows(self._point(x)[None], 2)[0]
+        return self._closed_rows(self._point(x)[None], (2,))[0][0]
 
     def forward_cubic(self, x) -> np.ndarray:
         """Cubic Taylor coefficient T of D(x || x + u)."""
-        return self._closed_rows(self._point(x)[None], 3)[0]
+        return self._closed_rows(self._point(x)[None], (3,))[0][0]
 
 
 class ExponentialFamily(_ClosedForms):
@@ -280,14 +278,14 @@ class ExponentialFamily(_ClosedForms):
     docstring's rule.  A family supplies ``_inside``, ``_divergence``, the
     natural domain ``_natural_inside``, the unchecked inverse chart
     ``from_natural`` and these unchecked bodies, all over the last axis, on
-    rows that their caller has coerced and checked against its chart's
-    domain (a (d,) point is one row):
+    default-chart rows x that their caller has coerced and checked against
+    the family's domain (a (d,) point is one row):
 
         _to_natural(x)           eta
         _natural_jacobian(x)     J = d eta / dx, (d, d), natural index first
         _natural_hessian(x)      H = d^2 eta / dx^2, (d, d, d), likewise
+        _natural_fisher(x)       psi'' at eta(x), (d, d)
         _score_moment(x)         psi''' at eta(x), (d, d, d)
-        _natural_fisher(eta)     psi'', (d, d)
 
     and, on one point, ``_log_partition(eta)`` (psi) and
     ``_mean_from_natural(eta)`` (grad psi).  The bodies take powers through
@@ -296,9 +294,6 @@ class ExponentialFamily(_ClosedForms):
     raise DomainError off the default chart's domain.
     """
 
-    def _natural_point(self, eta) -> np.ndarray:
-        return _checked_point(self, self._natural_inside, eta, "natural point")
-
     def to_natural(self, x) -> np.ndarray:
         return self._to_natural(self._point(x))
 
@@ -306,17 +301,20 @@ class ExponentialFamily(_ClosedForms):
         """d(natural)/d(default chart), shape (dim, dim)."""
         return self._natural_jacobian(self._point(x))
 
-    def _closed(self, X, order):
-        jac = self._natural_jacobian(X)
-        psi2 = self._natural_fisher(self._to_natural(X))
-        if order == 2:
-            return np.swapaxes(jac, 1, 2) @ psi2 @ jac
-        t = self._score_moment(X)
-        for _ in range(3):  # psi'''(J, J, J), one natural index at a time
-            t = np.einsum("nabc,nai->nbci", t, jac)
-        # psi''_ab H_aij J_bk, added once for each index that J carries
-        m = np.einsum("naij,nab,nbk->nijk", self._natural_hessian(X), psi2, jac)
-        return t + m + m.transpose(0, 1, 3, 2) + m.transpose(0, 3, 1, 2)
+    def _closed(self, X, orders):
+        jac, psi2 = self._natural_jacobian(X), self._natural_fisher(X)
+        tensors = []
+        for order in orders:
+            if order == 2:
+                tensors.append(np.swapaxes(jac, 1, 2) @ psi2 @ jac)
+                continue
+            t = self._score_moment(X)
+            for _ in range(3):  # psi'''(J, J, J), one natural index at a time
+                t = np.einsum("nabc,nai->nbci", t, jac)
+            # psi''_ab H_aij J_bk, added once for each index that J carries
+            m = np.einsum("naij,nab,nbk->nijk", self._natural_hessian(X), psi2, jac)
+            tensors.append(t + m + m.transpose(0, 1, 3, 2) + m.transpose(0, 3, 1, 2))
+        return tensors
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +366,8 @@ class GaussianFixedSigma(ExponentialFamily):
 
     _mean_from_natural = from_natural
 
-    def _natural_fisher(self, eta):
-        return np.full(eta.shape[:-1] + (1, 1), self.sigma**2)
+    def _natural_fisher(self, x):
+        return np.full(x.shape[:-1] + (1, 1), self.sigma**2)
 
     def _score_moment(self, x):
         return np.zeros(x.shape[:-1] + (1, 1, 1))
@@ -418,8 +416,9 @@ class ExponentialScale(ExponentialFamily):
     def _mean_from_natural(self, eta):
         return -1.0 / eta
 
-    def _natural_fisher(self, eta):
-        return (1.0 / _pow(eta, 2))[..., None]
+    def _natural_fisher(self, x):
+        # psi''(eta) = 1/eta^2 = 1/theta^2
+        return (1.0 / _pow(x, 2))[..., None]
 
     def _score_moment(self, x):
         # psi'''(eta) = -2/eta^3 = 2/theta^3
@@ -476,9 +475,8 @@ class Bernoulli(ExponentialFamily):
 
     _mean_from_natural = from_natural
 
-    def _natural_fisher(self, eta):
-        p = self.from_natural(eta)
-        return (p * (1.0 - p))[..., None]
+    def _natural_fisher(self, x):
+        return (x * (1.0 - x))[..., None]
 
     def _score_moment(self, x):
         return (x * (1.0 - x) * (1.0 - 2.0 * x))[..., None, None]
@@ -544,8 +542,7 @@ class Categorical(ExponentialFamily):
 
     _mean_from_natural = from_natural
 
-    def _natural_fisher(self, eta):
-        p = self.from_natural(eta)
+    def _natural_fisher(self, p):
         return np.eye(self.dimension) * p[..., None, :] - p[..., :, None] * p[..., None, :]
 
     def _score_moment(self, p):
@@ -611,8 +608,8 @@ class GaussianFull(ExponentialFamily):
     # T(m, s) = T(0, 1) / s^3 exactly; the generic rule at (m, s) adds terms
     # of size (m/s)^2 that cancel, and its powers of s leave the float range
     # long before the tensor does, while at (0, 1) it does neither
-    def _closed(self, X, order):
-        return _UNIT_GAUSSIAN[order] / _pow(X[:, 1], order).reshape((-1,) + (1,) * order)
+    def _closed(self, X, orders):
+        return [_UNIT_GAUSSIAN[order] / _pow(X[:, 1], order).reshape((-1,) + (1,) * order) for order in orders]
 
     def _log_partition(self, eta):
         e1, e2 = eta
@@ -622,8 +619,8 @@ class GaussianFull(ExponentialFamily):
         m, s = self.from_natural(eta)
         return np.array([m, m**2 + s**2])
 
-    def _natural_fisher(self, eta):
-        m, s = np.moveaxis(self.from_natural(eta), -1, 0)
+    def _natural_fisher(self, x):
+        m, s = x[..., 0], x[..., 1]
         s2 = _pow(s, 2)
         g12 = 2.0 * m * s2
         return _tensor([s2, g12, g12, 4.0 * _pow(m, 2) * s2 + 2.0 * _pow(s, 4)], (2, 2))
@@ -658,7 +655,7 @@ class NaturalView(_ClosedForms):
     be extracted directly in the chart where the score-moment oracle lives.
     In this chart the closed-form g is the Hessian psi'' of the
     log-partition and T is the score moment psi''', the family's bodies
-    over the rows.
+    on the rows mapped once through ``from_natural``.
     """
 
     def __init__(self, family: ExponentialFamily):
@@ -680,9 +677,10 @@ class NaturalView(_ClosedForms):
     def _divergence(self, P, Q):
         return self.family._divergence(P, Q)
 
-    def _closed(self, eta, order):
+    def _closed(self, eta, orders):
         family = self.family
-        return family._natural_fisher(eta) if order == 2 else family._score_moment(family.from_natural(eta))
+        X = family.from_natural(eta)
+        return [family._natural_fisher(X) if order == 2 else family._score_moment(X) for order in orders]
 
     def random_interior(self, rng, n):
         return self.family._to_natural(self.family.random_interior(rng, n))
@@ -712,7 +710,8 @@ def bregman_divergence(family: ExponentialFamily, p, q) -> float:
     exponential-family member.
     """
     ep, eq = family.to_natural(p), family.to_natural(q)
-    eq, ep = family._natural_point(eq), family._natural_point(ep)
+    E = np.stack([eq, ep])
+    _refuse_rows(family, E, family._natural_inside(E), "natural point")
     return float(family._log_partition(eq) - family._log_partition(ep) - (eq - ep) @ family._mean_from_natural(ep))
 
 

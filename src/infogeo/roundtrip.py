@@ -414,7 +414,7 @@ def _cubic_tensors(family, points: np.ndarray, method: str, h: float | None) -> 
     if method == "oracle":
         if not hasattr(family, "_closed_rows"):
             raise UnsupportedFamily(f"{family.family_id} has no closed-form cubic tensor")
-        return family._closed_rows(points, 3)
+        return family._closed_rows(points, (3,))[0]
     if method != "fd":
         raise ValueError("method must be 'fd' or 'oracle'")
     h = h if h is not None else _DEFAULT_STEP["cubic"]

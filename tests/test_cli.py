@@ -342,6 +342,10 @@ CONDITIONING_ERRORS = [
     ["asymmetry", "--family", "gaussian-full", "--at", "0,1e-120", "--dir", "0,1",
      "--steps", "4e-122,2e-122,1e-122,5e-123"],
     ["convergence", "--family", "gaussian-full", "--at", "0,1e-120", "--steps", "4e-122,2e-122"],
+    # the asymmetry's cubic coefficient, or T(v, v, v), overflows
+    ["asymmetry", "--family", "exponential", "--at", "1", "--dir", "1e308", "--steps", "0.2,0.1,0.05,0.025"],
+    ["asymmetry", "--family", "exponential", "--at", "1", "--dir", "1e200", "--steps", "0.2,0.1,0.05,0.025"],
+    ["asymmetry", "--family", "exponential", "--at", "3", "--dir", "1.7e308", "--steps", "1,0.99,0.98,0.97"],
 ]
 
 
@@ -613,6 +617,27 @@ def test_base_point_outside_domain_prints_one_line():
     )
     assert res.returncode == 1
     assert res.stderr.splitlines() == ["geo: bernoulli: base point [1.] outside domain"]
+
+
+@pytest.mark.parametrize(
+    "at, direction, steps, named",
+    [
+        # the values over h^3 overflowed with a RuntimeWarning, and the coefficient read NaN
+        ("1", "1e308", "0.2,0.1,0.05,0.025", "[1.e+308]"),
+        # T(v, v, v) read -inf, with no warning
+        ("1", "1e200", "0.2,0.1,0.05,0.025", "[1.e+200]"),
+        # math.fsum overflowed in the fit, with a traceback
+        ("3", "1.7e308", "1,0.99,0.98,0.97", "[1.7e+308]"),
+    ],
+)
+def test_an_asymmetry_whose_cubic_term_overflows_prints_one_line(at, direction, steps, named):
+    argv = ["asymmetry", "--family", "exponential", "--at", at, "--dir", direction, "--steps", steps]
+    res = _run_geo(argv, timeout=20)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == (
+        f"geo: numerical conditioning: exponential: the cubic term of the asymmetry along {named} "
+        "overflows the float range\n"
+    )
 
 
 def test_convergence_with_coincident_steps_gives_no_order_and_no_warning():

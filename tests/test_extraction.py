@@ -200,6 +200,27 @@ def test_asymmetry_probe_input_validation():
             asymmetry_probe(fam, p, np.zeros(len(p)), [0.1, 0.05, 0.025, 0.0125])
 
 
+@pytest.mark.parametrize(
+    "at, direction, steps, named",
+    [
+        # the values over h^3 overflowed with a warning, and the fit read NaN
+        (1.0, 1e308, [0.2, 0.1, 0.05, 0.025], "[1.e+308]"),
+        # the fit was finite, but T(v, v, v) read -inf and the ratio -0.0
+        (1.0, 1e200, [0.2, 0.1, 0.05, 0.025], "[1.e+200]"),
+        # the values over h^3 are finite, but math.fsum overflowed in the fit
+        (3.0, 1.7e308, [1.0, 0.99, 0.98, 0.97], "[1.7e+308]"),
+    ],
+)
+def test_an_asymmetry_whose_cubic_term_overflows_is_refused_without_a_warning(at, direction, steps, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as refused:
+            asymmetry_probe(ExponentialScale(), [at], [direction], steps)
+    assert str(refused.value) == (
+        f"exponential: the cubic term of the asymmetry along {named} overflows the float range"
+    )
+
+
 def test_asymmetry_ratio_constant_across_points_and_directions():
     view = natural_view(GaussianFull())
     ratios = []
@@ -575,6 +596,37 @@ def test_a_natural_view_maps_each_point_once_per_engine_call(family, eta, direct
     again = asymmetry_probe(view, eta, direction, steps)
     assert calls == [1 + 4, 1 + rows]
     assert np.array_equal(again.values, probe.values) and again.ratio == probe.ratio
+
+
+def test_a_convergence_report_takes_both_closed_forms_from_one_kernel_call(monkeypatch):
+    family = Bernoulli()
+    for div, ladder in ((family, [0.1, 0.05, 0.025]), (natural_view(family), [0.2, 0.1, 0.05])):
+        at = [0.3]
+        want = convergence_report(div, at, ladder, richardson=True)
+        kernel, mapped = [], []
+        closed_rows, from_natural = div._closed_rows, family.from_natural
+
+        def counted_kernel(X, orders):
+            kernel.append((len(X), orders))
+            return closed_rows(X, orders)
+
+        def counted_map(x):
+            mapped.append(len(x))
+            return from_natural(x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(div, "_closed_rows", counted_kernel)
+            patch.setattr(family, "from_natural", counted_map)
+            rep = convergence_report(div, at, ladder, richardson=True)
+        # the cubic first, so that its overflow is the one refused
+        assert kernel == [(1, (3, 2))]
+        # a natural view maps its base point for its check and for the kernel
+        # call, then the ladder's points in one domain pass; the family maps none
+        assert mapped == ([] if div is family else [1, 1, 30])
+        assert (rep.metric_oracle.tobytes(), rep.cubic_oracle.tobytes()) == (
+            want.metric_oracle.tobytes(), want.cubic_oracle.tobytes())
+        assert [(r.metric_error, r.cubic_error) for r in rep.rungs] == [
+            (r.metric_error, r.cubic_error) for r in want.rungs]
 
 
 class _PatchyExponential(ExponentialScale):

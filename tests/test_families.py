@@ -338,7 +338,10 @@ def test_the_closed_form_kernel_over_rows_is_the_one_point_forms_bit_for_bit(div
         m, s = rng.choice([-1.0, 1.0], 40) * 10 ** rng.uniform(-3.0, 14.0, 40), 10 ** rng.uniform(-span, span, 40)
         X = np.vstack([X, np.column_stack([m, s]) if family is div else family._to_natural(np.column_stack([m, s]))])
     for order, one_point in ((2, div.fisher), (3, div.forward_cubic)):
-        assert div._closed_rows(X, order).tobytes() == np.array([one_point(x) for x in X]).tobytes()
+        assert div._closed_rows(X, (order,))[0].tobytes() == np.array([one_point(x) for x in X]).tobytes()
+    # both orders from one call are the tensors of two calls
+    both = div._closed_rows(X, (3, 2))
+    assert [t.tobytes() for t in both] == [div._closed_rows(X, (order,))[0].tobytes() for order in (3, 2)]
 
 
 @pytest.mark.parametrize("family", [Bernoulli(), Categorical(5), GaussianFull()], ids=lambda f: f.family_id)
@@ -373,9 +376,10 @@ def test_the_closed_forms_take_their_powers_from_the_c_library():
     scales = 10 ** rng.uniform(-100.0, 100.0, 200)
     unit = GaussianFull().forward_cubic([0.0, 1.0])
     X = np.column_stack([rng.uniform(-1e14, 1e14, 200), scales])
-    assert GaussianFull()._closed_rows(X, 3).tobytes() == np.array([unit / s**3 for s in scales.tolist()]).tobytes()
+    [t] = GaussianFull()._closed_rows(X, (3,))
+    assert t.tobytes() == np.array([unit / s**3 for s in scales.tolist()]).tobytes()
     # T = psi'''(J, J, J) = -2 / theta^3, with J = -1
-    rates = ExponentialScale()._closed_rows(scales[:, None], 3).ravel()
+    rates = ExponentialScale()._closed_rows(scales[:, None], (3,))[0].ravel()
     assert rates.tolist() == [-(2.0 / s**3) for s in scales.tolist()]
 
 
@@ -421,6 +425,22 @@ def test_forward_cubic_matches_third_derivative_of_divergence():
                 orders = [sum(1 for i in idx if i == a) for a in range(d)]
                 expected = _mp_partial(f, x, orders)
                 assert t[idx] == pytest.approx(expected, rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "family", [Bernoulli(), Categorical(2), Categorical(3), Categorical(5)], ids=lambda f: f.family_id
+)
+def test_default_chart_closed_forms_are_accurate_to_rounding(family):
+    # psi'' and psi''' are taken at the point itself, with no round trip
+    # through the natural chart
+    d = family.dimension
+    for x in family.random_interior(np.random.default_rng(31), 3):
+        f = lambda *q: _mp_divergence(family, x, q)
+        for tensor in (family.fisher(x), family.forward_cubic(x)):
+            exact = np.array(
+                [_mp_partial(f, x, [idx.count(a) for a in range(d)]) for idx in np.ndindex(*tensor.shape)]
+            ).reshape(tensor.shape)
+            assert np.max(np.abs(tensor - exact)) <= 5e-14 * np.max(np.abs(exact))
 
 
 # --- domain handling and plumbing -------------------------------------------

@@ -471,15 +471,15 @@ def test_a_long_demon_path_is_extracted_in_batches():
 
 
 class _CountingCategorical(Categorical):
-    """Records the rows and order of each call of the closed-form kernel ``_closed_rows``."""
+    """Records the rows and orders of each call of the closed-form kernel ``_closed_rows``."""
 
     def __init__(self, k):
         super().__init__(k)
         self.calls = []
 
-    def _closed_rows(self, X, order):
-        self.calls.append((len(X), order))
-        return super()._closed_rows(X, order)
+    def _closed_rows(self, X, orders):
+        self.calls.append((len(X), orders))
+        return super()._closed_rows(X, orders)
 
 
 def test_an_oracle_demon_path_is_one_kernel_call():
@@ -487,7 +487,7 @@ def test_an_oracle_demon_path_is_one_kernel_call():
     family = _CountingCategorical(3)
     path = np.array([[0.2, 0.3], [0.25, 0.3], [0.3, 0.25]])
     rep = demon_work(family, path, method="oracle")
-    assert family.calls == [(3, 3)]
+    assert family.calls == [(3, (3,))]
     steps = np.diff(path, axis=0)
     assert rep.per_step == [
         float(np.einsum("ijk,i,j,k->", Categorical(3).forward_cubic(a), d, d, d)) / 6.0 for a, d in zip(path, steps)
@@ -623,8 +623,8 @@ class _CountingFamily(DivergenceFamily):
     def _divergence(self, P, Q):
         return self.family._divergence(P, Q)
 
-    def _closed_rows(self, X, order):
-        return self.family._closed_rows(X, order)
+    def _closed_rows(self, X, orders):
+        return self.family._closed_rows(X, orders)
 
 
 def test_domain_checks_without_contains_rows():
