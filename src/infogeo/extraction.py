@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, DomainError, NoisePanic, NumericalError, UnsupportedFamily
-from .families import _format_point, _refuse_rows
+from .families import _format_point, _outside, _refuse_rows
 
 __all__ = [
     "MetricTensor",
@@ -356,7 +356,7 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     # the base points and every stencil point in one domain pass
     X = np.concatenate([P, points.reshape(-1, d)])
     inside, Y = div._rows(X)
-    refuse(~inside[:n], lambda r: DomainError(f"{div.family_id}: base point {_format_point(P[r])} outside domain"))
+    refuse(~inside[:n], lambda r: _outside(div, "base point", P[r]))
     if cut == 0:
         raise error
     refuse(_unresolved(P[:cut], map(U.__getitem__, slot.tolist())), lambda r: _not_resolved(div, P[r], U[slot[r]]))

@@ -62,12 +62,17 @@ def _format_point(x) -> str:
     return np.array2string(np.asarray(x), max_line_width=sys.maxsize)
 
 
+def _outside(owner, what: str, x) -> DomainError:
+    """The DomainError naming, as ``what``, the point ``x`` outside ``owner``'s domain."""
+    return DomainError(f"{owner.family_id}: {what} {_format_point(x)} outside domain")
+
+
 def _refuse_rows(owner, X, inside, what: str) -> None:
     """DomainError naming, as ``what``, the first row of ``X`` that the
     (n,) bool ``inside`` marks outside ``owner``'s domain."""
     inside = inside.tolist()
     if not all(inside):
-        raise DomainError(f"{owner.family_id}: {what} {_format_point(X[inside.index(False)])} outside domain")
+        raise _outside(owner, what, X[inside.index(False)])
 
 
 class RowDomain:
@@ -276,10 +281,10 @@ class ExponentialFamily(_ClosedForms):
     Its closed forms in the default chart, g = J^T psi'' J and T =
     psi'''(J, J, J) + 3 Sym psi''(H, J), are written here once, by the module
     docstring's rule.  A family supplies ``_inside``, ``_divergence``, the
-    natural domain ``_natural_inside``, the unchecked inverse chart
-    ``from_natural`` and these unchecked bodies, all over the last axis, on
-    default-chart rows x that their caller has coerced and checked against
-    the family's domain (a (d,) point is one row):
+    unchecked inverse chart ``from_natural``, whose preimage of the family's
+    domain is the natural domain, and these unchecked bodies, all over the
+    last axis, on default-chart rows x that their caller has coerced and
+    checked against the family's domain (a (d,) point is one row):
 
         _to_natural(x)           eta
         _natural_jacobian(x)     J = d eta / dx, (d, d), natural index first
@@ -358,9 +363,6 @@ class GaussianFixedSigma(ExponentialFamily):
     def _natural_hessian(self, x):
         return np.zeros(x.shape[:-1] + (1, 1, 1))
 
-    def _natural_inside(self, eta):
-        return np.isfinite(eta.T[0])
-
     def _log_partition(self, eta):
         return 0.5 * self.sigma**2 * eta[0] ** 2
 
@@ -405,10 +407,6 @@ class ExponentialScale(ExponentialFamily):
 
     def _natural_hessian(self, x):
         return np.zeros(x.shape[:-1] + (1, 1, 1))
-
-    def _natural_inside(self, eta):
-        eta = eta.T[0]
-        return (-math.inf < eta) & (eta < 0.0)
 
     def _log_partition(self, eta):
         return -math.log(-eta[0])
@@ -466,9 +464,6 @@ class Bernoulli(ExponentialFamily):
 
     def _natural_hessian(self, x):
         return ((2.0 * x - 1.0) / _pow(x * (1.0 - x), 2))[..., None, None]
-
-    def _natural_inside(self, eta):
-        return np.isfinite(eta.T[0])
 
     def _log_partition(self, eta):
         return np.logaddexp(0.0, eta[0])
@@ -532,9 +527,6 @@ class Categorical(ExponentialFamily):
         h = np.full(x.shape + (self.dimension,) * 2, (1.0 / _pow(full[..., -1:], 2))[..., None, None])
         h[(...,) + (np.arange(self.dimension),) * 3] -= 1.0 / full[..., :-1] ** 2
         return h
-
-    def _natural_inside(self, eta):
-        return np.isfinite(eta).all(axis=-1)
 
     def _log_partition(self, eta):
         m = max(0.0, float(eta.max()))
@@ -600,10 +592,6 @@ class GaussianFull(ExponentialFamily):
         h, s4 = -2.0 / _pow(s, 3), _pow(s, 4)
         return _tensor([0.0, h, h, 6.0 * m / s4, 0.0, 0.0, 0.0, -3.0 / s4], (2, 2, 2))
 
-    def _natural_inside(self, eta):
-        e1, e2 = eta.T
-        return np.isfinite(e1) & (-math.inf < e2) & (e2 < 0.0)
-
     # the family is location-scale, so g(m, s) = g(0, 1) / s^2 and
     # T(m, s) = T(0, 1) / s^3 exactly; the generic rule at (m, s) adds terms
     # of size (m/s)^2 that cancel, and its powers of s leave the float range
@@ -649,10 +637,11 @@ class NaturalView(_ClosedForms):
     The domain is the natural points that ``from_natural`` maps into the
     family's domain (a natural point can round onto its boundary), so a
     refusal names the view and the point given.  ``_rows`` maps the rows
-    through ``from_natural`` once, answers the domain from the natural rows
-    and their images, and hands the images on: the kernel evaluates the
-    family's divergence on them and maps nothing itself.  This lets tensors
-    be extracted directly in the chart where the score-moment oracle lives.
+    through ``from_natural`` once, answers the domain from the family's
+    ``_inside`` on their images alone, and hands the images on: the kernel
+    evaluates the family's divergence on them and maps nothing itself.
+    This lets tensors be extracted directly in the chart where the
+    score-moment oracle lives.
     In this chart the closed-form g is the Hessian psi'' of the
     log-partition and T is the score moment psi''', the family's bodies
     on the rows mapped once through ``from_natural``.
@@ -666,10 +655,9 @@ class NaturalView(_ClosedForms):
         self.dimension = family.dimension
 
     def _rows(self, eta):
-        family = self.family
         with np.errstate(all="ignore"):
-            X = family.from_natural(eta)
-            return family._natural_inside(eta) & family._inside(X), X
+            X = self.family.from_natural(eta)
+            return self.family._inside(X), X
 
     def _inside(self, eta):
         return self._rows(eta)[0]
@@ -695,23 +683,27 @@ def natural_view(family: ExponentialFamily) -> NaturalView:
 
 def score_moment_tensor(family: ExponentialFamily, p) -> np.ndarray:
     """Third score moment E[d_i l d_j l d_k l] in natural coordinates, in
-    closed form: the third cumulant of the sufficient statistic."""
+    closed form: the third cumulant of the sufficient statistic, exactly
+    symmetric, with each entry taken from its sorted index as the closed
+    forms take theirs."""
     if not isinstance(family, ExponentialFamily):
         raise UnsupportedFamily(
             f"{getattr(family, 'family_id', family)!r} has no score-moment oracle"
         )
-    return family._score_moment(family._point(p))
+    t = family._score_moment(family._point(p))
+    return t.ravel()[_sorted_entries(family.dimension, 3)].reshape(t.shape)
 
 
 def bregman_divergence(family: ExponentialFamily, p, q) -> float:
     """psi(eta_q) - psi(eta_p) - (eta_q - eta_p) . grad psi(eta_p).
 
     Identity oracle: equals ``family.divergence(p, q)`` for every
-    exponential-family member.
+    exponential-family member.  It refuses, naming the natural point, the
+    natural points that the family's natural view refuses.
     """
     ep, eq = family.to_natural(p), family.to_natural(q)
     E = np.stack([eq, ep])
-    _refuse_rows(family, E, family._natural_inside(E), "natural point")
+    _refuse_rows(family, E, NaturalView(family)._rows(E)[0], "natural point")
     return float(family._log_partition(eq) - family._log_partition(ep) - (eq - ep) @ family._mean_from_natural(ep))
 
 

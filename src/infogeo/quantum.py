@@ -18,7 +18,6 @@ orientation); reversing the loop flips the sign.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -190,12 +189,11 @@ def _unit(q: np.ndarray) -> np.ndarray:
     return q / norm[..., 0]
 
 
-def _checked_eigh(*stacks: np.ndarray):
-    """(w, v) of every matrix of the Hermitian stacks, concatenated in order.
+def _checked_eigh(m: np.ndarray):
+    """(w, v) of every matrix of the Hermitian (n, k, k) stack ``m``.
 
     One stacked ``eigh`` decomposes each matrix exactly as a call of its own
     would.  Raises ValueError for an eigenvalue below -1e-12."""
-    m = np.concatenate([s.reshape(-1, *s.shape[-2:]) for s in stacks])
     w, v = np.linalg.eigh(m)
     if w.min() < -_ATOL:
         raise ValueError("matrix has an eigenvalue below -1e-12")
@@ -206,12 +204,6 @@ def _checked_eigh(*stacks: np.ndarray):
     return w, v
 
 
-def _split(a: np.ndarray, *stacks: np.ndarray) -> list:
-    """The rows of ``a``, one per matrix of the concatenated ``stacks``, cut back to each stack."""
-    bounds = list(itertools.accumulate((s.size // s.shape[-1] ** 2 for s in stacks), initial=0))
-    return [a[i:j].reshape(s.shape[:-2] + a.shape[1:]) for s, i, j in zip(stacks, bounds, bounds[1:])]
-
-
 def _entropy(w: np.ndarray) -> np.ndarray:
     """S from each row of eigenvalues ``w``, with 0 log 0 = 0."""
     w = np.clip(w, 0.0, None)
@@ -220,26 +212,29 @@ def _entropy(w: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho log rho] in nats, with 0 log 0 = 0."""
-    w, _ = _checked_eigh(_as_matrix(rho))
+    w, _ = _checked_eigh(_as_matrix(rho)[None])
     return float(_entropy(w)[0])
 
 
-def _relative_entropy_strict(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Tr[rho (log rho - log sigma)] for full-rank inputs, over stacks that broadcast."""
-    w, v = _checked_eigh(rho, sigma)
-    log_rho, log_sigma = _split((v * np.log(w)[..., None, :]) @ _adjoint(v), rho, sigma)
-    value = np.trace(rho @ (log_rho - log_sigma), axis1=-2, axis2=-1).real
+def _relative_entropy_strict(m: np.ndarray, n: int) -> np.ndarray:
+    """Tr[rho (log rho - log sigma)] over the full-rank (N, k, k) stack ``m``:
+    rho its first ``n`` matrices and sigma the rest, two stacks that broadcast."""
+    w, v = _checked_eigh(m)
+    log = (v * np.log(w)[..., None, :]) @ _adjoint(v)
+    value = np.trace(m[:n] @ (log[:n] - log[n:]), axis1=-2, axis2=-1).real
     worst = np.min(value, initial=0.0)
     if worst < -1e-12:
         raise NumericalError(f"relative entropy came out negative: {worst:.3e}")
     return np.where(value < 0.0, 0.0, value)
 
 
-def _jsd(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    mixture = 0.5 * (rho + sigma)
-    w, _ = _checked_eigh(rho, sigma, mixture)
-    s_rho, s_sigma, s_mixture = _split(_entropy(w), rho, sigma, mixture)
-    value = s_mixture - 0.5 * (s_rho + s_sigma)
+def _jsd(m: np.ndarray, n: int) -> np.ndarray:
+    """S((rho + sigma)/2) - (S(rho) + S(sigma))/2 over the (N, k, k) stack
+    ``m``, split as ``_relative_entropy_strict`` splits it; the mixtures
+    follow it through one ``eigh``."""
+    w, _ = _checked_eigh(np.concatenate([m, 0.5 * (m[:n] + m[n:])]))
+    s = _entropy(w)
+    value = s[len(m) :] - 0.5 * (s[:n] + s[n : len(m)])
     return np.where(value > 0.0, value, 0.0)
 
 
@@ -255,7 +250,7 @@ def quantum_relative_entropy(rho, sigma, eps: float = 1e-3) -> float:
     rho, sigma = _as_matrix(rho), _as_matrix(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} != {sigma.shape}")
-    return float(_relative_entropy_strict(_smooth(rho, eps), _smooth(sigma, eps)))
+    return float(_relative_entropy_strict(_smooth(np.stack([rho, sigma]), eps), 1)[0])
 
 
 def quantum_jsd(rho, sigma) -> float:
@@ -263,7 +258,7 @@ def quantum_jsd(rho, sigma) -> float:
     rho, sigma = _as_matrix(rho), _as_matrix(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} != {sigma.shape}")
-    return float(_jsd(rho, sigma))
+    return float(_jsd(np.stack([rho, sigma]), 1)[0])
 
 
 def bargmann_phase(loop) -> float:
@@ -403,10 +398,11 @@ class ChartDivergence(DivergenceFamily):
     """A quantum divergence viewed through a chart, for tensor extraction.
 
     The rows of both sides are mapped to smoothed states and validated as
-    one stack, and a single base point gives a single state, whose
-    logarithm or entropy is then taken once.  The chart's smoothing is the
-    only smoothing applied: chart points are full rank by construction, so
-    relative entropy is evaluated directly on them.
+    one stack, which goes to ``eigh`` as it is, and a single base point
+    gives a single state, whose logarithm or entropy is then taken once.
+    The chart's smoothing is the only smoothing applied: chart points are
+    full rank by construction, so relative entropy is evaluated directly on
+    them.
     """
 
     def __init__(self, chart, kind: str = "qre"):
@@ -422,8 +418,7 @@ class ChartDivergence(DivergenceFamily):
 
     def _divergence(self, P, Q):
         m = self.chart.states(np.concatenate([P, Q]))
-        rho, sigma = m[: len(P)], m[len(P) :]
-        return _relative_entropy_strict(rho, sigma) if self.kind == "qre" else _jsd(rho, sigma)
+        return (_relative_entropy_strict if self.kind == "qre" else _jsd)(m, len(P))
 
 
 def make_chart_divergence(spec: str, eps: float = 1e-3) -> ChartDivergence:

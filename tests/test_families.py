@@ -9,6 +9,7 @@ on their own correctness.
 import itertools
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -293,11 +294,11 @@ def test_score_moment_sum_and_quadrature_agree_with_closed():
 
 def test_score_moment_symmetric_under_index_permutations():
     rng = np.random.default_rng(10)
-    for family in [Categorical(3), GaussianFull()]:
+    for family in [Categorical(3), Categorical(5), GaussianFull()]:
         for x in family.random_interior(rng, 3):
             t = score_moment_tensor(family, x)
             for perm in [(1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]:
-                assert np.allclose(t, np.transpose(t, perm), atol=1e-14)
+                assert np.array_equal(t, np.transpose(t, perm))
 
 
 @pytest.mark.parametrize(
@@ -541,6 +542,26 @@ def test_bregman_divergence_checks_the_domain():
         bregman_divergence(Bernoulli(), [1.5], [0.5])
 
 
+def test_bregman_divergence_refuses_what_the_natural_view_refuses():
+    # eta_2 = -1/(2 sigma^2) is finite, but the sigma^2 it maps back to
+    # underflows to 0, so the point is refused before psi(eta) can overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as refused:
+            bregman_divergence(GaussianFull(), [0.0, 6e-155], [0.0, 7e-155])
+    assert str(refused.value) == "gaussian-full: natural point [ 0.00000000e+000 -1.02040816e+308] outside domain"
+    # 2 ulps above the margin, a point whose eta maps back below it
+    family = Categorical(3, margin=1e-6)
+    edge = [1.0000000000000004e-06, 0.0395]
+    assert family.contains(edge)
+    with pytest.raises(DomainError) as refused:
+        bregman_divergence(family, [0.3, 0.3], edge)
+    assert str(refused.value) == "categorical:3: natural point [-13.77520822  -3.19115227] outside domain"
+    with pytest.raises(DomainError) as refused:
+        natural_view(family).divergence(family.to_natural(edge), [0.0, 0.0])
+    assert str(refused.value) == "categorical:3:natural: first argument [-13.77520822  -3.19115227] outside domain"
+
+
 def test_boundary_margin_is_configurable():
     loose = Bernoulli(margin=1e-12)
     assert loose.divergence([0.5], [1e-10]) > 0
@@ -582,6 +603,32 @@ def test_natural_view_protocol():
         (GaussianFull(), [1.0, 0.0], [1.0, -1.0], r"gaussian-full:natural: first argument \[1\. 0\.\]"),
         # the message names the natural coordinate given, not the rate it maps to
         (ExponentialScale(), [-1.0], [1.0], r"exponential:natural: second argument \[1\.\]"),
+        # the family's domain alone refuses infinite, NaN and signed-zero
+        # natural points, naming the point given
+        *[
+            (family, p, q, "^" + re.escape(message) + "$")
+            for family, p, q, message in [
+                (ExponentialScale(), [math.inf], [-1.0], "exponential:natural: first argument [inf] outside domain"),
+                (ExponentialScale(), [-math.inf], [-1.0], "exponential:natural: first argument [-inf] outside domain"),
+                (ExponentialScale(), [math.nan], [-1.0], "exponential:natural: first argument [nan] outside domain"),
+                (ExponentialScale(), [0.0], [-1.0], "exponential:natural: first argument [0.] outside domain"),
+                (ExponentialScale(), [-1.0], [-0.0], "exponential:natural: second argument [-0.] outside domain"),
+                (Bernoulli(), [math.inf], [-0.0], "bernoulli:natural: first argument [inf] outside domain"),
+                (Bernoulli(), [0.0], [-math.inf], "bernoulli:natural: second argument [-inf] outside domain"),
+                (Bernoulli(), [math.nan], [0.0], "bernoulli:natural: first argument [nan] outside domain"),
+                (Categorical(3), [math.inf, 0.0], [0.0, -0.0], "categorical:3:natural: first argument [inf  0.] outside domain"),
+                (Categorical(3), [0.0, 0.0], [-math.inf, 0.0], "categorical:3:natural: second argument [-inf   0.] outside domain"),
+                (Categorical(3), [math.nan, 0.0], [0.0, 0.0], "categorical:3:natural: first argument [nan  0.] outside domain"),
+                (Categorical(3), [-0.0, -math.inf], [0.0, 0.0], "categorical:3:natural: first argument [ -0. -inf] outside domain"),
+                (GaussianFull(), [math.inf, -1.0], [0.0, -1.0], "gaussian-full:natural: first argument [inf -1.] outside domain"),
+                (GaussianFull(), [math.nan, -1.0], [0.0, -1.0], "gaussian-full:natural: first argument [nan -1.] outside domain"),
+                (GaussianFull(), [1.0, math.inf], [0.0, -1.0], "gaussian-full:natural: first argument [ 1. inf] outside domain"),
+                (GaussianFull(), [0.0, -1.0], [1.0, -math.inf], "gaussian-full:natural: second argument [  1. -inf] outside domain"),
+                (GaussianFull(), [1.0, math.nan], [0.0, -1.0], "gaussian-full:natural: first argument [ 1. nan] outside domain"),
+                (GaussianFull(), [1.0, -0.0], [0.0, -1.0], "gaussian-full:natural: first argument [ 1. -0.] outside domain"),
+                (GaussianFull(), [-0.0, -0.0], [0.0, -1.0], "gaussian-full:natural: first argument [-0. -0.] outside domain"),
+            ]
+        ],
     ],
 )
 def test_natural_view_checks_points_in_the_natural_chart(family, p, q, message):

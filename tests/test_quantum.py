@@ -366,9 +366,9 @@ def test_checked_eigh_refuses_a_negative_eigenvalue():
     m = np.diag([1.5, -0.5]).astype(complex)  # Hermitian, trace one, not PSD
     quantum._check_density(m)
     with pytest.raises(ValueError, match="eigenvalue below -1e-12"):
-        quantum._checked_eigh(m)
+        quantum._checked_eigh(m[None])
     with pytest.raises(ValueError, match="eigenvalue below -1e-12"):
-        quantum._checked_eigh(np.eye(2)[None] / 2, m[None])
+        quantum._checked_eigh(np.stack([np.eye(2) / 2, m]))
 
 
 @pytest.mark.parametrize("k", [2, 3])
