@@ -8,12 +8,14 @@ states reachable by acting on each factor identically.
 Quantum relative entropy is infinite between states of non-overlapping
 support, so every evaluation happens on smoothed states
 rho_eps = (1 - eps) rho + eps I/d; the smoothing value always travels with
-the result.  A chart supplies only its domain ``_inside`` and its state map
-``_state``; the chart base checks, smooths and validates each point.  The
-holonomy of a loop of rays is the phase of the cyclic product of successive
-overlaps, taken in the order that makes the octant loop |0> -> |x+> -> |y+>
-come out at -pi/4 (minus half the enclosed solid angle for the traversal
-orientation); reversing the loop flips the sign.
+the result.  A chart supplies its domain ``_inside``, its state map
+``_state``, which the chart base smooths and validates, and its divergence
+kernel, in closed form from the smoothed spectra with no ``eigh``; the
+``eigh`` path serves matrices given by the user.  The holonomy of a loop of
+rays is the phase of the cyclic product of successive overlaps, taken in
+the order that makes the octant loop |0> -> |x+> -> |y+> come out at -pi/4
+(minus half the enclosed solid angle for the traversal orientation);
+reversing the loop flips the sign.
 """
 
 from __future__ import annotations
@@ -189,6 +191,18 @@ def _unit(q: np.ndarray) -> np.ndarray:
     return q / norm[..., 0]
 
 
+def _atanh_over(t2: np.ndarray) -> np.ndarray:
+    """atanh(t)/t at t = sqrt(t2) in [0, 1), exactly 1 at t = 0."""
+    t = np.sqrt(t2)
+    safe = np.where(t > 0.0, t, 0.5)
+    return np.where(t > 0.0, np.arctanh(safe) / safe, 1.0)
+
+
+def _simplex(X: np.ndarray) -> np.ndarray:
+    """(..., k) simplex coordinates completed to (..., k + 1) probabilities."""
+    return np.concatenate([X, 1.0 - X.sum(axis=-1, keepdims=True)], axis=-1)
+
+
 def _checked_eigh(m: np.ndarray):
     """(w, v) of every matrix of the Hermitian (n, k, k) stack ``m``.
 
@@ -221,7 +235,12 @@ def _relative_entropy_strict(m: np.ndarray, n: int) -> np.ndarray:
     rho its first ``n`` matrices and sigma the rest, two stacks that broadcast."""
     w, v = _checked_eigh(m)
     log = (v * np.log(w)[..., None, :]) @ _adjoint(v)
-    value = np.trace(m[:n] @ (log[:n] - log[n:]), axis1=-2, axis2=-1).real
+    return _nonnegative(np.trace(m[:n] @ (log[:n] - log[n:]), axis1=-2, axis2=-1).real)
+
+
+def _nonnegative(value: np.ndarray) -> np.ndarray:
+    """Relative entropies ``value`` with rounding below zero clipped to 0;
+    NumericalError if one came out below -1e-12."""
     worst = np.min(value, initial=0.0)
     if worst < -1e-12:
         raise NumericalError(f"relative entropy came out negative: {worst:.3e}")
@@ -233,8 +252,12 @@ def _jsd(m: np.ndarray, n: int) -> np.ndarray:
     ``m``, split as ``_relative_entropy_strict`` splits it; the mixtures
     follow it through one ``eigh``."""
     w, _ = _checked_eigh(np.concatenate([m, 0.5 * (m[:n] + m[n:])]))
-    s = _entropy(w)
-    value = s[len(m) :] - 0.5 * (s[:n] + s[n : len(m)])
+    return _jsd_spectra(w[:n], w[n : len(m)], w[len(m) :])
+
+
+def _jsd_spectra(wp: np.ndarray, wq: np.ndarray, wm: np.ndarray) -> np.ndarray:
+    """The JSD from the spectra of rho, sigma and their mixture, clipped at 0."""
+    value = _entropy(wm) - 0.5 * (_entropy(wp) + _entropy(wq))
     return np.where(value > 0.0, value, 0.0)
 
 
@@ -301,11 +324,12 @@ _PAULI = (
 class _Chart(RowDomain):
     """Local coordinates on a smoothed state space.
 
-    A chart supplies only its open domain, as ``_inside`` (which gives it
+    A chart supplies its open domain, as ``_inside`` (which gives it
     ``contains`` and ``contains_rows``), and its state map ``_state``, the
     unsmoothed matrices at points of that domain, over the last axis.
     ``point`` checks one point and returns its state smoothed by ``eps``;
     ``states`` smooths and validates the states of many points at once.
+    Each built-in chart also writes ``_divergence_rows`` from its spectra.
     """
 
     chart_id: str
@@ -331,6 +355,12 @@ class _Chart(RowDomain):
         _check_density(m)
         return m
 
+    def _divergence_rows(self, kind: str, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """``kind`` ("qre" or "qjsd") from the (n, d) rows P to Q, in the domain
+        and broadcast: both sides' smoothed states as one stack, one ``eigh``."""
+        m = self.states(np.concatenate([P, Q]))
+        return (_relative_entropy_strict if kind == "qre" else _jsd)(m, len(P))
+
 
 class BlochChart(_Chart):
     """Bloch-ball coordinates for qubit states: rho = (I + x.sigma)/2."""
@@ -348,6 +378,18 @@ class BlochChart(_Chart):
         r = sum(X[..., i, None, None] * s for i, s in enumerate(_PAULI))
         return 0.5 * (np.eye(2, dtype=complex) + r)
 
+    def _divergence_rows(self, kind, P, Q):
+        # smoothed Bloch vectors r, s and spectra (1 +- |r|)/2: qre = -h(|r|) - log((1 - s^2)/4)/2 -
+        # (r.s) atanh|s|/|s| and qjsd = h(|m|) - (h(|r|) + h(|s|))/2, m = (r + s)/2, for the binary
+        # entropy h, written with log 2 - h(t) = t atanh(t) + log(1 - t^2)/2 so the log 2 terms cancel
+        r, s = (1.0 - self.eps) * P, (1.0 - self.eps) * Q
+        rr, ss, rs = (r * r).sum(-1), (s * s).sum(-1), (r * s).sum(-1)
+        if kind == "qre":
+            return _nonnegative(rr * _atanh_over(rr) - rs * _atanh_over(ss) + 0.5 * (np.log1p(-rr) - np.log1p(-ss)))
+        m = 0.5 * (r + s)
+        phi = [t2 * _atanh_over(t2) + 0.5 * np.log1p(-t2) for t2 in (rr, ss, (m * m).sum(-1))]
+        return np.maximum(0.5 * (phi[0] + phi[1]) - phi[2], 0.0)
+
 
 class DiagonalQutritChart(_Chart):
     """Eigenvalue-simplex coordinates for diagonal qutrit states."""
@@ -360,8 +402,15 @@ class DiagonalQutritChart(_Chart):
         return (X > 0.0).all(axis=-1) & (np.minimum(np.abs(X), 1.0).sum(axis=-1) < 1.0)
 
     def _state(self, X):
-        spectrum = np.concatenate([X, 1.0 - X.sum(axis=-1, keepdims=True)], axis=-1)
-        return (spectrum[..., None] * np.eye(3)).astype(complex)
+        return (_simplex(X)[..., None] * np.eye(3)).astype(complex)
+
+    def _divergence_rows(self, kind, P, Q):
+        # the states commute: classical KL and JSD of the smoothed spectra,
+        # qre with the arithmetic of the eigh path, bit for bit
+        p, q = ((1.0 - self.eps) * _simplex(X) + self.eps / 3 for X in (P, Q))
+        if kind == "qre":
+            return _nonnegative((p * (np.log(p) - np.log(q))).sum(axis=-1))
+        return _jsd_spectra(p, q, 0.5 * (p + q))
 
 
 class VeroneseChart(_Chart):
@@ -386,6 +435,19 @@ class VeroneseChart(_Chart):
         nu = _unit(_veronese(_unit(qubit)))
         return nu[..., :, None] * nu.conj()[..., None, :]
 
+    def _divergence_rows(self, kind, P, Q):
+        # spectra {a, b, b}, b = eps/3, a = 1 - eps + b: qre = k3 (1 - c^2) with k3 = (1 - eps) log(a/b) =
+        # (1 - eps) log((3 - 2 eps)/eps) and c = (1 + n.m)/2 the qubits' fidelity, Bloch vectors n, m; the
+        # mixture's spectrum is (1 - eps)(1 +- c)/2 + b and b.  u = 1 - c = |n - m|^2/4, summed as squares
+        (t1, f1), (t2, f2) = P.T, Q.T
+        u = np.sin(0.5 * (t1 - t2)) ** 2 + np.sin(t1) * np.sin(t2) * np.sin(0.5 * (f1 - f2)) ** 2
+        eps, b = self.eps, self.eps / 3
+        if kind == "qre":
+            return _nonnegative((1.0 - eps) * (math.log(3.0 - 2.0 * eps) - math.log(eps)) * u * (2.0 - u))
+        mixture = [np.full_like(u, b), 0.5 * (1.0 - eps) * u + b, 0.5 * (1.0 - eps) * (2.0 - u) + b]
+        state = np.array([b, b, 1.0 - eps + b])
+        return _jsd_spectra(state, state, np.stack(mixture, axis=-1))
+
 
 _CHARTS = {
     "bloch": BlochChart,
@@ -397,12 +459,10 @@ _CHARTS = {
 class ChartDivergence(DivergenceFamily):
     """A quantum divergence viewed through a chart, for tensor extraction.
 
-    The rows of both sides are mapped to smoothed states and validated as
-    one stack, which goes to ``eigh`` as it is, and a single base point
-    gives a single state, whose logarithm or entropy is then taken once.
-    The chart's smoothing is the only smoothing applied: chart points are
-    full rank by construction, so relative entropy is evaluated directly on
-    them.
+    Its kernel is the chart's ``_divergence_rows``; a built-in chart takes
+    both sides' rows in closed form from the smoothed spectra, builds no
+    matrix and makes no ``eigh``.  The chart's smoothing is the only smoothing
+    applied: its states are full rank, so the divergences are finite.
     """
 
     def __init__(self, chart, kind: str = "qre"):
@@ -417,8 +477,7 @@ class ChartDivergence(DivergenceFamily):
         return self.chart._inside(X)
 
     def _divergence(self, P, Q):
-        m = self.chart.states(np.concatenate([P, Q]))
-        return (_relative_entropy_strict if self.kind == "qre" else _jsd)(m, len(P))
+        return self.chart._divergence_rows(self.kind, P, Q)
 
 
 def make_chart_divergence(spec: str, eps: float = 1e-3) -> ChartDivergence:

@@ -1,6 +1,7 @@
 """State geometry: rays, embeddings, quantum divergences, holonomy, charts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,8 @@ CHART_POINTS = {
 @pytest.mark.parametrize("kind", ["qre", "qjsd"])
 @pytest.mark.parametrize("chart", sorted(CHART_POINTS))
 def test_chart_divergence_validates_each_state_once(kind, chart, monkeypatch):
+    # on the eigh path, the chart base's kernel, both sides' states are
+    # validated in one pass
     states = []  # how many states each validation saw: both sides in one
     check = quantum._check_density
 
@@ -291,8 +294,9 @@ def test_chart_divergence_validates_each_state_once(kind, chart, monkeypatch):
 
     monkeypatch.setattr(quantum, "_check_density", counting_check)
     p, q, _ = CHART_POINTS[chart]
-    value = make_chart_divergence(f"{kind}:{chart}").divergence(p, q)
-    assert value > 0.0
+    div = make_chart_divergence(f"{kind}:{chart}")
+    value = quantum._Chart._divergence_rows(div.chart, kind, np.array([p]), np.array([q]))
+    assert value[0] > 0.0
     assert states == [2]
 
 
@@ -327,7 +331,8 @@ def _reference_divergence(kind, rho, sigma):
 
 @pytest.mark.parametrize("kind", ["qre", "qjsd"])
 @pytest.mark.parametrize("chart", sorted(CHART_POINTS))
-def test_chart_divergence_batch_decomposes_once(kind, chart, monkeypatch):
+def _count_decompositions(monkeypatch) -> dict:
+    """Counters of the ``np.linalg.eigh`` and ``eigvalsh`` calls from now on."""
     calls = {"eigh": 0, "eigvalsh": 0}
 
     def counted(name):
@@ -341,25 +346,164 @@ def test_chart_divergence_batch_decomposes_once(kind, chart, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["qre", "qjsd"])
+@pytest.mark.parametrize("chart", sorted(CHART_POINTS))
+def test_chart_divergence_batch_decomposes_once(kind, chart, monkeypatch):
+    # the eigh path decomposes a batch in one call: the chart base's kernel
+    # over both sides, and each public function over its two matrices
     div = make_chart_divergence(f"{kind}:{chart}")
     rng = np.random.default_rng(3)
+    p, q = (div.chart.point(x) for x in CHART_POINTS[chart][:2])
+    calls = _count_decompositions(monkeypatch)
     for P, Q in ((_chart_rows(chart, rng, 1), _chart_rows(chart, rng, 9)),
                  (_chart_rows(chart, rng, 9), _chart_rows(chart, rng, 9))):
         calls.update(eigh=0, eigvalsh=0)
-        div.divergence_rows(P, Q)
+        quantum._Chart._divergence_rows(div.chart, kind, P, Q)
         assert calls == {"eigh": 1, "eigvalsh": 0}
+    calls.update(eigh=0, eigvalsh=0)
+    (quantum_relative_entropy if kind == "qre" else quantum_jsd)(p, q)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("kind", ["qre", "qjsd"])
+@pytest.mark.parametrize("chart", sorted(CHART_POINTS))
+def test_chart_kernels_make_no_eigendecomposition(kind, chart, monkeypatch):
+    div = make_chart_divergence(f"{kind}:{chart}")
+    rng = np.random.default_rng(5)
+
+    def no_matrix(self, X):
+        raise AssertionError("a chart kernel built a density matrix")
+
+    monkeypatch.setattr(type(div.chart), "_state", no_matrix)
+    calls = _count_decompositions(monkeypatch)
+    for P, Q in ((_chart_rows(chart, rng, 1), _chart_rows(chart, rng, 9)),
+                 (_chart_rows(chart, rng, 9), _chart_rows(chart, rng, 1))):
+        assert np.all(div.divergence_rows(P, Q) > 0.0)
+    extract_cubic(div, CHART_POINTS[chart][0], h=5e-2, richardson=True)
+    assert calls == {"eigh": 0, "eigvalsh": 0}
 
 
 @pytest.mark.parametrize("kind", ["qre", "qjsd"])
 @pytest.mark.parametrize("chart", sorted(CHART_POINTS))
 def test_stacked_decomposition_matches_separate_ones_bit_for_bit(kind, chart):
+    # on the eigh path: the chart base's kernel over stacks of states, and
+    # the public functions on pairs of them
     div = make_chart_divergence(f"{kind}:{chart}")
     for seed in range(5):
         rng = np.random.default_rng([seed, 11])
         for n_p in (1, 40):
             P, Q = _chart_rows(chart, rng, n_p), _chart_rows(chart, rng, 40)
             want = _reference_divergence(kind, div.chart.states(P), div.chart.states(Q))
-            assert div.divergence_rows(P, Q).tobytes() == want.tobytes()
+            assert quantum._Chart._divergence_rows(div.chart, kind, P, Q).tobytes() == want.tobytes()
+        if kind == "qre":  # the public function smooths the states it is given
+            rho, sigma = div.chart._state(P), div.chart._state(Q)
+            got = [quantum_relative_entropy(rho[i], sigma[i], eps=div.chart.eps) for i in range(5)]
+        else:
+            rho, sigma = div.chart.states(P), div.chart.states(Q)
+            got = [quantum_jsd(rho[i], sigma[i]) for i in range(5)]
+        assert np.array(got).tobytes() == want[:5].tobytes()
+
+
+# rows where a closed kernel takes a special branch or nears its domain's edge
+EDGE_ROWS = {
+    "bloch": (
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.3, -0.2, 0.5], [1e-9, 0.0, -1e-9], [0.0, 0.0, 0.999]],
+        [[0.2, 0.4, -0.1], [0.0, 0.0, 1e-9], [0.0, 0.0, 0.0], [0.0, 0.0, -0.999], [0.0, 0.0, 0.998]],
+    ),
+    "diag-qutrit": (
+        [[1e-12, 0.5], [0.5, 0.5 - 1e-12], [1.0 - 2e-12, 1e-12], [1e-12, 1e-12], [0.3, 0.3]],
+        [[0.3, 0.3], [1e-12, 1e-12], [1e-12, 1.0 - 2e-12], [2e-12, 1e-12], [1e-12, 0.5]],
+    ),
+    "veronese": (
+        [[1e-9, 0.3], [1e-9, 0.3], [math.pi - 1e-9, 1.0], [math.pi - 1e-9, 1.0], [1e-9, -3.0], [1.0, 3.1]],
+        [[2e-9, -2.0], [0.5, 1.0], [math.pi - 2e-9, -1.0], [1e-9, 1.0], [math.pi / 2, 3.0], [1.0, -3.1]],
+    ),
+}
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.3])
+@pytest.mark.parametrize("kind", ["qre", "qjsd"])
+@pytest.mark.parametrize("chart", sorted(CHART_POINTS))
+def test_closed_chart_kernels_match_the_eigh_kernel(chart, kind, eps):
+    div = make_chart_divergence(f"{kind}:{chart}", eps=eps)
+    rng = np.random.default_rng([7, round(eps * 1e3)])
+    edge_p, edge_q = (np.array(X) for X in EDGE_ROWS[chart])
+    cases = [(edge_p, edge_q), (edge_q, edge_p), (edge_p, edge_p)]
+    cases += [(_chart_rows(chart, rng, n_p), _chart_rows(chart, rng, 40)) for n_p in (1, 40, 40)]
+    for P, Q in cases:
+        got = div.chart._divergence_rows(kind, P, Q)
+        want = quantum._Chart._divergence_rows(div.chart, kind, P, Q)
+        # the chart's largest log term: -log of the least eigenvalue of either side
+        scale = -math.log(np.linalg.eigvalsh(div.chart.states(np.concatenate([P, Q]))).min())
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert np.all(got >= 0.0)
+        # P == Q gives exactly 0, from the kernel and from the checked entry
+        assert not div.chart._divergence_rows(kind, Q, Q).any()
+        assert not div.divergence_rows(Q, Q).any()
+
+
+@pytest.mark.parametrize(
+    "eps, exact",
+    # D(rho || sigma) at p = (1, 0.5), q = (1.2, 0.4), evaluated in mpmath at 50 digits
+    [(1e-9, 0.517382550690306), (1e-12, 0.681160940456501), (1e-15, 0.844939329690901), (1e-300, 16.4038863068928)],
+)
+def test_qre_veronese_is_exact_at_small_smoothing(eps, exact):
+    # the least eigenvalue eps/3 lies below what eigh resolves beside 1; the
+    # closed form takes log(a/b) from eps itself, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = make_chart_divergence("qre:veronese", eps=eps).divergence_rows([[1.0, 0.5]], [[1.2, 0.4]])
+    assert abs(value[0] - exact) <= 1e-12 * exact
+
+
+def _bloch_radial(kind, eps, x):
+    """Radial g and T of a Bloch-chart divergence at x.  Along the Bloch
+    vector the states commute, so the divergence is the classical one of
+    the eigenvalue a = (1 + (1 - eps)|x|)/2, moving at rate c = (1 - eps)/2:
+    the Bernoulli relative entropy, or the JSD from the binary entropy H,
+    whose g and T are -H''/4 and -3H'''/8."""
+    a, c = (1.0 + (1.0 - eps) * np.linalg.norm(x)) / 2.0, (1.0 - eps) / 2.0
+    if kind == "qre":
+        g, t = 1.0 / (a * (1.0 - a)), 2.0 / (1.0 - a) ** 2 - 2.0 / a**2
+    else:
+        g, t = 0.25 / (a * (1.0 - a)), -0.375 * (1.0 / a**2 - 1.0 / (1.0 - a) ** 2)
+    return c**2 * g, c**3 * t
+
+
+@pytest.mark.parametrize("kind", ["qre", "qjsd"])
+@pytest.mark.parametrize("x", [[0.1, 0.2, 0.3], [-0.4, 0.1, 0.2], [0.0, -0.5, 0.1], [0.3, -0.3, -0.3]])
+def test_bloch_radial_tensors_match_their_closed_forms(kind, x):
+    div = make_chart_divergence(f"{kind}:bloch", eps=1e-3)
+    x = np.array(x)
+    r_hat = x / np.linalg.norm(x)
+    g_rr, t_rrr = _bloch_radial(kind, 1e-3, x)
+    g = extract_metric(div, x, h=1e-2, richardson=True).components
+    t = extract_cubic(div, x, h=5e-2, richardson=True).components
+    got_g, got_t = r_hat @ g @ r_hat, np.einsum("ijk,i,j,k->", t, r_hat, r_hat, r_hat)
+    # the benchmark's own check allows 1e-6 and 1e-3
+    assert abs(got_g - g_rr) / max(abs(g_rr), np.max(np.abs(g))) < 1e-8
+    assert abs(got_t - t_rrr) / max(abs(t_rrr), np.max(np.abs(t))) < 1e-4
+
+
+@pytest.mark.parametrize("p", [[1.0, 0.5], [2.0, -1.0], [0.7, 2.5], [2.5, 0.0]])
+def test_veronese_tensors_match_their_closed_forms(p):
+    # D = k3 (1 - c^2) with k3 = (1 - eps) log((3 - 2 eps)/eps): g = k3
+    # diag(1, sin^2 theta), and symmetry in (p, q) leaves T = 3/2 sym(dg),
+    # whose one entry is T_theta,phi,phi = k3 sin(theta) cos(theta)
+    eps, theta = 1e-3, p[0]
+    k3 = (1.0 - eps) * math.log((3.0 - 2.0 * eps) / eps)
+    div = make_chart_divergence("qre:veronese", eps=eps)
+    g = extract_metric(div, p, h=1e-2, richardson=True).components
+    t = extract_cubic(div, p, h=5e-2, richardson=True).components
+    t_ref = np.zeros((2, 2, 2))
+    for idx in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        t_ref[idx] = k3 * math.sin(theta) * math.cos(theta)
+    # the benchmark's own check allows 1e-6 and 1e-3
+    assert np.max(np.abs(g - k3 * np.diag([1.0, math.sin(theta) ** 2]))) / k3 < 1e-10
+    assert np.max(np.abs(t - t_ref)) / k3 < 1e-6
 
 
 def test_checked_eigh_refuses_a_negative_eigenvalue():
