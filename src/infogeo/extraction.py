@@ -36,14 +36,15 @@ pass, not through the checked public entry ``divergence_rows``.  An
 extraction is one domain pass over its base point and stencil points
 together and one kernel call, and so is a batch of base points:
 ``_tensors`` takes the stencils of many rows P at once, with one step for
-all of them or a step per row, and of several orders at once, and raises
-the error that extracting the rows one by one, each order after the one
-before, would have met first.  Either step is a step per row to it, and
-what depends on the step alone is worked out once per distinct step.
+all of them or a step per row, and of several orders at once.  Either step
+is a step per row to it, and what depends on the step alone is worked out
+once per distinct step.  A batch raises the error that extracting its rows
+one by one, each order after the one before, meets first: a batch that a
+check refuses is extracted again that way, through the same code.
 ``roundtrip.demon_work`` passes it up to 256 points of a path;
-``convergence_report`` passes its base point once per rung of the
-ladder, each with the rung's step, and asks for the metric and cubic
-together, so a ladder of any length is one call.
+``convergence_report`` its base point once per rung of the ladder, each
+with the rung's step, for the metric and cubic together, so a ladder of
+any length is one call.
 
 A step is refused with ConditioningError when it is not resolved at the
 base point: when p + s - p differs from s by more than 1e-3 s in some
@@ -70,8 +71,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, NoisePanic, NumericalError, UnsupportedFamily
-from .families import _format_point, _outside, _refuse_rows
+from .errors import ConditioningError, DomainError, InfoGeoError, NoisePanic, NumericalError, UnsupportedFamily
+from .families import _format_point, _refuse_rows
 
 __all__ = [
     "MetricTensor",
@@ -287,6 +288,13 @@ def _cubic_test(t: np.ndarray, noise: np.ndarray):
 _ACCEPT = {2: _metric_test, 3: _cubic_test}
 
 
+def _first(bad: np.ndarray, make_error) -> None:
+    """Raise ``make_error(r)`` for the first row r that the (n,) bool ``bad`` marks."""
+    bad = bad.tolist()
+    if True in bad:
+        raise make_error(bad.index(True))
+
+
 def _tensors(div, P, h, richardson: bool, orders: tuple):
     """Derivative tensors of D(p || .) of each order in ``orders`` at each
     row p of the (n >= 1, d) array P, with step ``h``: one number for every
@@ -298,45 +306,30 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     acceptance statistic (smallest metric eigenvalue, or cubic noise
     estimate).
 
-    Each row gets these checks with its step, in this order: base point in
-    the domain, at most ``_MAX_DIMENSION`` coordinates, finest step resolved,
-    then order by order the order's stencil in the domain, the steps' powers
-    in the float range, the Richardson ladder and the acceptance test.  What
-    depends on the step alone (the steps of the levels, their powers and
-    their refusal, and the noise estimate) is worked out once per distinct
-    step, so rows that share one step share that work.  The base points and
-    the stencil points of all rows and orders go through one ``_rows`` call,
-    made once the base points' width and the plan's size are checked, and
-    its mapped rows through one call of the unchecked kernel ``_values``,
-    which does not check or map them again, so each point is checked and
-    mapped once.  A convergence ladder, its base point repeated once per
-    rung, is one call for its metric and cubic.  When rows fail, the error
-    raised is the one that extracting row after row, order after order,
-    would have met first; an overflowing divergence is refused by the
-    kernel, for the whole call.
+    The steps are checked first, then the base points' width and the
+    plan's size.  Then each row gets these checks with its step, in this
+    order: base point in the domain, finest step resolved, then order by
+    order the order's stencil in the domain, its divergences in the float
+    range (the kernel's check), the steps' powers in the float range, the
+    Richardson ladder and the acceptance test.  A batch is one ``_rows``
+    pass over the base points and the stencil points of all rows and orders
+    and one call of the unchecked kernel ``_values`` on its mapped rows, so
+    each point is checked and mapped once; a convergence ladder is one call
+    for its metric and cubic.  A batch that a check refuses is extracted
+    again row after row, order after order, each (row, order) a batch of its
+    own, and the first error that walk meets is the one raised.
     """
-    d = div.dimension
     P = np.asarray(P, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if h.shape not in ((), P.shape[:1]):
+        raise ValueError(f"a step is one number or one per base point, not an array of shape {h.shape}")
     # a Python float per row, so the powers below are libm's, which numpy's
-    # SIMD paths may not round alike; the distinct steps are numbered in the
-    # order the rows first carry them, and ``slot`` holds each row's number
-    h = np.asarray(h)
+    # SIMD paths may not round alike
     hs = h.tolist() if h.ndim else [h.item()] * len(P)
-    distinct = {}
-    slot = np.array([distinct.setdefault(x, len(distinct)) for x in hs], dtype=np.intp)
-    for x in distinct:
+    for x in dict.fromkeys(hs):
         if not 0.0 < x < np.inf:
             raise ValueError(f"step size must be positive and finite, got {x}")
-    error, cut = None, len(P)
-
-    def refuse(bad: np.ndarray, make_error) -> None:
-        """Cut the batch before the first row below the cut that ``bad`` marks."""
-        nonlocal error, cut
-        bad = bad[:cut].tolist()
-        if any(bad):
-            cut = bad.index(True)
-            error = make_error(cut)
-
+    d = div.dimension
     if P.ndim != 2 or P.shape[1] != d or d > _MAX_DIMENSION:
         # no stencil is built for base points of the wrong width, which numpy
         # would broadcast, nor a plan past the widest: the base points first
@@ -344,7 +337,25 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
         raise UnsupportedFamily(
             f"{div.family_id}: finite-difference stencils take at most {_MAX_DIMENSION} coordinates, not {d}"
         )
-    n = len(P)
+    try:
+        return _batch(div, P, hs, richardson, orders)
+    except InfoGeoError:
+        # the walk, each (row, order) a batch of its own, raises what it meets first
+        if len(P) * len(orders) > 1:
+            for p, x in zip(P, hs):
+                for order in orders:
+                    _batch(div, p[None], [x], richardson, (order,))
+        raise
+
+
+def _batch(div, P, hs: list, richardson: bool, orders: tuple):
+    """``_tensors`` of the checked (n, d) base points P with the step hs[i]
+    of each row, raising at the first check that any row fails."""
+    n, d = P.shape
+    # the distinct steps are numbered in the order the rows first carry them,
+    # and ``slot`` holds each row's number
+    distinct = {}
+    slot = np.array([distinct.setdefault(x, len(distinct)) for x in hs], dtype=np.intp)
     offsets, plans = _stencil_plan(d, orders, richardson)
     # each distinct step's steps of the levels, and its finest as the
     # displacement of every coordinate
@@ -356,78 +367,44 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     # the base points and every stencil point in one domain pass
     X = np.concatenate([P, points.reshape(-1, d)])
     inside, Y = div._rows(X)
-    refuse(~inside[:n], lambda r: _outside(div, "base point", P[r]))
-    if cut == 0:
-        raise error
-    refuse(_unresolved(P[:cut], map(U.__getitem__, slot.tolist())), lambda r: _not_resolved(div, P[r], U[slot[r]]))
-    inside = inside[n:].reshape(n, m)
-    outside = not inside[:cut].all()
-
-    def leaves(levels: np.ndarray) -> None:
-        # refuse the rows whose stencil of one order leaves the domain, naming
-        # the point that the order's own plan meets first
-        picked = levels.ravel()
-        out = ~inside[:cut, picked]
-        refuse(out.any(axis=1), lambda r: DomainError(
-            f"{div.family_id}: finite-difference stencil leaves the domain at "
-            f"{_format_point(points[r, picked[out[r].argmax()]])}"
-        ))
-
-    if outside:
-        leaves(plans[0][1])
-    if cut == 0:
-        raise error
-    shared = cut == 1 or (P[1:cut] == P[0]).all()
-
-    def pair(Z: np.ndarray) -> tuple:
-        """The base and evaluated rows of the rows Z, stacked as X is."""
-        base, evaluated = Z[:cut], Z[n : n + cut * m]
-        if outside:
-            # a point outside that only a later order reaches is evaluated at its row's
-            # base point, which gives exactly 0; that order refuses the row before reading it
-            evaluated = np.where(inside[:cut, :, None], evaluated.reshape(cut, m, -1), base[:, None, :])
-            evaluated = evaluated.reshape(cut * m, -1)
-        # rows that share their base point pass it as one row, which a chart
-        # turns into one state
-        return base[:1] if shared else np.repeat(base, m, axis=0), evaluated
-
-    rows = pair(X)
-    f = div._values(*rows, *(rows if Y is X else pair(Y))).reshape(cut, m)
+    _refuse_rows(div, P, inside[:n], "base point")
+    _first(_unresolved(P, map(U.__getitem__, slot.tolist())), lambda r: _not_resolved(div, P[r], U[slot[r]]))
+    if not inside.all():
+        # the first stencil point outside, in the order of the orders' plans
+        picked = np.concatenate([levels.ravel() for _, levels, _ in plans])
+        r, c = np.argwhere(~inside[n:].reshape(n, m)[:, picked])[0]
+        raise DomainError(
+            f"{div.family_id}: finite-difference stencil leaves the domain at {_format_point(points[r, picked[c]])}"
+        )
+    # each stencil point's base row; rows that share their base point pass it
+    # as one row, which the kernel broadcasts
+    base = slice(1) if n == 1 or (P[1:] == P[0]).all() else np.repeat(np.arange(n), m)
+    f = div._values(X[base], X[n:], Y[base], Y[n:]).reshape(n, m)
     results = []
     for order, (weights, levels, fill) in zip(orders, plans):
-        if outside:
-            leaves(levels)
         # per distinct step, the powers its levels are divided by and the
-        # rounding-noise estimate 1e-16 / h^order of its finest level; the first
-        # step whose powers are refused cuts the batch at the first row that
-        # carries it, as every later step first appears after that row
+        # rounding-noise estimate 1e-16 / h^order of its finest level
         table = []
         for row in steps:
-            try:
-                _check_powers(div, row, order)
-            except ConditioningError as refused:
-                refuse(slot >= len(table), lambda r: refused)
-                break
+            _check_powers(div, row, order)
             powers = [s**order for s in row]
             table.append(powers + [1e-16 / powers[-1]])
-        if cut == 0:
-            raise error
-        table = np.array(table).take(slot[:cut], axis=0)
+        table = np.array(table).take(slot, axis=0)
         # W @ f for every row and level as one stack of matrix-vector products,
         # each summed exactly as the product for a single row and level is: the
         # values are taken into C order, as a single row's are, since a strided
         # vector can take another summation order in BLAS
-        t = (weights @ f[:cut].take(levels, axis=1)[..., None])[..., 0][..., fill]
-        t = (t / table[:, :-1, None]).reshape((cut, len(_LEVELS[richardson])) + (d,) * order)
+        t = (weights @ f.take(levels, axis=1)[..., None])[..., 0][..., fill]
+        t = (t / table[:, :-1, None]).reshape((n, len(_LEVELS[richardson])) + (d,) * order)
         noise = table[:, -1]
         disagreement = None
         if richardson:
             # the (h, h/2) and (h/2, h/4) disagreements of each row
-            d1, disagreement = np.abs(t[:, :-1] - t[:, 1:]).reshape(cut, 2, -1).max(axis=-1).T
+            d1, disagreement = np.abs(t[:, :-1] - t[:, 1:]).reshape(n, 2, -1).max(axis=-1).T
             # disagreements at the rounding-noise floor of the finest level carry no
             # information about the truncation ladder (zero tensors live there);
             # expected d2 ~ d1/4; tolerate 10x before declaring the ladder unusable
-            refuse((disagreement > 2.5 * d1) & (disagreement > 10.0 * noise), lambda r: ConditioningError(
+            _first((disagreement > 2.5 * d1) & (disagreement > 10.0 * noise), lambda r: ConditioningError(
                 f"step-halving disagreement grew from {d1[r]:.3e} to {disagreement[r]:.3e}; "
                 "the step ladder is outside the asymptotic regime"
             ))
@@ -435,10 +412,8 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
         else:
             t = t[:, 0]
         statistic, rejected, reject = _ACCEPT[order](t, noise)
-        refuse(rejected, reject)
+        _first(rejected, reject)
         results.append((t, disagreement, statistic))
-    if error is not None:
-        raise error
     return results
 
 
@@ -452,8 +427,8 @@ def _extract(div, p, h: float, richardson: bool, order: int):
     [(t, disagreement, statistic)] = _tensors(div, p[None], h, richardson, (order,))
     record, method = _RECORD[order]
     return record(
-        t[0], p, h, method + "+richardson" if richardson else method, div.family_id, 0.0,
-        float(statistic[0]), None if disagreement is None else float(disagreement[0]),
+        t[0], p, np.asarray(h, dtype=float).item(), method + "+richardson" if richardson else method,
+        div.family_id, 0.0, float(statistic[0]), None if disagreement is None else float(disagreement[0]),
     )
 
 

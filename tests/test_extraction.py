@@ -30,6 +30,7 @@ from infogeo import (
     UnsupportedFamily,
     asymmetry_probe,
     convergence_report,
+    demon_work,
     extract_cubic,
     extract_metric,
     make_chart_divergence,
@@ -641,6 +642,24 @@ class _PatchyExponential(ExponentialScale):
         return super()._divergence(P, Q) + kink
 
 
+class _OverflowingPatchyExponential(_PatchyExponential):
+    """The patchy family, whose divergence from a point p > 100 overflows."""
+
+    def _divergence(self, P, Q):
+        return np.where(P.T[0] > 100.0, np.inf, super()._divergence(P, Q))
+
+
+def test_a_later_row_whose_divergence_overflows_leaves_the_refusal_of_an_earlier_row_first():
+    # the walk meets row 7's Richardson refusal before row 200's overflow,
+    # and so does a batch of both, whichever engine passes it
+    family = _OverflowingPatchyExponential()
+    walk = _outcome(lambda: extract_cubic(family, [7.0], h=5e-2, richardson=True))
+    assert walk[0] is ConditioningError and walk[1].startswith("step-halving disagreement grew")
+    assert _outcome(lambda: extract_cubic(family, [200.0], h=5e-2, richardson=True))[0] is NumericalError
+    assert _outcome(lambda: _tensors(family, np.array([[7.0], [200.0]]), 5e-2, True, (3,))) == walk
+    assert _outcome(lambda: demon_work(family, [[7.0], [200.0]])) == walk
+
+
 # one row each that extracts, fails the Richardson check (patchy only), fails
 # the noise test, leaves the domain with its stencil or its base point, and
 # is not resolved by the finest step
@@ -687,6 +706,23 @@ def test_a_batch_raises_the_error_a_row_by_row_walk_meets_first(family, rows, re
         else:
             assert isinstance(batch, np.ndarray) and np.array_equal(batch, walk), rows
     assert refusals == refused
+
+
+def test_a_refused_batch_is_extracted_again_row_by_row():
+    # the stencil of 0.95 leaves the domain at 0.95 + 2h, which is refused
+    # before any kernel call: then the rows before it, one 8-point
+    # Richardson cubic stencil each, and the refused row makes none
+    div = _CountingRows(Bernoulli())
+    refused = _outcome(lambda: demon_work(div, [[0.3], [0.5], [0.95]]))
+    assert refused == (DomainError, "bernoulli: finite-difference stencil leaves the domain at [1.05]")
+    assert div.rows == [8, 8]
+    # a Richardson refusal at 7.0 and a noise refusal at 1e3 come after the
+    # one batched call of 3 rows, then the walk's calls up to the refused row
+    for family, rows, refusal in [(_PatchyExponential(), [[1.0], [7.0], [2.0]], ConditioningError),
+                                  (ExponentialScale(), [[1.0], [1e3], [2.0]], NoisePanic)]:
+        div = _CountingRows(family)
+        assert _outcome(lambda: _tensors(div, np.array(rows), 5e-2, True, (3,)))[0] is refusal
+        assert div.rows == [3 * 8, 8, 8]
 
 
 def _bits(call):
@@ -798,6 +834,23 @@ def test_steps_below_the_resolution_of_the_point_are_conditioning_errors():
     # the same steps are resolved where the scale of the point allows them
     g = extract_metric(family, [1e3, 1.0], h=1e-2).components
     assert g[0, 0] == pytest.approx(1.0, rel=1e-6)
+
+
+def test_a_step_is_one_number_or_one_per_base_point():
+    family = ExponentialScale()
+    for h in (np.array([0.1, 0.2]), np.array([[0.1]]), np.full((1, 1, 1), 0.1)):
+        for extract in (extract_metric, extract_cubic):
+            with pytest.raises(ValueError, match=r"^a step is one number or one per base point") as refused:
+                extract(family, [1.0], h=h)
+            assert str(refused.value).endswith(f"not an array of shape {h.shape}")
+    with pytest.raises(ValueError, match=r"shape \(3,\)$"):
+        _tensors(family, np.ones((2, 1)), np.full(3, 0.1), False, (2,))
+    # the step is recorded as the Python float it is taken as
+    for h in (0.1, np.float64(0.1), np.array(0.1), [0.1], np.array([0.1])):
+        for extract in (extract_metric, extract_cubic):
+            t = extract(family, [1.0], h=h, richardson=True)
+            assert type(t.step) is float and t.step == 0.1
+            assert t.components.tobytes() == extract(family, [1.0], h=0.1, richardson=True).components.tobytes()
 
 
 def test_steps_whose_powers_underflow_are_conditioning_errors():
