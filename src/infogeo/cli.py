@@ -152,6 +152,23 @@ def _parse_sweep(text: str) -> list:
 
 TEXT = Field("a string", lambda v: isinstance(v, str))
 INT = Field("an integer", lambda v: _is_number(v) and isinstance(v, int), options={"type": int})
+
+# the most rows a gap table holds: its run time and its report grow
+# linearly with the count
+_MAX_TABLE = 10_000
+
+
+def _is_table(value) -> bool:
+    return INT.test(value) and 1 <= value <= _MAX_TABLE
+
+
+def _parse_table(count: int) -> int:
+    if not _is_table(count):
+        raise UsageError(f"--table wants a row count from 1 to {_MAX_TABLE}")
+    return count
+
+
+TABLE = _optional(Field(f"an integer from 1 to {_MAX_TABLE}", _is_table, _parse_table, INT.options))
 NUMBER = Field("a number", _is_number, options={"type": float})
 FLAG = Field("true or false", lambda v: isinstance(v, bool), options={"action": "store_true"})
 NUMBERS = Field("a list of numbers", _list_of(_is_number), _parse_floats)
@@ -416,7 +433,7 @@ OUTPUT = (("--format", FORMAT, {}), ("--out", None, {}))
 SUBCOMMANDS = {
     "gap": Subcommand(
         "exact collective-vs-sequential fidelity gap",
-        args=(("--n", _optional(INT), {}), ("--table", _optional(INT), {})),
+        args=(("--n", _optional(INT), {}), ("--table", TABLE, {})),
         run=_run_gap,
         tables={
             ("gap-table", "csv"): Table(

@@ -140,6 +140,11 @@ def _tensor(entries: list, shape: tuple) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(entries[0].shape + shape)
 
 
+def _simplex(X: np.ndarray) -> np.ndarray:
+    """(..., k) simplex coordinates completed to (..., k + 1) probabilities."""
+    return np.concatenate([X, 1.0 - X.sum(axis=-1, keepdims=True)], axis=-1)
+
+
 @functools.lru_cache(maxsize=None)
 def _sorted_entries(d: int, order: int) -> np.ndarray:
     """For each entry of a (d,)*order tensor in C order, the flat index of
@@ -493,10 +498,6 @@ class Categorical(ExponentialFamily):
         self.margin = float(margin)
         self.family_id = f"categorical:{self.k}"
 
-    def _full(self, X) -> np.ndarray:
-        """All k probabilities, over the last axis."""
-        return np.concatenate([X, 1.0 - X.sum(axis=-1, keepdims=True)], axis=-1)
-
     def _inside(self, X):
         # the simplex lies in the unit box, so clipping |x| to 1 changes no
         # answer, and keeps infinite or huge coordinates out of the sum
@@ -504,11 +505,11 @@ class Categorical(ExponentialFamily):
         return (X > self.margin).all(axis=-1) & (last > self.margin)
 
     def _divergence(self, P, Q):
-        fp, fq = self._full(P), self._full(Q)
+        fp, fq = _simplex(P), _simplex(Q)
         return np.sum(fp * np.log(fp / fq), axis=-1)
 
     def _to_natural(self, x):
-        full = self._full(x)
+        full = _simplex(x)
         return np.log(full[..., :-1] / full[..., -1:])
 
     def from_natural(self, eta):
@@ -519,11 +520,11 @@ class Categorical(ExponentialFamily):
         return (w / w.sum(axis=-1, keepdims=True))[..., : self.dimension]
 
     def _natural_jacobian(self, x):
-        full = self._full(x)
+        full = _simplex(x)
         return np.eye(self.dimension) * (1.0 / full[..., None, :-1]) + (1.0 / full[..., -1:])[..., None]
 
     def _natural_hessian(self, x):
-        full = self._full(x)
+        full = _simplex(x)
         h = np.full(x.shape + (self.dimension,) * 2, (1.0 / _pow(full[..., -1:], 2))[..., None, None])
         h[(...,) + (np.arange(self.dimension),) * 3] -= 1.0 / full[..., :-1] ** 2
         return h

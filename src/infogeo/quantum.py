@@ -9,13 +9,13 @@ Quantum relative entropy is infinite between states of non-overlapping
 support, so every evaluation happens on smoothed states
 rho_eps = (1 - eps) rho + eps I/d; the smoothing value always travels with
 the result.  A chart supplies its domain ``_inside``, its state map
-``_state``, which the chart base smooths and validates, and its divergence
-kernel, in closed form from the smoothed spectra with no ``eigh``; the
-``eigh`` path serves matrices given by the user.  The holonomy of a loop of
-rays is the phase of the cyclic product of successive overlaps, taken in
-the order that makes the octant loop |0> -> |x+> -> |y+> come out at -pi/4
-(minus half the enclosed solid angle for the traversal orientation);
-reversing the loop flips the sign.
+``_state`` of one point, which ``point`` smooths and validates, and its
+divergence kernel, in closed form from the smoothed spectra with no
+``eigh``; ``eigh`` serves only matrices given by the user.  The holonomy
+of a loop of rays is the phase of the cyclic product of successive
+overlaps, taken in the order that makes the octant loop |0> -> |x+> ->
+|y+> come out at -pi/4 (minus half the enclosed solid angle for the
+traversal orientation); reversing the loop flips the sign.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NumericalError, OrthogonalLink
-from .families import DivergenceFamily, RowDomain, _format_point
+from .families import DivergenceFamily, RowDomain, _format_point, _simplex
 
 __all__ = [
     "PureState",
@@ -108,13 +108,13 @@ class DensityMatrix:
 
 
 def _check_density(m: np.ndarray) -> None:
-    """Raise ValueError unless every matrix of the stack ``m`` is Hermitian and
-    of trace one within 1e-12; ``m`` has shape (k, k) or (n, k, k).  Callers
-    check the spectrum where they compute it, as ``_checked_eigh`` does.
+    """Raise ValueError unless the (k, k) matrix ``m`` is Hermitian and of
+    trace one within 1e-12.  Callers check the spectrum where they compute
+    it, as ``_checked_eigh`` does.
     """
     if np.max(np.abs(m - _adjoint(m))) > _ATOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
-    if np.max(np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)) > _ATOL:
+    if abs(np.trace(m).real - 1.0) > _ATOL:
         raise ValueError("trace differs from 1 by more than 1e-12")
 
 
@@ -157,38 +157,12 @@ def veronese_embed(q) -> PureState:
     q = _as_state(q)
     if q.dim != 2:
         raise DimensionMismatch(f"veronese embedding needs a qubit, got dim {q.dim}")
-    return PureState(_veronese(q.amplitudes))
+    return PureState(_veronese(*map(complex, q.amplitudes)))
 
 
-def _veronese(q: np.ndarray) -> np.ndarray:
-    """(a^2, sqrt2 ab, b^2) over the last axis of the qubit amplitudes ``q``."""
-    a, b = q[..., 0], q[..., 1]
-    return np.stack([_times(a, a), _times(math.sqrt(2.0) * a, b), _times(b, b)], axis=-1)
-
-
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The complex product a * b, written out in real arithmetic.
-
-    numpy's vectorized complex multiply may fuse a multiply with an add and
-    round differently from a product of two complex scalars; this rounds
-    every element as the scalar product does, however many there are.
-    """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _unit(q: np.ndarray) -> np.ndarray:
-    """Each amplitude vector over the last axis of ``q`` divided by its norm.
-
-    The squared norm is summed as ``np.linalg.norm`` sums it, one dot product
-    for the real parts and one for the imaginary parts, so a row comes out
-    as ``PureState`` normalizes it.
-    """
-    re, im = q.real[..., None, :], q.imag[..., None, :]
-    norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
-    return q / norm[..., 0]
+def _veronese(a: complex, b: complex) -> list:
+    """(a^2, sqrt2 ab, b^2) of the qubit amplitudes a, b, as complex scalars."""
+    return [a * a, math.sqrt(2.0) * a * b, b * b]
 
 
 def _atanh_over(t2: np.ndarray) -> np.ndarray:
@@ -196,11 +170,6 @@ def _atanh_over(t2: np.ndarray) -> np.ndarray:
     t = np.sqrt(t2)
     safe = np.where(t > 0.0, t, 0.5)
     return np.where(t > 0.0, np.arctanh(safe) / safe, 1.0)
-
-
-def _simplex(X: np.ndarray) -> np.ndarray:
-    """(..., k) simplex coordinates completed to (..., k + 1) probabilities."""
-    return np.concatenate([X, 1.0 - X.sum(axis=-1, keepdims=True)], axis=-1)
 
 
 def _checked_eigh(m: np.ndarray):
@@ -230,14 +199,6 @@ def von_neumann_entropy(rho) -> float:
     return float(_entropy(w)[0])
 
 
-def _relative_entropy_strict(m: np.ndarray, n: int) -> np.ndarray:
-    """Tr[rho (log rho - log sigma)] over the full-rank (N, k, k) stack ``m``:
-    rho its first ``n`` matrices and sigma the rest, two stacks that broadcast."""
-    w, v = _checked_eigh(m)
-    log = (v * np.log(w)[..., None, :]) @ _adjoint(v)
-    return _nonnegative(np.trace(m[:n] @ (log[:n] - log[n:]), axis1=-2, axis2=-1).real)
-
-
 def _nonnegative(value: np.ndarray) -> np.ndarray:
     """Relative entropies ``value`` with rounding below zero clipped to 0;
     NumericalError if one came out below -1e-12."""
@@ -245,14 +206,6 @@ def _nonnegative(value: np.ndarray) -> np.ndarray:
     if worst < -1e-12:
         raise NumericalError(f"relative entropy came out negative: {worst:.3e}")
     return np.where(value < 0.0, 0.0, value)
-
-
-def _jsd(m: np.ndarray, n: int) -> np.ndarray:
-    """S((rho + sigma)/2) - (S(rho) + S(sigma))/2 over the (N, k, k) stack
-    ``m``, split as ``_relative_entropy_strict`` splits it; the mixtures
-    follow it through one ``eigh``."""
-    w, _ = _checked_eigh(np.concatenate([m, 0.5 * (m[:n] + m[n:])]))
-    return _jsd_spectra(w[:n], w[n : len(m)], w[len(m) :])
 
 
 def _jsd_spectra(wp: np.ndarray, wq: np.ndarray, wm: np.ndarray) -> np.ndarray:
@@ -273,7 +226,10 @@ def quantum_relative_entropy(rho, sigma, eps: float = 1e-3) -> float:
     rho, sigma = _as_matrix(rho), _as_matrix(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} != {sigma.shape}")
-    return float(_relative_entropy_strict(_smooth(np.stack([rho, sigma]), eps), 1)[0])
+    m = _smooth(np.stack([rho, sigma]), eps)
+    w, v = _checked_eigh(m)
+    log = (v * np.log(w)[..., None, :]) @ _adjoint(v)
+    return float(_nonnegative(np.trace(m[0] @ (log[0] - log[1])).real))
 
 
 def quantum_jsd(rho, sigma) -> float:
@@ -281,7 +237,8 @@ def quantum_jsd(rho, sigma) -> float:
     rho, sigma = _as_matrix(rho), _as_matrix(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} != {sigma.shape}")
-    return float(_jsd(np.stack([rho, sigma]), 1)[0])
+    w, _ = _checked_eigh(np.stack([rho, sigma, 0.5 * (rho + sigma)]))
+    return float(_jsd_spectra(w[0], w[1], w[2]))
 
 
 def bargmann_phase(loop) -> float:
@@ -325,11 +282,10 @@ class _Chart(RowDomain):
     """Local coordinates on a smoothed state space.
 
     A chart supplies its open domain, as ``_inside`` (which gives it
-    ``contains`` and ``contains_rows``), and its state map ``_state``, the
-    unsmoothed matrices at points of that domain, over the last axis.
-    ``point`` checks one point and returns its state smoothed by ``eps``;
-    ``states`` smooths and validates the states of many points at once.
-    Each built-in chart also writes ``_divergence_rows`` from its spectra.
+    ``contains`` and ``contains_rows``), its state map ``_state``, the
+    unsmoothed matrix at one point of that domain, and its divergence kernel
+    ``_divergence_rows``.  ``point`` checks one point and returns its state
+    smoothed by ``eps``, validated as a ``DensityMatrix``.
     """
 
     chart_id: str
@@ -339,8 +295,8 @@ class _Chart(RowDomain):
             raise ValueError("smoothing eps must lie in (0, 1)")
         self.eps = float(eps)
 
-    def _state(self, X: np.ndarray) -> np.ndarray:
-        """(..., d) points to their (..., m, m) unsmoothed states."""
+    def _state(self, x: np.ndarray) -> np.ndarray:
+        """The (m, m) unsmoothed state at the (d,) point ``x``."""
         raise NotImplementedError
 
     def point(self, x) -> DensityMatrix:
@@ -349,17 +305,11 @@ class _Chart(RowDomain):
             raise DomainError(f"{self.chart_id}: {_format_point(x)} outside the chart domain")
         return DensityMatrix(_smooth(self._state(x), self.eps))
 
-    def states(self, X: np.ndarray) -> np.ndarray:
-        """The smoothed states at the (n, d) points ``X``, checked as one stack."""
-        m = _smooth(self._state(X), self.eps)
-        _check_density(m)
-        return m
-
     def _divergence_rows(self, kind: str, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """``kind`` ("qre" or "qjsd") from the (n, d) rows P to Q, in the domain
-        and broadcast: both sides' smoothed states as one stack, one ``eigh``."""
-        m = self.states(np.concatenate([P, Q]))
-        return (_relative_entropy_strict if kind == "qre" else _jsd)(m, len(P))
+        """``kind`` ("qre" or "qjsd") from the (n, d) rows P to Q, which lie in
+        the domain and broadcast, as (n,) values of at least 0; written in
+        closed form from both sides' smoothed spectra, building no matrix."""
+        raise NotImplementedError
 
 
 class BlochChart(_Chart):
@@ -374,9 +324,8 @@ class BlochChart(_Chart):
         X = np.minimum(np.abs(X), 1.0)
         return (X * X).sum(axis=-1) < 1.0
 
-    def _state(self, X):
-        r = sum(X[..., i, None, None] * s for i, s in enumerate(_PAULI))
-        return 0.5 * (np.eye(2, dtype=complex) + r)
+    def _state(self, x):
+        return 0.5 * (np.eye(2, dtype=complex) + sum(x[i] * s for i, s in enumerate(_PAULI)))
 
     def _divergence_rows(self, kind, P, Q):
         # smoothed Bloch vectors r, s and spectra (1 +- |r|)/2: qre = -h(|r|) - log((1 - s^2)/4)/2 -
@@ -401,12 +350,12 @@ class DiagonalQutritChart(_Chart):
         # as for the categorical simplex: clipping |x| to 1 changes no answer
         return (X > 0.0).all(axis=-1) & (np.minimum(np.abs(X), 1.0).sum(axis=-1) < 1.0)
 
-    def _state(self, X):
-        return (_simplex(X)[..., None] * np.eye(3)).astype(complex)
+    def _state(self, x):
+        return np.diag(_simplex(x)).astype(complex)
 
     def _divergence_rows(self, kind, P, Q):
         # the states commute: classical KL and JSD of the smoothed spectra,
-        # qre with the arithmetic of the eigh path, bit for bit
+        # qre with the arithmetic of quantum_relative_entropy, bit for bit
         p, q = ((1.0 - self.eps) * _simplex(X) + self.eps / 3 for X in (P, Q))
         if kind == "qre":
             return _nonnegative((p * (np.log(p) - np.log(q))).sum(axis=-1))
@@ -429,11 +378,10 @@ class VeroneseChart(_Chart):
         theta, phi = X.T
         return (0.0 < theta) & (theta < math.pi) & (-math.pi < phi) & (phi < math.pi)
 
-    def _state(self, X):
-        half, phi = X[..., 0] / 2, X[..., 1]
-        qubit = np.stack([np.cos(half).astype(complex), np.sin(half) * np.exp(1j * phi)], axis=-1)
-        nu = _unit(_veronese(_unit(qubit)))
-        return nu[..., :, None] * nu.conj()[..., None, :]
+    def _state(self, x):
+        half, phi = x[0] / 2, x[1]
+        nu = veronese_embed([np.cos(half), np.sin(half) * np.exp(1j * phi)]).amplitudes
+        return np.outer(nu, nu.conj())
 
     def _divergence_rows(self, kind, P, Q):
         # spectra {a, b, b}, b = eps/3, a = 1 - eps + b: qre = k3 (1 - c^2) with k3 = (1 - eps) log(a/b) =

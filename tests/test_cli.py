@@ -201,6 +201,9 @@ LADDER = ["--steps", "0.1,0.05,0.025,0.0125"]
 USAGE_ERRORS = [
     ["gap"],  # neither --n nor --table
     ["gap", "--n", "2", "--table", "5"],
+    # a table of no rows, or of more than the cap of 10000
+    ["gap", "--table", "0"],
+    ["gap", "--table", "100000000"],
     ["estimate", "--copies", "2", "--trials", "10000", "--seed", "1"],
     ["triangle", "--legs", "gaussian:0,0.01", "gaussian:0,0.01",
      "gaussian:0,0.01", "--samples", "2000"],  # seed mandatory
@@ -538,6 +541,7 @@ def test_replay_missing_file_exits_1(capsys):
     assert main(["replay", "/nonexistent/report.json"]) == 1
 
 
+GAP_CONFIG = {"subcommand": "gap", "format": "json", "n": None, "table": 3}
 DIVERGENCE_CONFIG = {
     "subcommand": "divergence", "format": "json", "family": "exponential",
     "p": [1.0], "q": [2.0], "eps": 1e-3, "margin": 1e-9,
@@ -571,6 +575,7 @@ TRIANGLE_CONFIG = {
         {"config": dict(TRIANGLE_CONFIG, sweep_shape=[0, 1, math.inf])},
         {"config": dict(TRIANGLE_CONFIG, sweep_shape=[0, 1, 1001])},
         {"config": dict(TRIANGLE_CONFIG, sweep_shape=[0, 1])},
+        {"config": dict(GAP_CONFIG, table=100000000)},  # a table over the cap
         pytest.param("family,value\nexponential,0.5\n", id="csv-report"),
     ],
 )

@@ -33,6 +33,7 @@ from infogeo import (
     natural_view,
     score_moment_tensor,
 )
+from infogeo.families import _simplex
 
 mp.mp.dps = 40
 
@@ -252,7 +253,7 @@ def _summed_score_moment(family, x):
         a = x[0]
         outcomes = [(1.0 - a, np.array([0.0])), (a, np.array([1.0]))]
     else:
-        full, eye = family._full(x), np.eye(family.k)
+        full, eye = _simplex(x), np.eye(family.k)
         outcomes = [(float(full[i]), eye[i, : family.dimension]) for i in range(family.k)]
     probs, stats = zip(*outcomes)
     return _central_third(np.asarray(probs), np.asarray(stats, dtype=float))

@@ -272,32 +272,28 @@ def test_veronese_chart_points_are_smoothed_projectors():
     assert eigs.max() == pytest.approx(1 - 1e-2 + 1e-2 / 3, rel=1e-6)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 0.3])
+def test_veronese_map_takes_complex_scalar_products(eps):
+    # one scalar map serves veronese_embed and the chart's state map
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        z = 10.0 ** rng.uniform(-5.0, 5.0, 2) * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        a, b = (complex(v) for v in z / np.linalg.norm(z))
+        want = np.array([a * a, math.sqrt(2.0) * a * b, b * b])
+        assert veronese_embed(z).amplitudes.tobytes() == (want / np.linalg.norm(want)).tobytes()
+    chart = VeroneseChart(eps)
+    for x in _chart_rows("veronese", rng, 200):
+        nu = veronese_embed([np.cos(x[0] / 2), np.sin(x[0] / 2) * np.exp(1j * x[1])]).amplitudes
+        want = (1.0 - eps) * np.outer(nu, nu.conj()) + eps * np.eye(3) / 3
+        assert chart.point(x).entries.tobytes() == want.tobytes()
+
+
 CHART_POINTS = {
     # chart: (inside, inside, outside)
     "bloch": ([0.1, 0.2, 0.3], [-0.2, 0.0, 0.4], [0.8, 0.8, 0.8]),
     "diag-qutrit": ([0.2, 0.3], [0.5, 0.1], [0.8, 0.8]),
     "veronese": ([1.0, 0.5], [2.0, -0.5], [4.0, 0.0]),
 }
-
-
-@pytest.mark.parametrize("kind", ["qre", "qjsd"])
-@pytest.mark.parametrize("chart", sorted(CHART_POINTS))
-def test_chart_divergence_validates_each_state_once(kind, chart, monkeypatch):
-    # on the eigh path, the chart base's kernel, both sides' states are
-    # validated in one pass
-    states = []  # how many states each validation saw: both sides in one
-    check = quantum._check_density
-
-    def counting_check(m):
-        states.append(m.size // m.shape[-1] ** 2)
-        check(m)
-
-    monkeypatch.setattr(quantum, "_check_density", counting_check)
-    p, q, _ = CHART_POINTS[chart]
-    div = make_chart_divergence(f"{kind}:{chart}")
-    value = quantum._Chart._divergence_rows(div.chart, kind, np.array([p]), np.array([q]))
-    assert value[0] > 0.0
-    assert states == [2]
 
 
 def _chart_rows(chart, rng, n):
@@ -329,8 +325,6 @@ def _reference_divergence(kind, rho, sigma):
     return np.where(value > 0.0, value, 0.0)
 
 
-@pytest.mark.parametrize("kind", ["qre", "qjsd"])
-@pytest.mark.parametrize("chart", sorted(CHART_POINTS))
 def _count_decompositions(monkeypatch) -> dict:
     """Counters of the ``np.linalg.eigh`` and ``eigvalsh`` calls from now on."""
     calls = {"eigh": 0, "eigvalsh": 0}
@@ -352,18 +346,11 @@ def _count_decompositions(monkeypatch) -> dict:
 @pytest.mark.parametrize("kind", ["qre", "qjsd"])
 @pytest.mark.parametrize("chart", sorted(CHART_POINTS))
 def test_chart_divergence_batch_decomposes_once(kind, chart, monkeypatch):
-    # the eigh path decomposes a batch in one call: the chart base's kernel
-    # over both sides, and each public function over its two matrices
+    # each public function decomposes its two matrices, and qjsd their
+    # mixture, in one eigh call
     div = make_chart_divergence(f"{kind}:{chart}")
-    rng = np.random.default_rng(3)
     p, q = (div.chart.point(x) for x in CHART_POINTS[chart][:2])
     calls = _count_decompositions(monkeypatch)
-    for P, Q in ((_chart_rows(chart, rng, 1), _chart_rows(chart, rng, 9)),
-                 (_chart_rows(chart, rng, 9), _chart_rows(chart, rng, 9))):
-        calls.update(eigh=0, eigvalsh=0)
-        quantum._Chart._divergence_rows(div.chart, kind, P, Q)
-        assert calls == {"eigh": 1, "eigvalsh": 0}
-    calls.update(eigh=0, eigvalsh=0)
     (quantum_relative_entropy if kind == "qre" else quantum_jsd)(p, q)
     assert calls == {"eigh": 1, "eigvalsh": 0}
 
@@ -389,22 +376,17 @@ def test_chart_kernels_make_no_eigendecomposition(kind, chart, monkeypatch):
 @pytest.mark.parametrize("kind", ["qre", "qjsd"])
 @pytest.mark.parametrize("chart", sorted(CHART_POINTS))
 def test_stacked_decomposition_matches_separate_ones_bit_for_bit(kind, chart):
-    # on the eigh path: the chart base's kernel over stacks of states, and
-    # the public functions on pairs of them
+    # the public functions decompose a pair of chart states in one stacked
+    # eigh, which gives what a call of its own for each matrix gives
     div = make_chart_divergence(f"{kind}:{chart}")
     for seed in range(5):
-        rng = np.random.default_rng([seed, 11])
-        for n_p in (1, 40):
-            P, Q = _chart_rows(chart, rng, n_p), _chart_rows(chart, rng, 40)
-            want = _reference_divergence(kind, div.chart.states(P), div.chart.states(Q))
-            assert quantum._Chart._divergence_rows(div.chart, kind, P, Q).tobytes() == want.tobytes()
+        x, y = _chart_rows(chart, np.random.default_rng([seed, 11]), 2)
+        want = _reference_divergence(kind, div.chart.point(x).entries, div.chart.point(y).entries)
         if kind == "qre":  # the public function smooths the states it is given
-            rho, sigma = div.chart._state(P), div.chart._state(Q)
-            got = [quantum_relative_entropy(rho[i], sigma[i], eps=div.chart.eps) for i in range(5)]
+            got = quantum_relative_entropy(div.chart._state(x), div.chart._state(y), eps=div.chart.eps)
         else:
-            rho, sigma = div.chart.states(P), div.chart.states(Q)
-            got = [quantum_jsd(rho[i], sigma[i]) for i in range(5)]
-        assert np.array(got).tobytes() == want[:5].tobytes()
+            got = quantum_jsd(div.chart.point(x), div.chart.point(y))
+        assert np.float64(got).tobytes() == want.tobytes()
 
 
 # rows where a closed kernel takes a special branch or nears its domain's edge
@@ -435,9 +417,10 @@ def test_closed_chart_kernels_match_the_eigh_kernel(chart, kind, eps):
     cases += [(_chart_rows(chart, rng, n_p), _chart_rows(chart, rng, 40)) for n_p in (1, 40, 40)]
     for P, Q in cases:
         got = div.chart._divergence_rows(kind, P, Q)
-        want = quantum._Chart._divergence_rows(div.chart, kind, P, Q)
+        rho, sigma = (np.array([div.chart.point(x).entries for x in X]) for X in (P, Q))
+        want = _reference_divergence(kind, rho, sigma)
         # the chart's largest log term: -log of the least eigenvalue of either side
-        scale = -math.log(np.linalg.eigvalsh(div.chart.states(np.concatenate([P, Q]))).min())
+        scale = -math.log(np.linalg.eigvalsh(np.concatenate([rho, sigma])).min())
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
         assert np.all(got >= 0.0)
         # P == Q gives exactly 0, from the kernel and from the checked entry
