@@ -296,6 +296,40 @@ CHART_POINTS = {
 }
 
 
+@pytest.mark.parametrize("kind", ["qre", "qjsd"])
+@pytest.mark.parametrize("chart", sorted(CHART_POINTS))
+def test_chart_divergence_validates_each_state_once(kind, chart, monkeypatch):
+    # a chart state is validated once, as point() builds it; the public
+    # functions check a DensityMatrix no further, a raw matrix once, and both
+    # sides' spectra in one stacked eigh
+    states = []  # how many states each validation saw
+    spectra = []  # how many matrices each spectrum check saw
+    check, checked_eigh = quantum._check_density, quantum._checked_eigh
+
+    def counting_check(m):
+        states.append(m.size // m.shape[-1] ** 2)
+        check(m)
+
+    def counting_eigh(m):
+        spectra.append(len(m))
+        return checked_eigh(m)
+
+    monkeypatch.setattr(quantum, "_check_density", counting_check)
+    monkeypatch.setattr(quantum, "_checked_eigh", counting_eigh)
+    div = make_chart_divergence(f"{kind}:{chart}")
+    p, q = (div.chart.point(x) for x in CHART_POINTS[chart][:2])
+    assert states == [1, 1]
+    fn = quantum_relative_entropy if kind == "qre" else quantum_jsd
+    sides = 2 if kind == "qre" else 3  # qjsd decomposes the mixture too
+    states.clear()
+    value = fn(p, q)
+    assert value > 0.0
+    assert states == [] and spectra == [sides]
+    spectra.clear()
+    assert np.float64(fn(p.entries, q.entries)).tobytes() == np.float64(value).tobytes()
+    assert states == [1, 1] and spectra == [sides]
+
+
 def _chart_rows(chart, rng, n):
     """``n`` seeded points inside the named chart's domain."""
     if chart == "bloch":
