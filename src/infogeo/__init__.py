@@ -4,68 +4,56 @@ Divergence families with closed-form KL, finite-difference extraction of the
 metric and cubic expansion tensors, quantum state geometry (Veronese
 embedding, quantum divergences, loop holonomy), exact collective-vs-
 sequential estimation fidelities, and Monte-Carlo round-trip cost engines.
+
+The package loads ``errors``, ``families`` and ``extraction``; ``quantum``,
+``roundtrip`` and ``gap``, and the names taken from them, load on first use
+(PEP 562).  Result records are immutable named tuples (``rec._asdict()``).
 """
 
 from .errors import (
-    ConditioningError,
-    DimensionMismatch,
-    DomainError,
-    InfoGeoError,
-    NoisePanic,
-    NumericalError,
-    OrthogonalLink,
-    RejectionOverflow,
-    UnsupportedFamily,
-    UsageError,
+    ConditioningError, DimensionMismatch, DomainError, InfoGeoError, NoisePanic, NumericalError, OrthogonalLink,
+    RejectionOverflow, UnsupportedFamily, UsageError,
 )
 from .families import (
-    Bernoulli,
-    Categorical,
-    ExponentialScale,
-    GaussianFixedSigma,
-    GaussianFull,
-    NaturalView,
-    bregman_divergence,
-    make_family,
-    natural_view,
-    score_moment_tensor,
+    Bernoulli, Categorical, ExponentialScale, GaussianFixedSigma, GaussianFull, NaturalView, bregman_divergence,
+    make_family, natural_view, score_moment_tensor,
 )
 from .extraction import (
-    AsymmetryProbe,
-    CubicTensor,
-    MetricTensor,
-    asymmetry_probe,
-    convergence_report,
-    extract_cubic,
-    extract_metric,
-)
-from .gap import GapReport, gap_report, gap_table, mc_single_copy_fidelity
-from .quantum import (
-    BlochChart,
-    ChartDivergence,
-    DensityMatrix,
-    DiagonalQutritChart,
-    PureState,
-    VeroneseChart,
-    bargmann_phase,
-    fubini_study_distance,
-    make_chart_divergence,
-    pure_density,
-    quantum_jsd,
-    quantum_relative_entropy,
-    veronese_embed,
-    von_neumann_entropy,
-)
-from .roundtrip import (
-    DemonReport,
-    LegDistribution,
-    SpreadReport,
-    TradeSampler,
-    TriangleReport,
-    demon_work,
-    spread_estimate,
-    triangle_simulate,
-    work_surcharge,
+    AsymmetryProbe, CubicTensor, MetricTensor, asymmetry_probe, convergence_report, extract_cubic, extract_metric,
 )
 
 __version__ = "0.1.0"
+
+# the names taken from the modules that load on first use, by module
+_LAZY = {
+    "gap": ("GapReport", "gap_report", "gap_table", "mc_single_copy_fidelity"),
+    "quantum": (
+        "BlochChart", "ChartDivergence", "DensityMatrix", "DiagonalQutritChart", "PureState", "VeroneseChart",
+        "bargmann_phase", "fubini_study_distance", "make_chart_divergence", "pure_density", "quantum_jsd",
+        "quantum_relative_entropy", "veronese_embed", "von_neumann_entropy",
+    ),
+    "roundtrip": (
+        "DemonReport", "LegDistribution", "SpreadReport", "TradeSampler", "TriangleReport", "demon_work",
+        "spread_estimate", "triangle_simulate", "work_surcharge",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+# the public names loaded so far, the modules among them, and the names that load on first use
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_HOME))
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    home = import_module(f".{module}", __name__)
+    value = home if name == module else getattr(home, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -11,8 +11,6 @@ Stochastic subcommands (estimate, triangle, spread) require an explicit
 reproducing it byte for byte apart from the timestamp.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -37,7 +35,6 @@ from .extraction import _DEFAULT_STEP, _tensor_errors
 from .extraction import asymmetry_probe, convergence_report, extract_cubic, extract_metric
 from .families import make_family, natural_view
 from .gap import gap_report, gap_table, mc_single_copy_fidelity
-from .quantum import bargmann_phase, make_chart_divergence, parse_amplitudes, veronese_embed
 from .roundtrip import (
     LegDistribution,
     TradeSampler,
@@ -153,22 +150,28 @@ def _parse_sweep(text: str) -> list:
 TEXT = Field("a string", lambda v: isinstance(v, str))
 INT = Field("an integer", lambda v: _is_number(v) and isinstance(v, int), options={"type": int})
 
+
+def _count(flag: str, noun: str, cap: int) -> Field:
+    """An integer from 1 to ``cap``; the CLI refuses any other value of ``flag``."""
+
+    def parse(value: int) -> int:
+        if not 1 <= value <= cap:
+            raise UsageError(f"{flag} wants {noun} from 1 to {cap}")
+        return value
+
+    return Field(f"an integer from 1 to {cap}", lambda v: INT.test(v) and 1 <= v <= cap, parse, INT.options)
+
+
 # the most rows a gap table holds: its run time and its report grow
 # linearly with the count
 _MAX_TABLE = 10_000
+# the most draws a Monte-Carlo run makes, about 10 s of --trials or
+# --samples: the run time grows linearly with the count
+_MAX_DRAWS = 10**8
 
-
-def _is_table(value) -> bool:
-    return INT.test(value) and 1 <= value <= _MAX_TABLE
-
-
-def _parse_table(count: int) -> int:
-    if not _is_table(count):
-        raise UsageError(f"--table wants a row count from 1 to {_MAX_TABLE}")
-    return count
-
-
-TABLE = _optional(Field(f"an integer from 1 to {_MAX_TABLE}", _is_table, _parse_table, INT.options))
+TABLE = _optional(_count("--table", "a row count", _MAX_TABLE))
+TRIALS = _count("--trials", "a count", _MAX_DRAWS)
+DRAWS = _count("--samples", "a count", _MAX_DRAWS)
 NUMBER = Field("a number", _is_number, options={"type": float})
 FLAG = Field("true or false", lambda v: isinstance(v, bool), options={"action": "store_true"})
 NUMBERS = Field("a list of numbers", _list_of(_is_number), _parse_floats)
@@ -183,11 +186,15 @@ SWEEP = _optional(Field(
     f"[start, stop, count] of finite numbers, with an integral count from 2 to {_MAX_SWEEP}", _is_sweep, _parse_sweep
 ))
 POINTS = Field("a list of points", _list_of(_list_of(_is_number)))
-STATE = Field(
-    "a list of [re, im] pairs",
-    _list_of(_is_pair),
-    lambda text: reports.jsonable(parse_amplitudes(text).amplitudes),
-)
+
+
+def _parse_state(text: str) -> list:
+    from .quantum import parse_amplitudes  # quantum loads only where a chart, a state or a loop is used
+
+    return reports.jsonable(parse_amplitudes(text).amplitudes)
+
+
+STATE = Field("a list of [re, im] pairs", _list_of(_is_pair), _parse_state)
 LOOP = Field("a list of states", _list_of(_list_of(_is_pair)), _load_loop)
 
 
@@ -202,6 +209,8 @@ def _resolve_divergence(cfg: dict):
         if "eps" not in cfg:  # a chart's smoothing, which demon and spread take no option for
             what = "a classical family or its natural view, not a quantum chart"
             raise UnsupportedFamily(f"{spec}: {cfg['subcommand']} takes {what}")
+        from .quantum import make_chart_divergence
+
         return make_chart_divergence(spec, eps=cfg["eps"])
     if spec.startswith("natural:"):
         return natural_view(make_family(spec[len("natural:"):], margin=cfg["margin"]))
@@ -209,13 +218,9 @@ def _resolve_divergence(cfg: dict):
 
 
 def _gap_row(rep) -> dict:
-    row = {
-        "n_copies": rep.n_copies,
-        "special_cased": rep.special_cased,
-        "note": rep.note,
-    }
+    row = rep._asdict()
     for name in ("spin", "f_col", "f_seq", "gap"):
-        frac = getattr(rep, name)
+        frac = row[name]
         row[name] = str(frac)
         row[name + "_decimal"] = float(frac)
     return row
@@ -303,6 +308,9 @@ def _run_triangle(cfg: dict):
     if not cfg["sweep_shape"]:
         return "triangle", triangle_simulate(legs, cfg["samples"], cfg["seed"])
     start, stop, count = cfg["sweep_shape"]
+    if count * cfg["samples"] > _MAX_DRAWS:
+        what = f"{int(count)} simulations of --samples draws; at most {_MAX_DRAWS} draws in all"
+        raise UsageError(f"--sweep-shape runs {what}")
     if legs[0].kind != "skewnormal":
         raise UsageError("--sweep-shape requires a skewnormal first leg")
     rows = []
@@ -328,11 +336,15 @@ def _run_spread(cfg: dict):
 
 
 def _run_holonomy(cfg: dict):
+    from .quantum import bargmann_phase
+
     loop = [[complex(re, im) for re, im in state] for state in cfg["loop"]]
     return "holonomy", {"phase": bargmann_phase(loop), "n_vertices": len(loop)}
 
 
 def _run_veronese(cfg: dict):
+    from .quantum import veronese_embed
+
     embedded = veronese_embed([complex(re, im) for re, im in cfg["state"]])
     return "veronese", {"input": cfg["state"], "embedded": embedded.amplitudes}
 
@@ -421,7 +433,7 @@ REQUIRED = {"required": True}
 FAMILY = ("--family", TEXT, REQUIRED)
 AT = ("--at", POINT, REQUIRED)
 STEPS = ("--steps", NUMBERS, REQUIRED)
-SAMPLES = ("--samples", INT, REQUIRED)
+SAMPLES = ("--samples", DRAWS, REQUIRED)
 SEED = ("--seed", INT, REQUIRED)
 RICHARDSON = ("--richardson", FLAG, {})
 METHOD = ("--method", _one_of("fd", "oracle"), {"default": "fd"})
@@ -454,7 +466,7 @@ SUBCOMMANDS = {
     "estimate": Subcommand(
         "Monte-Carlo single-copy fidelity",
         args=(
-            ("--trials", INT, REQUIRED),
+            ("--trials", TRIALS, REQUIRED),
             SEED,
             ("--guess", _one_of("outcome", "fixed"), {"default": "outcome"}),
         ),

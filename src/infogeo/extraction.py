@@ -62,12 +62,10 @@ ConditioningError is raised when the (h/2, h/4) disagreement exceeds ten
 times the value truncation theory predicts from the (h, h/2) disagreement.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,16 +73,8 @@ from .errors import ConditioningError, DomainError, InfoGeoError, NoisePanic, Nu
 from .families import _format_point, _refuse_rows
 
 __all__ = [
-    "MetricTensor",
-    "CubicTensor",
-    "AsymmetryProbe",
-    "ConvergenceRung",
-    "ConvergenceReport",
-    "extract_metric",
-    "extract_cubic",
-    "asymmetry_probe",
-    "convergence_report",
-    "fit_loglog_slope",
+    "MetricTensor", "CubicTensor", "AsymmetryProbe", "ConvergenceRung", "ConvergenceReport", "extract_metric",
+    "extract_cubic", "asymmetry_probe", "convergence_report", "fit_loglog_slope",
 ]
 
 _EPS = np.finfo(float).eps
@@ -97,8 +87,7 @@ _DEFAULT_STEP = {"metric": 1e-2, "cubic": 5e-2}
 _MAX_DIMENSION = 12
 
 
-@dataclass
-class MetricTensor:
+class MetricTensor(NamedTuple):
     components: np.ndarray  # (d, d), symmetric
     base_point: np.ndarray
     step: float
@@ -109,8 +98,7 @@ class MetricTensor:
     richardson_disagreement: float | None = None
 
 
-@dataclass
-class CubicTensor:
+class CubicTensor(NamedTuple):
     components: np.ndarray  # (d, d, d), fully symmetric
     base_point: np.ndarray
     step: float
@@ -121,8 +109,7 @@ class CubicTensor:
     richardson_disagreement: float | None = None
 
 
-@dataclass
-class AsymmetryProbe:
+class AsymmetryProbe(NamedTuple):
     base_point: np.ndarray
     direction: np.ndarray
     steps: np.ndarray
@@ -135,8 +122,7 @@ class AsymmetryProbe:
     ratio: float | None  # coefficient / cubic_vvv
 
 
-@dataclass
-class ConvergenceRung:
+class ConvergenceRung(NamedTuple):
     h: float
     metric: np.ndarray
     cubic: np.ndarray
@@ -144,11 +130,10 @@ class ConvergenceRung:
     cubic_error: float | None
 
 
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     base_point: np.ndarray
     family_id: str
-    rungs: list[ConvergenceRung] = field(default_factory=list)
+    rungs: list[ConvergenceRung] = ()  # a shared default, so not a list
     metric_order: float | None = None
     cubic_order: float | None = None
     metric_oracle: np.ndarray | None = None
@@ -589,19 +574,19 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
     div._refuse_outside(p[None], "base point")
     if ladder.size:
         _check_powers(div, [float(ladder.min()) / (4.0 if richardson else 1.0)], 3)
-    report = ConvergenceReport(p, div.family_id)
     # the cubic first: where both closed forms are refused, its overflow is the
     # cause to name, ahead of the metric's underflow
+    cubic_oracle = metric_oracle = None
     if hasattr(div, "_closed_rows"):
-        report.cubic_oracle, report.metric_oracle = (t[0] for t in div._closed_rows(p[None], (3, 2)))
+        cubic_oracle, metric_oracle = (t[0] for t in div._closed_rows(p[None], (3, 2)))
     hs = [float(h) for h in ladder]
-    if not hs:
-        return report
-    P = np.repeat(p[None], len(hs), axis=0)
-    (metric, _, _), (cubic, _, _) = _tensors(div, P, ladder, richardson, (2, 3))
-    m_err = _tensor_errors(metric, report.metric_oracle)
-    c_err = _tensor_errors(cubic, report.cubic_oracle)
-    report.rungs = [ConvergenceRung(*rung) for rung in zip(hs, metric, cubic, m_err, c_err)]
-    if report.metric_oracle is not None:  # and so the cubic's, from the same kernel call
-        report.metric_order, report.cubic_order = fit_loglog_slope(hs, m_err), fit_loglog_slope(hs, c_err)
-    return report
+    rungs, metric_order, cubic_order = [], None, None
+    if hs:
+        P = np.repeat(p[None], len(hs), axis=0)
+        (metric, _, _), (cubic, _, _) = _tensors(div, P, ladder, richardson, (2, 3))
+        m_err = _tensor_errors(metric, metric_oracle)
+        c_err = _tensor_errors(cubic, cubic_oracle)
+        rungs = [ConvergenceRung(*rung) for rung in zip(hs, metric, cubic, m_err, c_err)]
+        if metric_oracle is not None:  # and so the cubic's, from the same kernel call
+            metric_order, cubic_order = fit_loglog_slope(hs, m_err), fit_loglog_slope(hs, c_err)
+    return ConvergenceReport(p, div.family_id, rungs, metric_order, cubic_order, metric_oracle, cubic_oracle)

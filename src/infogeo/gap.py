@@ -17,22 +17,17 @@ E[u^2 + (1-u)^2] = integral of (2u^2 - 2u + 1) du = 2/3; guessing a fixed
 state instead scores E[u] = 1/2.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .roundtrip import CHUNK_SIZE, _Accumulator, _chunk_map, _moments
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
-    "GapReport",
-    "FidelityEstimate",
-    "gap_report",
-    "gap_table",
-    "mc_single_copy_fidelity",
-    "CHUNK_SIZE",
+    "GapReport", "FidelityEstimate", "gap_report", "gap_table", "mc_single_copy_fidelity", "CHUNK_SIZE",
 ]
 
 N1_CONFLICT_NOTE = (
@@ -42,19 +37,21 @@ N1_CONFLICT_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     n_copies: int
-    spin: Fraction
-    f_col: Fraction
-    f_seq: Fraction
-    gap: Fraction
+    spin: "Fraction"
+    f_col: "Fraction"
+    f_seq: "Fraction"
+    gap: "Fraction"
     special_cased: bool
     note: str | None = None
 
 
 def gap_report(n: int) -> GapReport:
     """Exact fidelities and gap for N copies."""
+    # imported here: no other report carries an exact rational
+    from fractions import Fraction
+
     n = int(n)
     if n < 1:
         raise ValueError("copy count must be >= 1")
@@ -78,8 +75,7 @@ def gap_table(n_max: int) -> list[GapReport]:
     return [gap_report(n) for n in range(1, n_max + 1)]
 
 
-@dataclass(frozen=True)
-class FidelityEstimate:
+class FidelityEstimate(NamedTuple):
     mean: float
     std_error: float
     trials: int
@@ -117,8 +113,10 @@ def mc_single_copy_fidelity(
         u = np.add(weight[:, 0], weight[:, 1])
         np.divide(weight[:, 0], u, out=u)  # |<0|psi>|^2, uniform on [0,1]
         if guess == "outcome":
-            outcome_zero = rng.random(n) < u
-            np.subtract(1.0, u, out=u, where=~outcome_zero)
+            # the outcome is 1 with probability 1 - u, and then scores 1 - u:
+            # |1 - u| = 1 - u and |0 - u| = u exactly for u in [0, 1]
+            flip = rng.random(n) >= u
+            np.abs(np.subtract(flip, u, out=u), out=u)
         return _moments(u)
 
     for moments in _chunk_map(chunk, trials, seed):

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, is_dataclass
+import numbers
 from datetime import datetime, timezone
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,21 +35,26 @@ __all__ = [
 
 
 def jsonable(obj):
-    """Recursively convert a result object into plain JSON-ready data."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    """Recursively convert a result object into plain JSON-ready data: a
+    record (a named tuple) or a dataclass instance into the dict of its
+    fields, an exact rational into {"rational": "p/q", "decimal": float}."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Fraction):
-        return {"rational": str(obj), "decimal": float(obj)}
+    # numpy's integers are numbers.Integral too, and stay plain integers
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
+    if isinstance(obj, numbers.Rational):
+        return {"rational": str(obj), "decimal": float(obj)}
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
         return jsonable(obj.tolist())
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: jsonable(v) for k, v in asdict(obj).items()}
+    if hasattr(obj, "_asdict"):
+        obj = obj._asdict()
+    elif hasattr(type(obj), "__dataclass_fields__"):
+        import dataclasses  # imported here: no record of the package is a dataclass
+
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

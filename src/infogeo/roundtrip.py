@@ -21,30 +21,24 @@ thread per CPU the process may use; the results are the same bits on any
 number of CPUs.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import os
 from contextlib import closing
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, RejectionOverflow, UnsupportedFamily
 from .extraction import _DEFAULT_STEP, _tensors
 
+# annotations are evaluated at import, since a named tuple's string annotation
+# costs a compile per field; those naming np.random stay strings, as numpy
+# imports that module on first use
+
 __all__ = [
-    "LegDistribution",
-    "TriangleReport",
-    "DemonReport",
-    "SpreadReport",
-    "TradeSampler",
-    "triangle_simulate",
-    "work_surcharge",
-    "demon_work",
-    "spread_estimate",
-    "CHUNK_SIZE",
+    "LegDistribution", "TriangleReport", "DemonReport", "SpreadReport", "TradeSampler", "triangle_simulate",
+    "work_surcharge", "demon_work", "spread_estimate", "CHUNK_SIZE",
 ]
 
 CHUNK_SIZE = 1 << 16
@@ -52,8 +46,16 @@ CHUNK_SIZE = 1 << 16
 _LEG_KINDS = ("gaussian", "skewnormal", "shifted-lognormal")
 
 
-@dataclass(frozen=True)
-class LegDistribution:
+# a NamedTuple class may not define __new__, so LegDistribution checks its
+# fields in the __new__ of a subclass
+class _LegFields(NamedTuple):
+    kind: str
+    location: float
+    scale: float
+    shape: float | None = None
+
+
+class LegDistribution(_LegFields):
     """Distribution of one leg's simple return.
 
     kinds:
@@ -68,12 +70,10 @@ class LegDistribution:
     A zero scale is the degenerate point mass at the location.
     """
 
-    kind: str
-    location: float
-    scale: float
-    shape: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, kind: str, location: float, scale: float, shape: float | None = None):
+        self = super().__new__(cls, kind, location, scale, shape)
         if self.kind not in _LEG_KINDS:
             raise ValueError(f"unknown leg kind {self.kind!r}; use {_LEG_KINDS}")
         if not self.scale >= 0:
@@ -87,6 +87,12 @@ class LegDistribution:
         # delta = shape / sqrt(1 + shape^2) takes the square
         if self.kind == "skewnormal" and not self.shape * self.shape < math.inf:
             raise ValueError(f"leg {self.spec()}: the shape's square overflows the float range")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "LegDistribution":
+        """The leg of the fields in ``iterable``, checked; ``_replace`` builds through it."""
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, spec: str) -> "LegDistribution":
@@ -116,21 +122,26 @@ class LegDistribution:
     def _delta(self) -> float:
         return self.shape / math.sqrt(1.0 + self.shape**2)
 
-    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind == "gaussian":
-            return self.location + self.scale * rng.standard_normal(n)
-        if self.kind == "skewnormal":
-            delta = self._delta()
-            z1 = np.abs(rng.standard_normal(n))
-            z2 = rng.standard_normal(n)
-            return self.location + self.scale * (
-                delta * z1 + math.sqrt(1.0 - delta**2) * z2
-            )
+    def _draw(self, rng: "np.random.Generator", n: int) -> np.ndarray:
+        """n draws, in place in the first normal draw, by the operations (and so to the bits) above."""
+        x = rng.standard_normal(n)
         with np.errstate(over="ignore"):  # sample() refuses the infinite draws
-            return np.exp(self.location + self.scale * rng.standard_normal(n)) - 1.0
+            if self.kind == "skewnormal":
+                delta = self._delta()
+                np.abs(x, out=x)
+                z2 = rng.standard_normal(n)
+                z2 *= math.sqrt(1.0 - delta**2)
+                x *= delta
+                x += z2
+            x *= self.scale
+            x += self.location
+            if self.kind == "shifted-lognormal":
+                np.exp(x, out=x)
+                x -= 1.0
+        return x
 
     def sample(
-        self, rng: np.random.Generator, n: int, budget: float = math.inf
+        self, rng: "np.random.Generator", n: int, budget: float = math.inf
     ) -> tuple[np.ndarray, int]:
         """Draw n returns satisfying 1 + x > 0; returns (draws, n_rejected).
 
@@ -154,7 +165,7 @@ class LegDistribution:
         return x, rejected
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
+def _chunk_rng(seed: int, index: int) -> "np.random.Generator":
     """The generator of chunk ``index``: it derives from (seed, index) alone."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
@@ -217,7 +228,6 @@ def _moments(values: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int
     return k, total, float(dev.sum())
 
 
-@dataclass
 class _Accumulator:
     """Mean and standard error of samples merged chunk by chunk.
 
@@ -228,9 +238,10 @@ class _Accumulator:
     E[x^2] - mean^2 cancels.
     """
 
-    n: int = 0
-    total: float = 0.0
-    m2: float = 0.0
+    __slots__ = ("n", "total", "m2")
+
+    def __init__(self):
+        self.n, self.total, self.m2 = 0, 0.0, 0.0
 
     def merge(self, k: int, total: float, m2: float):
         if self.n:
@@ -253,8 +264,7 @@ class _Accumulator:
         return math.sqrt(self.m2 / self.n / self.n)
 
 
-@dataclass
-class TriangleReport:
+class TriangleReport(NamedTuple):
     samples: int
     seed: int
     legs: list[str]
@@ -439,8 +449,7 @@ def work_surcharge(
     return float(np.einsum("ijk,i,j,k->", t, step, step, step)) / 6.0
 
 
-@dataclass
-class DemonReport:
+class DemonReport(NamedTuple):
     family_id: str
     waypoints: np.ndarray
     per_step: list[float]
@@ -506,8 +515,7 @@ def demon_work(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TradeSampler:
+class TradeSampler(NamedTuple):
     """Distribution over (point, step) trade pairs.
 
     kinds (d = family dimension; specs list point coords first, then step):
@@ -547,7 +555,7 @@ class TradeSampler:
         coords = ",".join(f"{c:g}" for c in self.point + self.step)
         return f"{self.kind}:{coords}"
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: "np.random.Generator", n: int) -> np.ndarray:
         """``n`` steps, shape (n, d); every trade starts at ``self.point``."""
         if self.kind == "fixed":
             return np.tile(np.asarray(self.step, dtype=float), (n, 1))
@@ -578,8 +586,7 @@ def _surcharges(tensor: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class SpreadReport:
+class SpreadReport(NamedTuple):
     family_id: str
     sampler_spec: str
     samples: int

@@ -260,6 +260,15 @@ USAGE_ERRORS = [
     # quantum charts, whose smoothing demon and spread have no --eps for
     ["demon", "--family", "qre:bloch", "--waypoints", "0.1,0,0;0.2,0,0"],
     ["spread", "--family", "qjsd:bloch", "--sampler", "fixed:0.1,0,0,0.1,0,0", "--samples", "1000", "--seed", "1"],
+    # Monte-Carlo counts outside 1 to the cap of 10^8 draws, and a sweep whose
+    # simulations make more draws than that in all
+    ["estimate", "--trials", "1000000000000", "--seed", "1"],
+    ["estimate", "--trials", "0", "--seed", "1"],
+    ["triangle", "--legs", "gaussian:0,0.01", "gaussian:0,0.01", "gaussian:0,0.01",
+     "--samples", "1000000000000", "--seed", "1"],
+    ["spread", "--family", "exponential", "--sampler", "gauss:1.2,0.05", "--samples", "100000001", "--seed", "5"],
+    ["triangle", "--legs", "skewnormal:0,0.01,1", "gaussian:0,0.01", "gaussian:0,0.01",
+     "--samples", "1000000", "--seed", "1", "--sweep-shape", "0,1,101"],
 ]
 
 
@@ -542,6 +551,7 @@ def test_replay_missing_file_exits_1(capsys):
 
 
 GAP_CONFIG = {"subcommand": "gap", "format": "json", "n": None, "table": 3}
+ESTIMATE_CONFIG = {"subcommand": "estimate", "format": "json", "trials": 10000, "seed": 1, "guess": "outcome"}
 DIVERGENCE_CONFIG = {
     "subcommand": "divergence", "format": "json", "family": "exponential",
     "p": [1.0], "q": [2.0], "eps": 1e-3, "margin": 1e-9,
@@ -576,6 +586,10 @@ TRIANGLE_CONFIG = {
         {"config": dict(TRIANGLE_CONFIG, sweep_shape=[0, 1, 1001])},
         {"config": dict(TRIANGLE_CONFIG, sweep_shape=[0, 1])},
         {"config": dict(GAP_CONFIG, table=100000000)},  # a table over the cap
+        # Monte-Carlo counts over the cap of 10^8 draws, or below 1
+        {"config": dict(TRIANGLE_CONFIG, samples=10**12)},
+        {"config": dict(TRIANGLE_CONFIG, samples=0)},
+        {"config": dict(ESTIMATE_CONFIG, trials=10**12)},
         pytest.param("family,value\nexponential,0.5\n", id="csv-report"),
     ],
 )
@@ -585,6 +599,39 @@ def test_replay_of_non_report_exits_1(tmp_path, capsys, document):
     assert main(["replay", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("geo: replay "), err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--trials", "1000000000000", "--seed", "1"], "geo: --trials wants a count from 1 to 100000000"),
+        (["triangle", "--legs", "gaussian:0,0.01", "gaussian:0,0.01", "gaussian:0,0.01",
+          "--samples", "1000000000000", "--seed", "1"], "geo: --samples wants a count from 1 to 100000000"),
+        (["spread", "--family", "exponential", "--sampler", "gauss:1.2,0.05", "--samples", "1000000000000",
+          "--seed", "5"], "geo: --samples wants a count from 1 to 100000000"),
+        (["triangle", "--legs", "skewnormal:0,0.01,1", "gaussian:0,0.01", "gaussian:0,0.01",
+          "--samples", "1000000", "--seed", "1", "--sweep-shape", "0,1,1000"],
+         "geo: --sweep-shape runs 1000 simulations of --samples draws; at most 100000000 draws in all"),
+    ],
+)
+def test_a_monte_carlo_count_over_the_cap_is_refused_in_one_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+
+
+def test_a_replayed_sweep_over_the_draw_cap_is_refused_in_one_line(tmp_path, capsys):
+    # each field passes its own test; together they ask for 10^9 draws
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"config": dict(TRIANGLE_CONFIG, samples=10**6, sweep_shape=[0.0, 1.0, 1000])}))
+    assert main(["replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "geo: --sweep-shape runs 1000 simulations of --samples draws; at most 100000000 draws in all\n"
+    assert captured.err == message
+    # under the cap it runs
+    path.write_text(json.dumps({"config": dict(TRIANGLE_CONFIG, samples=1000, sweep_shape=[0.0, 1.0, 2])}))
+    assert main(["replay", str(path)]) == 0
 
 
 def test_replay_of_config_missing_a_field_exits_1(tmp_path, capsys):

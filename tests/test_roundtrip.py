@@ -875,3 +875,60 @@ def test_spread_calls_the_family_only_from_the_calling_thread():
     rep = spread_estimate(family, sampler, samples, 8, method="fd")
     assert family.threads == {threading.get_ident()}
     assert rep == spread_estimate(ExponentialScale(), sampler, samples, 8, method="fd")
+
+
+# --- pinned Monte-Carlo bits ---------------------------------------------------
+
+# values the chunk bodies gave before they drew in place; every field is
+# compared exactly, so a change of draw order or of one rounding shows
+PINNED_FIDELITY = {
+    (1, "outcome"): (0.6677032364651004, 0.0007440862429075846),
+    (2, "outcome"): (0.6665512954045569, 0.0007457400999899489),
+    (3, "outcome"): (0.667818556189699, 0.0007452403271952072),
+    (4, "fixed"): (0.5006854507618568, 0.0009115552646293896),
+}
+PINNED_TRIANGLES = {
+    "skewed": (
+        [LegDistribution.zero_mean_skewnormal(0.01, -4.0), "skewnormal:0.001,0.02,3", "gaussian:0,0.01"],
+        {"exact_mean": 0.01588822846670758, "exact_se": 3.9048585948334574e-05,
+         "quadratic_mean": 0.015883750031656527, "quadratic_se": 3.903458048178179e-05,
+         "cubic_mean": 0.015888367562384417, "cubic_se": 3.904901757740075e-05,
+         "bare_cubic_mean": 4.617530727891626e-06, "bare_cubic_se": 2.2727666809875934e-08,
+         "leg_skewness": [-0.7872177847625099, 0.6715948428266554, 0.0058740853027674815],
+         "rejected": 0, "identity_max_error": 4.961309141293668e-16},
+    ),
+    # legs wide enough that draws with 1 + x <= 0 are redrawn
+    "wide": (
+        ["gaussian:0,0.4", "gaussian:0.1,0.4", "skewnormal:0,0.4,2"],
+        {"exact_mean": 0.15113322603392834, "exact_se": 0.0016318764213398495,
+         "quadratic_mean": 0.1601582526383793, "quadratic_se": 0.0012708076379891815,
+         "cubic_mean": 0.21525858970772635, "cubic_se": 0.0014743559966455125,
+         "bare_cubic_mean": 0.05510033706934709, "bare_cubic_se": 0.0002988917842195719,
+         "leg_skewness": [0.1048884804908414, 0.06290332209373367, 0.45758218440392495],
+         "rejected": 1838, "identity_max_error": 1.7763568394002505e-15},
+    ),
+    "lognormal": (
+        ["shifted-lognormal:0,0.2", "shifted-lognormal:-0.01,0.05", "gaussian:0,0.01"],
+        {"exact_mean": -0.009361813370571974, "exact_se": 0.00046185590403107814,
+         "quadratic_mean": -0.010611618849263234, "quadratic_se": 0.0004435546729124515,
+         "cubic_mean": -0.007935373223348051, "cubic_se": 0.00046551691544441685,
+         "bare_cubic_mean": 0.002676245625915185, "bare_cubic_se": 3.856883477713055e-05,
+         "leg_skewness": [0.6162408991418526, 0.14858404190398644, -0.007940864537959594],
+         "rejected": 0, "identity_max_error": 3.3306690738754696e-16},
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, guess", sorted(PINNED_FIDELITY))
+def test_single_copy_fidelity_keeps_its_bits(seed, guess):
+    mean, std_error = PINNED_FIDELITY[seed, guess]
+    assert mc_single_copy_fidelity(100_000, seed, guess=guess) == FidelityEstimate(
+        mean, std_error, 100_000, seed, guess
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRIANGLES))
+def test_triangle_keeps_its_bits(name):
+    legs, pinned = PINNED_TRIANGLES[name]
+    report = triangle_simulate(legs, 200_000, 11)._asdict()
+    assert {key: report[key] for key in pinned} == pinned
