@@ -5,9 +5,8 @@ metric and cubic expansion tensors, quantum state geometry (Veronese
 embedding, quantum divergences, loop holonomy), exact collective-vs-
 sequential estimation fidelities, and Monte-Carlo round-trip cost engines.
 
-The package loads ``errors``, ``families`` and ``extraction``; ``quantum``,
-``roundtrip`` and ``gap``, and the names taken from them, load on first use
-(PEP 562).  Result records are immutable named tuples (``rec._asdict()``).
+``quantum`` and the names taken from it load on first use (PEP 562): only a
+chart, a state or a loop needs it.  Result records are immutable named tuples (``rec._asdict()``).
 """
 
 from .errors import (
@@ -21,39 +20,35 @@ from .families import (
 from .extraction import (
     AsymmetryProbe, CubicTensor, MetricTensor, asymmetry_probe, convergence_report, extract_cubic, extract_metric,
 )
+from .gap import GapReport, gap_report, gap_table, mc_single_copy_fidelity
+from .roundtrip import (
+    DemonReport, LegDistribution, SpreadReport, TradeSampler, TriangleReport, demon_work, spread_estimate,
+    triangle_simulate, work_surcharge,
+)
 
 __version__ = "0.1.0"
 
-# the names taken from the modules that load on first use, by module
-_LAZY = {
-    "gap": ("GapReport", "gap_report", "gap_table", "mc_single_copy_fidelity"),
-    "quantum": (
-        "BlochChart", "ChartDivergence", "DensityMatrix", "DiagonalQutritChart", "PureState", "VeroneseChart",
-        "bargmann_phase", "fubini_study_distance", "make_chart_divergence", "pure_density", "quantum_jsd",
-        "quantum_relative_entropy", "veronese_embed", "von_neumann_entropy",
-    ),
-    "roundtrip": (
-        "DemonReport", "LegDistribution", "SpreadReport", "TradeSampler", "TriangleReport", "demon_work",
-        "spread_estimate", "triangle_simulate", "work_surcharge",
-    ),
-}
-_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+# the names taken from quantum, which loads on first use
+_QUANTUM = (
+    "BlochChart", "ChartDivergence", "DensityMatrix", "DiagonalQutritChart", "PureState", "VeroneseChart",
+    "bargmann_phase", "fubini_study_distance", "make_chart_divergence", "pure_density", "quantum_jsd",
+    "quantum_relative_entropy", "veronese_embed", "von_neumann_entropy",
+)
 
-# the public names loaded so far, the modules among them, and the names that load on first use
-__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_HOME))
+# the public names loaded so far, the modules among them, and quantum's
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | {"quantum", *_QUANTUM})
 
 
 def __getattr__(name):
-    module = _HOME.get(name)
-    if module is None:
+    if name != "quantum" and name not in _QUANTUM:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    home = import_module(f".{module}", __name__)
-    value = home if name == module else getattr(home, name)
+    quantum = import_module(".quantum", __name__)
+    value = quantum if name == "quantum" else getattr(quantum, name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_HOME))
+    return sorted(set(globals()) | {"quantum", *_QUANTUM})

@@ -123,22 +123,17 @@ class LegDistribution(_LegFields):
         return self.shape / math.sqrt(1.0 + self.shape**2)
 
     def _draw(self, rng: "np.random.Generator", n: int) -> np.ndarray:
-        """n draws, in place in the first normal draw, by the operations (and so to the bits) above."""
-        x = rng.standard_normal(n)
+        if self.kind == "gaussian":
+            return self.location + self.scale * rng.standard_normal(n)
+        if self.kind == "skewnormal":
+            delta = self._delta()
+            z1 = np.abs(rng.standard_normal(n))
+            z2 = rng.standard_normal(n)
+            return self.location + self.scale * (
+                delta * z1 + math.sqrt(1.0 - delta**2) * z2
+            )
         with np.errstate(over="ignore"):  # sample() refuses the infinite draws
-            if self.kind == "skewnormal":
-                delta = self._delta()
-                np.abs(x, out=x)
-                z2 = rng.standard_normal(n)
-                z2 *= math.sqrt(1.0 - delta**2)
-                x *= delta
-                x += z2
-            x *= self.scale
-            x += self.location
-            if self.kind == "shifted-lognormal":
-                np.exp(x, out=x)
-                x -= 1.0
-        return x
+            return np.exp(self.location + self.scale * rng.standard_normal(n)) - 1.0
 
     def sample(
         self, rng: "np.random.Generator", n: int, budget: float = math.inf

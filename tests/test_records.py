@@ -163,6 +163,25 @@ def test_a_record_is_immutable():
         record.mean = 0.0
 
 
+def test_a_record_compares_and_unpacks_as_a_tuple():
+    # a record is a tuple: it equals any tuple of the same values, a record
+    # of another type among them, and it unpacks, indexes and hashes as one
+    fields = (np.array([[2.0]]), np.array([0.5]), 0.01, "central-2nd", "bernoulli", 0.0, 2.0, None)
+    metric, cubic = MetricTensor(*fields), CubicTensor(*fields)
+    assert metric == cubic == fields
+    assert tuple(metric) == fields and len(metric) == 8 and metric[2] == 0.01
+    assert FidelityEstimate(0.66, 0.001, 10000, 1, "outcome") == (0.66, 0.001, 10000, 1, "outcome")
+    assert hash(LegDistribution("gaussian", 0.0, 0.01)) == hash(("gaussian", 0.0, 0.01, None))
+    # the dataclasses helpers do not apply; _replace and _asdict do their work
+    import dataclasses
+
+    with pytest.raises(TypeError):
+        dataclasses.replace(metric, step=0.02)
+    assert metric._replace(step=0.02).step == 0.02
+    # a report with no rungs holds an empty tuple, shared by every such report
+    assert ConvergenceReport(np.array([1.0]), "exponential").rungs == ()
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
