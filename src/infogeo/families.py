@@ -105,35 +105,6 @@ class RowDomain:
         return self._inside(X)
 
 
-# numpy's log and exp take SIMD paths on CPUs that have them, which can round
-# the last bit differently from the C library's math.log and math.exp, and
-# finite differences amplify that bit.  Taken element by element, the C
-# library's functions give the same values on every CPU and in every batch.
-_LIBM_LOG = np.frompyfunc(math.log, 1, 1)
-_LIBM_EXP = np.frompyfunc(math.exp, 1, 1)
-
-
-def _log(x) -> np.ndarray:
-    try:
-        return np.asarray(_LIBM_LOG(x), dtype=float)
-    except ValueError:  # the C library refuses a ratio that underflowed to 0
-        return np.where(x > 0.0, _log(np.where(x > 0.0, x, 1.0)), -np.inf)
-
-
-def _exp(x) -> np.ndarray:
-    return np.asarray(_LIBM_EXP(x), dtype=float)
-
-
-def _pow(x, k: int) -> np.ndarray:
-    """x ** k element by element through the C library's pow, as a float's power: numpy's array power,
-    which takes x ** 2 as x * x, rounds about 1 in 1000 squares and 1 in 20 cubes otherwise."""
-    x = np.asarray(x, dtype=float)
-    try:
-        return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
-    except OverflowError:  # raised by a Python float's power, where numpy's gives inf or a subnormal
-        return np.array([v**k for v in x.ravel()]).reshape(x.shape)
-
-
 def _tensor(entries: list, shape: tuple) -> np.ndarray:
     """The tensor of ``shape`` over the last axes with C-order ``entries``: floats, or arrays over the first axes."""
     entries = np.broadcast_arrays(*entries)
@@ -298,10 +269,9 @@ class ExponentialFamily(_ClosedForms):
         _score_moment(x)         psi''' at eta(x), (d, d, d)
 
     and, on one point, ``_log_partition(eta)`` (psi) and
-    ``_mean_from_natural(eta)`` (grad psi).  The bodies take powers through
-    ``_pow``, the C library's, as a float scalar's power does.  The public
-    ``to_natural``, ``natural_jacobian``, ``fisher`` and ``forward_cubic``
-    raise DomainError off the default chart's domain.
+    ``_mean_from_natural(eta)`` (grad psi).  The public ``to_natural``,
+    ``natural_jacobian``, ``fisher`` and ``forward_cubic`` raise DomainError
+    off the default chart's domain.
     """
 
     def to_natural(self, x) -> np.ndarray:
@@ -398,7 +368,7 @@ class ExponentialScale(ExponentialFamily):
 
     def _divergence(self, P, Q):
         a, b = P.T[0], Q.T[0]
-        return _log(a / b) + b / a - 1.0
+        return np.log(a / b) + b / a - 1.0
 
     # natural chart: eta = -theta, psi(eta) = -log(-eta)
     def _to_natural(self, x):
@@ -421,11 +391,11 @@ class ExponentialScale(ExponentialFamily):
 
     def _natural_fisher(self, x):
         # psi''(eta) = 1/eta^2 = 1/theta^2
-        return (1.0 / _pow(x, 2))[..., None]
+        return (1.0 / x**2)[..., None]
 
     def _score_moment(self, x):
         # psi'''(eta) = -2/eta^3 = 2/theta^3
-        return (2.0 / _pow(x, 3))[..., None, None]
+        return (2.0 / x**3)[..., None, None]
 
     def random_interior(self, rng, n):
         return np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=(n, 1)))
@@ -453,22 +423,22 @@ class Bernoulli(ExponentialFamily):
 
     def _divergence(self, P, Q):
         a, b = P.T[0], Q.T[0]
-        return a * _log(a / b) + (1.0 - a) * _log((1.0 - a) / (1.0 - b))
+        return a * np.log(a / b) + (1.0 - a) * np.log((1.0 - a) / (1.0 - b))
 
     def _to_natural(self, x):
-        return _log(x / (1.0 - x))
+        return np.log(x / (1.0 - x))
 
     def from_natural(self, eta):
         t = np.atleast_1d(np.asarray(eta, dtype=float))
         # numerically stable logistic
-        e = _exp(-np.abs(t))
+        e = np.exp(-np.abs(t))
         return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def _natural_jacobian(self, x):
         return (1.0 / (x * (1.0 - x)))[..., None]
 
     def _natural_hessian(self, x):
-        return ((2.0 * x - 1.0) / _pow(x * (1.0 - x), 2))[..., None, None]
+        return ((2.0 * x - 1.0) / (x * (1.0 - x)) ** 2)[..., None, None]
 
     def _log_partition(self, eta):
         return np.logaddexp(0.0, eta[0])
@@ -525,7 +495,7 @@ class Categorical(ExponentialFamily):
 
     def _natural_hessian(self, x):
         full = _simplex(x)
-        h = np.full(x.shape + (self.dimension,) * 2, (1.0 / _pow(full[..., -1:], 2))[..., None, None])
+        h = np.full(x.shape + (self.dimension,) * 2, (1.0 / full[..., -1:] ** 2)[..., None, None])
         h[(...,) + (np.arange(self.dimension),) * 3] -= 1.0 / full[..., :-1] ** 2
         return h
 
@@ -571,11 +541,11 @@ class GaussianFull(ExponentialFamily):
     def _divergence(self, P, Q):
         mp, sp = P.T
         mq, sq = Q.T
-        return _log(sq / sp) + (sp**2 + (mp - mq) ** 2) / (2.0 * sq**2) - 0.5
+        return np.log(sq / sp) + (sp**2 + (mp - mq) ** 2) / (2.0 * sq**2) - 0.5
 
     # natural chart: eta = (mu/sigma^2, -1/(2 sigma^2)), stats (x, x^2)
     def _to_natural(self, x):
-        m, s2 = x[..., 0], _pow(x[..., 1], 2)
+        m, s2 = x[..., 0], x[..., 1] ** 2
         return np.stack([m / s2, -1.0 / (2.0 * s2)], axis=-1)
 
     def from_natural(self, eta):
@@ -585,12 +555,12 @@ class GaussianFull(ExponentialFamily):
 
     def _natural_jacobian(self, x):
         m, s = x[..., 0], x[..., 1]
-        s3 = _pow(s, 3)
-        return _tensor([1.0 / _pow(s, 2), -2.0 * m / s3, 0.0, 1.0 / s3], (2, 2))
+        s3 = s**3
+        return _tensor([1.0 / s**2, -2.0 * m / s3, 0.0, 1.0 / s3], (2, 2))
 
     def _natural_hessian(self, x):
         m, s = x[..., 0], x[..., 1]
-        h, s4 = -2.0 / _pow(s, 3), _pow(s, 4)
+        h, s4 = -2.0 / s**3, s**4
         return _tensor([0.0, h, h, 6.0 * m / s4, 0.0, 0.0, 0.0, -3.0 / s4], (2, 2, 2))
 
     # the family is location-scale, so g(m, s) = g(0, 1) / s^2 and
@@ -598,7 +568,7 @@ class GaussianFull(ExponentialFamily):
     # of size (m/s)^2 that cancel, and its powers of s leave the float range
     # long before the tensor does, while at (0, 1) it does neither
     def _closed(self, X, orders):
-        return [_UNIT_GAUSSIAN[order] / _pow(X[:, 1], order).reshape((-1,) + (1,) * order) for order in orders]
+        return [_UNIT_GAUSSIAN[order] / (X[:, 1] ** order).reshape((-1,) + (1,) * order) for order in orders]
 
     def _log_partition(self, eta):
         e1, e2 = eta
@@ -610,15 +580,15 @@ class GaussianFull(ExponentialFamily):
 
     def _natural_fisher(self, x):
         m, s = x[..., 0], x[..., 1]
-        s2 = _pow(s, 2)
+        s2 = s**2
         g12 = 2.0 * m * s2
-        return _tensor([s2, g12, g12, 4.0 * _pow(m, 2) * s2 + 2.0 * _pow(s, 4)], (2, 2))
+        return _tensor([s2, g12, g12, 4.0 * m**2 * s2 + 2.0 * s**4], (2, 2))
 
     def _score_moment(self, x):
         m, s = x[..., 0], x[..., 1]
-        s4 = _pow(s, 4)
+        s4 = s**4
         t112, t122 = 2.0 * s4, 8.0 * m * s4
-        t222 = 24.0 * _pow(m, 2) * s4 + 8.0 * _pow(s, 6)
+        t222 = 24.0 * m**2 * s4 + 8.0 * s**6
         return _tensor([0.0, t112, t112, t122, t112, t122, t122, t222], (2, 2, 2))
 
     def random_interior(self, rng, n):

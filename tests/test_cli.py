@@ -391,7 +391,7 @@ def test_steps_whose_powers_overflow(capsys):
 
 
 def test_closed_form_divergence_overflow_is_one_line(capsys):
-    # an overflowing square, and the C library's log of a ratio that underflowed to 0
+    # an overflowing square, and the log of a ratio that underflowed to 0
     for argv, family in [
         (["divergence", "--family", "gaussian", "--p", "0", "--q", "1e200"], "gaussian:1"),
         (["divergence", "--family", "exponential", "--p", "1e-300", "--q", "1e300"], "exponential"),

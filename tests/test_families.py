@@ -371,18 +371,18 @@ def test_a_natural_view_maps_both_sides_of_a_call_in_one(family, monkeypatch):
             assert view.divergence_rows(A, B).tobytes() == want.tobytes()
 
 
-def test_the_closed_forms_take_their_powers_from_the_c_library():
-    # numpy's array power rounds about 1 in 20 cubes otherwise than the C
-    # library's pow, which a Python float's power calls
+def test_the_closed_forms_are_exact_quotients_of_numpys_powers():
+    # T(m, s) is T(0, 1) over numpy's s**3 whatever m, at scales far past
+    # where the generic rule's powers of s leave the float range
     rng = np.random.default_rng(22)
     scales = 10 ** rng.uniform(-100.0, 100.0, 200)
     unit = GaussianFull().forward_cubic([0.0, 1.0])
     X = np.column_stack([rng.uniform(-1e14, 1e14, 200), scales])
     [t] = GaussianFull()._closed_rows(X, (3,))
-    assert t.tobytes() == np.array([unit / s**3 for s in scales.tolist()]).tobytes()
+    assert t.tobytes() == (unit / (scales**3)[:, None, None, None]).tobytes()
     # T = psi'''(J, J, J) = -2 / theta^3, with J = -1
     rates = ExponentialScale()._closed_rows(scales[:, None], (3,))[0].ravel()
-    assert rates.tolist() == [-(2.0 / s**3) for s in scales.tolist()]
+    assert rates.tolist() == (-(2.0 / scales**3)).tolist()
 
 
 def test_score_moment_method_errors():
