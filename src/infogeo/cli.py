@@ -20,9 +20,7 @@ import tempfile
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import reports
+from . import extraction, families, gap, reports, roundtrip
 from .errors import (
     ConditioningError,
     InfoGeoError,
@@ -30,17 +28,6 @@ from .errors import (
     NumericalError,
     UnsupportedFamily,
     UsageError,
-)
-from .extraction import _DEFAULT_STEP, _tensor_errors
-from .extraction import asymmetry_probe, convergence_report, extract_cubic, extract_metric
-from .families import make_family, natural_view
-from .gap import gap_report, gap_table, mc_single_copy_fidelity
-from .roundtrip import (
-    LegDistribution,
-    TradeSampler,
-    demon_work,
-    spread_estimate,
-    triangle_simulate,
 )
 
 FORMATS = ("json", "csv", "plot-csv")
@@ -180,7 +167,7 @@ FORMAT = _one_of(*FORMATS)
 LEGS = Field(
     "three leg specs",
     lambda v: _list_of(TEXT.test)(v) and len(v) == 3,
-    lambda legs: [LegDistribution.parse(x).spec() for x in legs],
+    lambda legs: [roundtrip.LegDistribution.parse(x).spec() for x in legs],
 )
 SWEEP = _optional(Field(
     f"[start, stop, count] of finite numbers, with an integral count from 2 to {_MAX_SWEEP}", _is_sweep, _parse_sweep
@@ -189,7 +176,9 @@ POINTS = Field("a list of points", _list_of(_list_of(_is_number)))
 
 
 def _parse_state(text: str) -> list:
-    from .quantum import parse_amplitudes  # quantum loads only where a chart, a state or a loop is used
+    # quantum, and numpy with it, loads only where a chart, a state or a loop
+    # is used; the other field parsers need neither
+    from .quantum import parse_amplitudes
 
     return reports.jsonable(parse_amplitudes(text).amplitudes)
 
@@ -213,8 +202,8 @@ def _resolve_divergence(cfg: dict):
 
         return make_chart_divergence(spec, eps=cfg["eps"])
     if spec.startswith("natural:"):
-        return natural_view(make_family(spec[len("natural:"):], margin=cfg["margin"]))
-    return make_family(spec, margin=cfg["margin"])
+        return families.natural_view(families.make_family(spec[len("natural:"):], margin=cfg["margin"]))
+    return families.make_family(spec, margin=cfg["margin"])
 
 
 def _gap_row(rep) -> dict:
@@ -230,12 +219,12 @@ def _run_gap(cfg: dict):
     if (cfg["n"] is None) == (cfg["table"] is None):
         raise UsageError("gap needs exactly one of --n or --table")
     if cfg["n"] is not None:
-        return "gap", _gap_row(gap_report(cfg["n"]))
-    return "gap-table", {"rows": [_gap_row(r) for r in gap_table(cfg["table"])]}
+        return "gap", _gap_row(gap.gap_report(cfg["n"]))
+    return "gap-table", {"rows": [_gap_row(r) for r in gap.gap_table(cfg["table"])]}
 
 
 def _run_estimate(cfg: dict):
-    return "estimate", mc_single_copy_fidelity(cfg["trials"], cfg["seed"], guess=cfg["guess"])
+    return "estimate", gap.mc_single_copy_fidelity(cfg["trials"], cfg["seed"], guess=cfg["guess"])
 
 
 def _run_divergence(cfg: dict):
@@ -244,8 +233,10 @@ def _run_divergence(cfg: dict):
 
 
 def _run_tensor(cfg: dict):
+    import numpy as np
+
     div = _resolve_divergence(cfg)
-    extract = extract_metric if cfg["order"] == "metric" else extract_cubic
+    extract = extraction.extract_metric if cfg["order"] == "metric" else extraction.extract_cubic
     rec = extract(div, np.asarray(cfg["at"], dtype=float), h=cfg["h"], richardson=cfg["richardson"])
     comps = rec.components
     # the extraction has checked the point, so the kernel takes it unchecked
@@ -268,12 +259,14 @@ def _run_tensor(cfg: dict):
     }
     if oracle is not None:
         result["oracle"] = np.asarray(oracle, dtype=float).tolist()
-        result["oracle_delta"] = _tensor_errors(comps[None], oracle)[0]
+        result["oracle_delta"] = extraction._tensor_errors(comps[None], oracle)[0]
     return "tensor", result
 
 
 def _run_asymmetry(cfg: dict):
-    probe = asymmetry_probe(
+    import numpy as np
+
+    probe = extraction.asymmetry_probe(
         _resolve_divergence(cfg),
         np.asarray(cfg["at"]),
         np.asarray(cfg["direction"]),
@@ -292,7 +285,9 @@ def _run_asymmetry(cfg: dict):
 
 
 def _run_convergence(cfg: dict):
-    rep = convergence_report(
+    import numpy as np
+
+    rep = extraction.convergence_report(
         _resolve_divergence(cfg),
         np.asarray(cfg["at"]),
         cfg["steps"],
@@ -304,9 +299,11 @@ def _run_convergence(cfg: dict):
 
 
 def _run_triangle(cfg: dict):
-    legs = [LegDistribution.parse(s) for s in cfg["legs"]]
+    import numpy as np
+
+    legs = [roundtrip.LegDistribution.parse(s) for s in cfg["legs"]]
     if not cfg["sweep_shape"]:
-        return "triangle", triangle_simulate(legs, cfg["samples"], cfg["seed"])
+        return "triangle", roundtrip.triangle_simulate(legs, cfg["samples"], cfg["seed"])
     start, stop, count = cfg["sweep_shape"]
     if count * cfg["samples"] > _MAX_DRAWS:
         what = f"{int(count)} simulations of --samples draws; at most {_MAX_DRAWS} draws in all"
@@ -315,8 +312,8 @@ def _run_triangle(cfg: dict):
         raise UsageError("--sweep-shape requires a skewnormal first leg")
     rows = []
     for shape in np.linspace(start, stop, int(count)):
-        swept = LegDistribution("skewnormal", legs[0].location, legs[0].scale, float(shape))
-        row = reports.jsonable(triangle_simulate([swept, *legs[1:]], cfg["samples"], cfg["seed"]))
+        swept = roundtrip.LegDistribution("skewnormal", legs[0].location, legs[0].scale, float(shape))
+        row = reports.jsonable(roundtrip.triangle_simulate([swept, *legs[1:]], cfg["samples"], cfg["seed"]))
         row["shape"] = float(shape)
         rows.append(row)
     return "triangle-sweep", {"rows": rows}
@@ -325,14 +322,14 @@ def _run_triangle(cfg: dict):
 def _run_demon(cfg: dict):
     family = _resolve_divergence(cfg)
     options = {name: cfg[name] for name in ("method", "h", "tensor_at")}
-    return "demon", demon_work(family, cfg["waypoints"], **options)
+    return "demon", roundtrip.demon_work(family, cfg["waypoints"], **options)
 
 
 def _run_spread(cfg: dict):
     family = _resolve_divergence(cfg)
-    sampler = TradeSampler.parse(cfg["sampler"], family.dimension)
+    sampler = roundtrip.TradeSampler.parse(cfg["sampler"], family.dimension)
     options = {name: cfg[name] for name in ("method", "h")}
-    return "spread", spread_estimate(family, sampler, cfg["samples"], cfg["seed"], **options)
+    return "spread", roundtrip.spread_estimate(family, sampler, cfg["samples"], cfg["seed"], **options)
 
 
 def _run_holonomy(cfg: dict):
@@ -356,12 +353,12 @@ def _run_veronese(cfg: dict):
 
 def _default_fd_step(cfg: dict) -> None:
     if cfg["h"] is None and cfg["method"] == "fd":
-        cfg["h"] = _DEFAULT_STEP["cubic"]  # the finite-difference default, resolved explicitly
+        cfg["h"] = extraction._DEFAULT_STEP["cubic"]  # the finite-difference default, resolved explicitly
 
 
 def _resolve_tensor(args, cfg: dict) -> None:
     if cfg["h"] is None:
-        cfg["h"] = _DEFAULT_STEP[cfg["order"]]
+        cfg["h"] = extraction._DEFAULT_STEP[cfg["order"]]
 
 
 def _resolve_demon(args, cfg: dict) -> None:
@@ -377,7 +374,7 @@ def _resolve_demon(args, cfg: dict) -> None:
 
 
 def _resolve_spread(args, cfg: dict) -> None:
-    cfg["sampler"] = TradeSampler.parse(args.sampler, _resolve_divergence(cfg).dimension).spec()
+    cfg["sampler"] = roundtrip.TradeSampler.parse(args.sampler, _resolve_divergence(cfg).dimension).spec()
     _default_fd_step(cfg)
 
 

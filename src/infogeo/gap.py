@@ -19,15 +19,11 @@ state instead scores E[u] = 1/2.
 
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .roundtrip import CHUNK_SIZE, _Accumulator, _chunk_map, _moments
-
 if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "GapReport", "FidelityEstimate", "gap_report", "gap_table", "mc_single_copy_fidelity", "CHUNK_SIZE",
+    "GapReport", "FidelityEstimate", "gap_report", "gap_table", "mc_single_copy_fidelity",
 ]
 
 N1_CONFLICT_NOTE = (
@@ -99,6 +95,11 @@ def mc_single_copy_fidelity(
         raise ValueError("need at least 1e4 trials for a meaningful estimate")
     if guess not in ("outcome", "fixed"):
         raise ValueError("guess must be 'outcome' or 'fixed'")
+    # imported here: the exact reports need neither numpy nor the Monte-Carlo core
+    import numpy as np
+
+    from .roundtrip import _Accumulator, _chunk_map, _moments
+
     acc = _Accumulator()
 
     def chunk(rng, n):

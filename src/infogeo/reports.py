@@ -17,9 +17,8 @@ from __future__ import annotations
 import io
 import json
 import numbers
+import sys
 from datetime import datetime, timezone
-
-import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -40,14 +39,16 @@ def jsonable(obj):
     fields, an exact rational into {"rational": "p/q", "decimal": float}."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
+    # no value is a numpy object unless numpy is loaded
+    np = sys.modules.get("numpy")
     # numpy's integers are numbers.Integral too, and stay plain integers
-    if isinstance(obj, (np.floating, np.integer)):
+    if np is not None and isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, numbers.Rational):
         return {"rational": str(obj), "decimal": float(obj)}
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
+    if np is not None and isinstance(obj, np.ndarray):
         return jsonable(obj.tolist())
     if hasattr(obj, "_asdict"):
         obj = obj._asdict()

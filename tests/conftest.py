@@ -1,4 +1,16 @@
-"""Shared pytest hooks: summarize acceptance-criteria outcomes."""
+"""Shared pytest hooks: choose the tree under test, summarize acceptance-criteria outcomes.
+
+The tree under test is the first ``PYTHONPATH`` entry that holds ``infogeo``,
+so ``PYTHONPATH=<other tree>/src python -m pytest`` tests that tree; without
+one, it is this checkout's ``src``.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+if not any(Path(entry, "infogeo").is_dir() for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 _acceptance = {}
 

@@ -1,8 +1,13 @@
 """Import contract: a process loads the modules it uses, in fresh interpreters.
 
-``import infogeo`` loads every module of the package but ``cli``, ``reports``
-and ``quantum``; ``quantum`` and its names load on first use.  ``geo`` loads
-``quantum`` only for a chart, a state or a loop.
+``import infogeo`` runs only ``errors`` and loads no numpy.  ``families``,
+``extraction``, ``roundtrip`` and ``gap`` are registered in ``sys.modules``
+and run on first use; ``quantum`` and its names are imported on first use.
+``geo`` runs only the modules its subcommand uses: ``geo gap``, its replay and
+every usage error run with no numpy at all, as a ``numpy`` that refuses to
+import, first on ``PYTHONPATH``, shows.  ``geo`` loads ``quantum`` only for a
+chart, a state or a loop, and calls a function swapped on a registered module
+before its first use.
 """
 
 import json
@@ -14,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import infogeo
+from infogeo.reports import strip_timestamp
 
 SRC = str(Path(infogeo.__file__).resolve().parents[1])
 
@@ -143,3 +149,134 @@ def test_no_module_defines_a_dataclass():
         "print(json.dumps(found))"
     )
     assert _fresh(code) == []
+
+
+# the registered modules whose bodies have not run; type() does not run them
+_UNRUN = (
+    "import json, sys, types\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('infogeo.')"
+    " and type(sys.modules[m]) is not types.ModuleType)))"
+)
+
+
+def test_importing_the_package_loads_no_numpy_and_runs_no_engine():
+    code = (
+        "import json, sys, types, infogeo\n"
+        "engines = ('families', 'extraction', 'roundtrip', 'gap')\n"
+        "registered = [sys.modules['infogeo.' + m] is vars(infogeo)[m] for m in engines]\n"
+        "unrun = [type(sys.modules['infogeo.' + m]) is not types.ModuleType for m in engines]\n"
+        "again = [type(sys.modules['infogeo.' + m]) is not types.ModuleType for m in engines]\n"
+        "print(json.dumps(['numpy' in sys.modules, registered, unrun, again]))"
+    )
+    numpy_loaded, registered, unrun, again = _fresh(code)
+    assert not numpy_loaded
+    assert registered == unrun == again == [True] * 4
+
+
+def test_a_divergence_runs_no_engine_but_families():
+    code = (
+        "import contextlib, io\n"
+        "from infogeo.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['divergence', '--family', 'exponential', '--p', '1', '--q', '2']) == 0\n"
+    )
+    assert _fresh(code + _UNRUN) == ["infogeo.extraction", "infogeo.gap", "infogeo.roundtrip"]
+
+
+def test_the_command_line_calls_what_is_swapped_on_a_module_before_its_first_use():
+    # the contract a tracer relies on: it wraps each function where it lives
+    code = (
+        "import json, sys\n"
+        "from infogeo import cli\n"
+        "called = []\n"
+        "def swap(module, name):\n"
+        "    home = sys.modules['infogeo.' + module]\n"
+        "    original = getattr(home, name)\n"
+        "    def spy(*args, **kwargs):\n"
+        "        called.append(name)\n"
+        "        return original(*args, **kwargs)\n"
+        "    setattr(home, name, spy)\n"
+        "swap('extraction', 'extract_cubic')\n"
+        "swap('gap', 'gap_report')\n"
+        "swap('roundtrip', 'demon_work')\n"
+        "for argv in (['tensor', '--family', 'exponential', '--at', '1', '--order', 'cubic'], ['gap', '--n', '2'],\n"
+        "             ['demon', '--family', 'exponential', '--waypoints', '1;1.5']):\n"
+        "    cli.run_config(cli.build_config(cli.build_parser().parse_args(argv)))\n"
+        "print(json.dumps(called))"
+    )
+    assert _fresh(code) == ["extract_cubic", "gap_report", "demon_work"]
+
+
+_GEO = "import sys; from infogeo.cli import main; sys.exit(main())"
+
+
+@pytest.fixture(scope="module")
+def no_numpy(tmp_path_factory):
+    """A directory whose ``numpy`` package refuses to import."""
+    root = tmp_path_factory.mktemp("no_numpy")
+    (root / "numpy").mkdir()
+    (root / "numpy" / "__init__.py").write_text("raise ImportError('this numpy refuses to import')\n")
+    return root
+
+
+def _geo(argv, cwd, first=None):
+    """Exit code, stdout without its timestamp, and stderr of ``geo argv``,
+    with ``first`` (if given) ahead of this package's source on the path."""
+    path = os.pathsep.join(filter(None, [first and str(first), SRC, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", _GEO, *argv],
+        cwd=cwd, capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    return res.returncode, strip_timestamp(res.stdout), res.stderr
+
+
+def test_the_refusing_numpy_stops_array_work(no_numpy, tmp_path):
+    code, _, err = _geo(["tensor", "--family", "exponential", "--at", "1"], tmp_path, first=no_numpy)
+    assert code == 1 and "this numpy refuses to import" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gap", "--n", "5"], 0),
+        (["gap", "--table", "3", "--format", "csv"], 0),
+        (["gap", "--table", "4", "--format", "plot-csv"], 0),
+        ([], 1),  # bare geo: the usage line
+        (["gap", "--n", "five"], 1),  # an argparse error
+        (["gap", "--n", "5", "--table", "5"], 1),
+        (["estimate", "--trials", "10"], 1),  # no --seed
+        (["estimate", "--trials", "1000000000000", "--seed", "1"], 1),  # a count cap
+        (["gap", "--table", "100000000"], 1),
+        (["spread", "--family", "exponential", "--sampler", "gauss:1,1", "--samples", "0", "--seed", "1"], 1),
+    ],
+)
+def test_gap_and_usage_errors_run_without_numpy(no_numpy, tmp_path, argv, code):
+    plain = _geo(argv, tmp_path)
+    assert plain[0] == code
+    if code:
+        assert plain[1] == "\n"  # strip_timestamp's newline: nothing was printed
+        assert plain[2].startswith("geo: " if argv else "usage: geo")
+    assert _geo(argv, tmp_path, first=no_numpy) == plain
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [
+        ({}, 0),
+        ({"n": None, "table": 3}, 0),
+        ({"n": "5"}, 1),  # a field of the wrong type
+        ({"format": "yaml"}, 1),
+        ({"subcommand": "nonsense"}, 1),
+    ],
+)
+def test_a_gap_replay_runs_without_numpy(no_numpy, tmp_path, config, code):
+    report = tmp_path / "gap.json"
+    assert _geo(["gap", "--n", "5", "--out", str(report)], tmp_path)[0] == 0
+    doc = json.loads(report.read_text())
+    doc["config"].update(config)
+    report.write_text(json.dumps(doc))
+    plain = _geo(["replay", str(report)], tmp_path)
+    assert plain[0] == code
+    if code:
+        assert plain[2].startswith("geo: replay ") and len(plain[2].splitlines()) == 1
+    assert _geo(["replay", str(report)], tmp_path, first=no_numpy) == plain
