@@ -12,6 +12,7 @@ reproducing it byte for byte apart from the timestamp.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -194,15 +195,17 @@ LOOP = Field("a list of states", _list_of(_list_of(_is_pair)), _load_loop)
 
 def _resolve_divergence(cfg: dict):
     spec = cfg["family"]
-    if spec.startswith(("qre:", "qjsd:")):
+    prefix, _, rest = spec.partition(":")
+    prefix = prefix.strip().lower()  # as make_family reads a family's name
+    if prefix in ("qre", "qjsd"):
         if "eps" not in cfg:  # a chart's smoothing, which demon and spread take no option for
             what = "a classical family or its natural view, not a quantum chart"
             raise UnsupportedFamily(f"{spec}: {cfg['subcommand']} takes {what}")
         from .quantum import make_chart_divergence
 
         return make_chart_divergence(spec, eps=cfg["eps"])
-    if spec.startswith("natural:"):
-        return families.natural_view(families.make_family(spec[len("natural:"):], margin=cfg["margin"]))
+    if prefix == "natural":
+        return families.natural_view(families.make_family(rest, margin=cfg["margin"]))
     return families.make_family(spec, margin=cfg["margin"])
 
 
@@ -233,15 +236,13 @@ def _run_divergence(cfg: dict):
 
 
 def _run_tensor(cfg: dict):
-    import numpy as np
-
     div = _resolve_divergence(cfg)
     extract = extraction.extract_metric if cfg["order"] == "metric" else extraction.extract_cubic
-    rec = extract(div, np.asarray(cfg["at"], dtype=float), h=cfg["h"], richardson=cfg["richardson"])
+    rec = extract(div, cfg["at"], h=cfg["h"], richardson=cfg["richardson"])
     comps = rec.components
     # the extraction has checked the point, so the kernel takes it unchecked
-    oracle = div._closed_rows(rec.base_point[None], (comps.ndim,))[0][0] if hasattr(div, "_closed_rows") else None
-    packed = [idx for idx in np.ndindex(*comps.shape) if list(idx) == sorted(idx)]
+    closed = extraction._oracle(div, rec.base_point[None], (comps.ndim,))
+    packed = list(itertools.combinations_with_replacement(range(len(comps)), comps.ndim))
     if hasattr(div, "chart"):
         chart = div.chart.chart_id
     elif rec.family_id.endswith(":natural"):
@@ -253,25 +254,16 @@ def _run_tensor(cfg: dict):
     result["h"] = result.pop("step")
     result["chart"] = chart
     result["rank"] = comps.ndim
-    result["packed"] = {
-        "indices": [list(idx) for idx in packed],
-        "values": [float(comps[idx]) for idx in packed],
-    }
-    if oracle is not None:
-        result["oracle"] = np.asarray(oracle, dtype=float).tolist()
+    result["packed"] = {"indices": [list(idx) for idx in packed], "values": [float(comps[idx]) for idx in packed]}
+    if closed is not None:
+        [[oracle]] = closed
+        result["oracle"] = oracle.tolist()
         result["oracle_delta"] = extraction._tensor_errors(comps[None], oracle)[0]
     return "tensor", result
 
 
 def _run_asymmetry(cfg: dict):
-    import numpy as np
-
-    probe = extraction.asymmetry_probe(
-        _resolve_divergence(cfg),
-        np.asarray(cfg["at"]),
-        np.asarray(cfg["direction"]),
-        cfg["steps"],
-    )
+    probe = extraction.asymmetry_probe(_resolve_divergence(cfg), cfg["at"], cfg["direction"], cfg["steps"])
     result = reports.jsonable(probe)
     result["family"] = result.pop("family_id")
     result["identically_symmetric"] = result.pop("degenerate")
@@ -285,14 +277,8 @@ def _run_asymmetry(cfg: dict):
 
 
 def _run_convergence(cfg: dict):
-    import numpy as np
-
-    rep = extraction.convergence_report(
-        _resolve_divergence(cfg),
-        np.asarray(cfg["at"]),
-        cfg["steps"],
-        richardson=cfg["richardson"],
-    )
+    div = _resolve_divergence(cfg)
+    rep = extraction.convergence_report(div, cfg["at"], cfg["steps"], richardson=cfg["richardson"])
     result = reports.jsonable(rep)
     result["family"] = result.pop("family_id")
     return "convergence", result

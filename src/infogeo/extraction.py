@@ -32,19 +32,15 @@ that also gives the rows Y the divergence is written on (a natural view's
 images under ``from_natural``).  Having checked every row once that way,
 they evaluate D(P[i] || Q[i]) over rows broadcast to (n, d) through the
 unchecked kernel ``_values(P, Q, Y_P, Y_Q)``, which takes the Y of that
-pass, not through the checked public entry ``divergence_rows``.  An
-extraction is one domain pass over its base point and stencil points
-together and one kernel call, and so is a batch of base points:
+pass, not through the checked public entry ``divergence_rows``.
 ``_tensors`` takes the stencils of many rows P at once, with one step for
-all of them or a step per row, and of several orders at once.  Either step
-is a step per row to it, and what depends on the step alone is worked out
-once per distinct step.  A batch raises the error that extracting its rows
-one by one, each order after the one before, meets first: a batch that a
-check refuses is extracted again that way, through the same code.
-``roundtrip.demon_work`` passes it up to 256 points of a path;
-``convergence_report`` its base point once per rung of the ladder, each
-with the rung's step, for the metric and cubic together, so a ladder of
-any length is one call.
+all of them or a step per row, and of several orders at once; what depends
+on the step alone is worked out once per distinct step.  Each batch of as
+many rows as fit in ``_MAX_POINTS`` stencil points is one domain pass and
+one kernel call, as an extraction or a short ladder is.  A request raises
+the error that extracting its rows one by one, each order after the one
+before, meets first: a batch that a check refuses is extracted again that
+way, through the same code.  ``_oracle`` alone asks for closed forms.
 
 A step is refused with ConditioningError when it is not resolved at the
 base point: when p + s - p differs from s by more than 1e-3 s in some
@@ -85,6 +81,7 @@ _DEFAULT_STEP = {"metric": 1e-2, "cubic": 5e-2}
 # and a Richardson cubic plan takes 0.17 s to build at d = 12, 0.7 s at 16
 # and 32 s at 29
 _MAX_DIMENSION = 12
+_MAX_POINTS = 1 << 16  # the most stencil points one kernel call takes: 10 rows of a d = 12 Richardson cubic
 
 
 class MetricTensor(NamedTuple):
@@ -299,11 +296,31 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
     Richardson ladder and the acceptance test.  A batch is one ``_rows``
     pass over the base points and the stencil points of all rows and orders
     and one call of the unchecked kernel ``_values`` on its mapped rows, so
-    each point is checked and mapped once; a convergence ladder is one call
-    for its metric and cubic.  A batch that a check refuses is extracted
+    each point is checked and mapped once; it takes at most ``_MAX_POINTS``
+    stencil points, and the batches of more rows are joined, since checks
+    and W f are row by row.  A batch that a check refuses is extracted
     again row after row, order after order, each (row, order) a batch of its
     own, and the first error that walk meets is the one raised.
     """
+    P, hs = _checked_steps(div, P, h)
+    size = _MAX_POINTS // len(_stencil_plan(P.shape[1], orders, richardson)[0])
+    if len(P) > size:
+        parts = [_tensors(div, P[i : i + size], hs[i : i + size], richardson, orders) for i in range(0, len(P), size)]
+        return [tuple(None if a[0] is None else np.concatenate(a) for a in zip(*order)) for order in zip(*parts)]
+    try:
+        return _batch(div, P, hs, richardson, orders)
+    except InfoGeoError:
+        # the walk, each (row, order) a batch of its own, raises what it meets first
+        if len(P) * len(orders) > 1:
+            for p, x in zip(P, hs):
+                for order in orders:
+                    _batch(div, p[None], [x], richardson, (order,))
+        raise
+
+
+def _checked_steps(div, P, h):
+    """P as floats and a Python float step per row, once the steps are
+    positive and finite and the rows of P have a width a stencil is taken at."""
     P = np.asarray(P, dtype=float)
     h = np.asarray(h, dtype=float)
     if h.shape not in ((), P.shape[:1]):
@@ -322,15 +339,7 @@ def _tensors(div, P, h, richardson: bool, orders: tuple):
         raise UnsupportedFamily(
             f"{div.family_id}: finite-difference stencils take at most {_MAX_DIMENSION} coordinates, not {d}"
         )
-    try:
-        return _batch(div, P, hs, richardson, orders)
-    except InfoGeoError:
-        # the walk, each (row, order) a batch of its own, raises what it meets first
-        if len(P) * len(orders) > 1:
-            for p, x in zip(P, hs):
-                for order in orders:
-                    _batch(div, p[None], [x], richardson, (order,))
-        raise
+    return P, hs
 
 
 def _batch(div, P, hs: list, richardson: bool, orders: tuple):
@@ -543,6 +552,12 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
     )
 
 
+def _oracle(div, X, orders: tuple) -> list | None:
+    """The closed forms of each order in ``orders`` at the checked (n, d) rows
+    X, from the divergence's unchecked kernel ``_closed_rows``, or None."""
+    return div._closed_rows(X, orders) if hasattr(div, "_closed_rows") else None
+
+
 def _tensor_errors(measured: np.ndarray, oracle: np.ndarray | None) -> list:
     """Per rung of the (n, ...) stack ``measured``: max |measured - oracle|
     over the oracle's largest |component| (absolute when that is 0), or None
@@ -558,32 +573,31 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
     """Run metric and cubic extraction across a step ladder.
 
     The oracle tensors are the divergence object's closed forms, both from
-    one call of its unchecked kernel ``_closed_rows`` at the checked base
-    point when it has one; errors are then max-abs deviations normalized by
-    the oracle's largest component (absolute when the oracle vanishes).
+    one ``_oracle`` call at the checked base point; errors are then max-abs
+    deviations normalized by the oracle's largest component (absolute when
+    the oracle vanishes).
 
-    The metric and cubic of every rung come from one ``_tensors`` call over
-    the whole ladder, so one domain check and one divergence call.  That
-    call raises the error that extracting the rungs one by one, metric then
-    cubic, would meet first.
+    The metric and cubic of every rung come from one ``_tensors`` request
+    over the whole ladder, which raises the error that extracting the rungs
+    one by one, metric then cubic, would meet first.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     ladder = np.asarray(ladder, dtype=float)
-    # before the closed forms, which may divide by zero outside the domain
-    # and overflow where the finest step's cube underflows
+    # before the closed forms, which may divide by zero outside the domain,
+    # overflow where the finest step's cube underflows, and take time like
+    # d^5 past the widest stencil
     div._refuse_outside(p[None], "base point")
+    hs = []
     if ladder.size:
         _check_powers(div, [float(ladder.min()) / (4.0 if richardson else 1.0)], 3)
+        P, hs = _checked_steps(div, np.repeat(p[None], ladder.size, axis=0), ladder)
     # the cubic first: where both closed forms are refused, its overflow is the
     # cause to name, ahead of the metric's underflow
-    cubic_oracle = metric_oracle = None
-    if hasattr(div, "_closed_rows"):
-        cubic_oracle, metric_oracle = (t[0] for t in div._closed_rows(p[None], (3, 2)))
-    hs = [float(h) for h in ladder]
+    closed = _oracle(div, p[None], (3, 2))
+    cubic_oracle, metric_oracle = (None, None) if closed is None else (t[0] for t in closed)
     rungs, metric_order, cubic_order = [], None, None
     if hs:
-        P = np.repeat(p[None], len(hs), axis=0)
-        (metric, _, _), (cubic, _, _) = _tensors(div, P, ladder, richardson, (2, 3))
+        (metric, _, _), (cubic, _, _) = _tensors(div, P, hs, richardson, (2, 3))
         m_err = _tensor_errors(metric, metric_oracle)
         c_err = _tensor_errors(cubic, cubic_oracle)
         rungs = [ConvergenceRung(*rung) for rung in zip(hs, metric, cubic, m_err, c_err)]

@@ -689,16 +689,15 @@ def make_family(spec: str, margin: float = 1e-9) -> DivergenceFamily:
     """
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
+    plain = {"exponential": ExponentialScale, "bernoulli": lambda: Bernoulli(margin), "gaussian-full": GaussianFull}
+    if name in plain:
+        if arg:
+            raise ValueError(f"{name} takes no argument, not {arg!r}")
+        return plain[name]()
     if name == "gaussian":
         return GaussianFixedSigma(float(arg) if arg else 1.0)
-    if name == "exponential":
-        return ExponentialScale()
-    if name == "bernoulli":
-        return Bernoulli(margin=margin)
     if name == "categorical":
         if not arg:
             raise ValueError("categorical needs an outcome count, e.g. categorical:3")
         return Categorical(int(arg), margin=margin)
-    if name == "gaussian-full":
-        return GaussianFull()
     raise ValueError(f"unknown family {spec!r}; choose from {BUILTIN_FAMILIES}")

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, RejectionOverflow, UnsupportedFamily
-from .extraction import _DEFAULT_STEP, _tensors
+from .extraction import _DEFAULT_STEP, _oracle, _tensors
 
 # annotations are evaluated at import, since a named tuple's string annotation
 # costs a compile per field; those naming np.random stay strings, as numpy
@@ -401,30 +401,21 @@ def triangle_simulate(legs, samples: int, seed: int) -> TriangleReport:
 # Path work
 # ---------------------------------------------------------------------------
 
-# base points per batched extraction: one divergence call takes up to 6168
-# stencil points per base point (a d = 12 Richardson cubic; stencils stop at
-# extraction._MAX_DIMENSION = 12, since a plan's dense weights grow like d^6
-# and take 0.17 s to build there), so this bounds the memory of a call on a
-# long path
-_EXTRACTION_BATCH = 256
-
-
 def _cubic_tensors(family, points: np.ndarray, method: str, h: float | None) -> np.ndarray:
     """The cubic tensor at each row of the (n, d) array ``points``, as (n, d, d, d).
 
     "oracle" is one call of the closed-form kernel on rows that the caller
-    has checked; "fd" is a Richardson extraction at every row, which checks
-    it as a base point, made in batches of ``_EXTRACTION_BATCH`` rows.
+    has checked; "fd" is one Richardson extraction request for every row,
+    which checks it as a base point.
     """
     if method == "oracle":
-        if not hasattr(family, "_closed_rows"):
+        closed = _oracle(family, points, (3,))
+        if closed is None:
             raise UnsupportedFamily(f"{family.family_id} has no closed-form cubic tensor")
-        return family._closed_rows(points, (3,))[0]
+        return closed[0]
     if method != "fd":
         raise ValueError("method must be 'fd' or 'oracle'")
-    h = h if h is not None else _DEFAULT_STEP["cubic"]
-    batches = range(0, len(points), _EXTRACTION_BATCH)
-    return np.concatenate([_tensors(family, points[i : i + _EXTRACTION_BATCH], h, True, (3,))[0][0] for i in batches])
+    return _tensors(family, points, h if h is not None else _DEFAULT_STEP["cubic"], True, (3,))[0][0]
 
 
 def work_surcharge(
@@ -510,7 +501,16 @@ def demon_work(
 # ---------------------------------------------------------------------------
 
 
-class TradeSampler(NamedTuple):
+_SAMPLER_KINDS = ("fixed", "signflip", "gauss")
+
+
+class _TradeFields(NamedTuple):
+    kind: str
+    point: tuple
+    step: tuple
+
+
+class TradeSampler(_TradeFields):
     """Distribution over (point, step) trade pairs.
 
     kinds (d = family dimension; specs list point coords first, then step):
@@ -521,30 +521,31 @@ class TradeSampler(NamedTuple):
                  "gauss:1.0,0.05" (one trailing scale)
     """
 
-    kind: str
-    point: tuple
-    step: tuple
+    __slots__ = ()
+
+    def __new__(cls, kind: str, point: tuple, step: tuple):
+        self = super().__new__(cls, kind, point, step)
+        if kind not in _SAMPLER_KINDS:
+            raise ValueError(f"unknown sampler kind {kind!r}")
+        width = 1 if kind == "gauss" else len(point)
+        if len(step) != width:
+            raise ValueError(f"{kind} sampler takes a step of {width} number(s), not {len(step)}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "TradeSampler":
+        """The sampler of the fields in ``iterable``, checked; ``_replace`` builds through it."""
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, spec: str, dimension: int) -> "TradeSampler":
         kind, _, rest = spec.partition(":")
         kind = kind.strip().lower()
         parts = [float(p) for p in rest.split(",") if p.strip()]
-        if kind in ("fixed", "signflip"):
-            if len(parts) != 2 * dimension:
-                raise ValueError(
-                    f"{kind} sampler needs {dimension} point and {dimension} "
-                    f"step coordinates, got {len(parts)} in {spec!r}"
-                )
-            return cls(kind, tuple(parts[:dimension]), tuple(parts[dimension:]))
-        if kind == "gauss":
-            if len(parts) != dimension + 1:
-                raise ValueError(
-                    f"gauss sampler needs {dimension} point coordinates and "
-                    f"one scale, got {len(parts)} in {spec!r}"
-                )
-            return cls(kind, tuple(parts[:dimension]), (parts[-1],))
-        raise ValueError(f"unknown sampler kind {kind!r}")
+        what = "point coordinates and one scale" if kind == "gauss" else f"point and {dimension} step coordinates"
+        if kind in _SAMPLER_KINDS and len(parts) != dimension + (1 if kind == "gauss" else dimension):
+            raise ValueError(f"{kind} sampler needs {dimension} {what}, got {len(parts)} in {spec!r}")
+        return cls(kind, tuple(parts[:dimension]), tuple(parts[dimension:]))
 
     def spec(self) -> str:
         coords = ",".join(f"{c:g}" for c in self.point + self.step)

@@ -67,6 +67,17 @@ def test_divergence_quantum_chart(capsys):
     assert rep["config"]["eps"] == 0.01
 
 
+def test_a_family_spec_prefix_is_read_in_any_case(capsys):
+    # as make_family reads a family's name, and make_chart_divergence a chart's
+    for spec, lower, points in [
+        ("QRE:bloch", "qre:bloch", ["--p", "0,0,0.5", "--q", "0,0,-0.5"]),
+        (" Natural :Bernoulli", "natural:bernoulli", ["--p", "0.2", "--q", "-0.3"]),
+    ]:
+        rep = run_json(capsys, ["divergence", "--family", spec, *points])
+        assert rep["result"] == run_json(capsys, ["divergence", "--family", lower, *points])["result"]
+        assert rep["config"]["family"] == spec
+
+
 def test_asymmetry_report_flags_ratio_conventions(capsys):
     rep = run_json(
         capsys,
@@ -208,6 +219,11 @@ USAGE_ERRORS = [
     ["triangle", "--legs", "gaussian:0,0.01", "gaussian:0,0.01",
      "gaussian:0,0.01", "--samples", "2000"],  # seed mandatory
     ["divergence", "--family", "weibull", "--p", "1", "--q", "1"],
+    # an argument to a family that takes none
+    ["divergence", "--family", "bernoulli:0.3", "--p", "0.2", "--q", "0.3"],
+    ["divergence", "--family", "natural:bernoulli:0.3", "--p", "0.2", "--q", "0.3"],
+    ["tensor", "--family", "exponential:7", "--at", "1"],
+    ["tensor", "--family", "gaussian-full:9", "--at", "0,1"],
     ["nonsense"],
     # empty or wrong-size point lists
     ["tensor", "--family", "exponential", "--at="],
@@ -247,6 +263,8 @@ USAGE_ERRORS = [
     # stencils over more coordinates than a plan is built for, refused before it is
     ["tensor", "--family", "categorical:30", "--at", "1", "--order", "cubic"],
     ["tensor", "--family", "categorical:14", "--at", ",".join(["0.05"] * 13), "--order", "cubic"],
+    # and a ladder over them, refused before its closed forms, which take minutes here
+    ["convergence", "--family", "categorical:201", "--at", ",".join(["0.001"] * 200), "--steps", "0.0001"],
     # a point of 12 coordinates, which numpy's text of an array wraps at 75 characters
     ["tensor", "--family", "categorical:13", "--at", ",".join(["0.005"] + ["0.07"] * 11), "--order", "metric"],
     # a sweep count that is not a finite integer

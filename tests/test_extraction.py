@@ -339,6 +339,40 @@ def test_a_ladder_is_one_divergence_call(family, p, rows):
     assert len(rep.rungs) == 3
 
 
+# a point of categorical:13, whose joint Richardson metric and cubic plan has
+# 6169 distinct points per rung: a kernel call of at most 2^16 takes 10 rungs
+_WIDE, _WIDE_ROWS = [0.07] * 12, 6169
+
+
+def test_a_ladder_past_the_point_budget_is_several_calls_that_equal_the_walk():
+    family, ladder = Categorical(13), np.geomspace(0.02, 0.002, 23)
+    assert len(_stencil_plan(12, (2, 3), True)[0]) == _WIDE_ROWS
+    div = _CountingRows(family)
+    convergence_report(div, _WIDE, ladder, richardson=True)
+    assert div.rows == [10 * _WIDE_ROWS, 10 * _WIDE_ROWS, 3 * _WIDE_ROWS]
+    rep = convergence_report(family, _WIDE, ladder, richardson=True)
+    rungs, metric_order, cubic_order = _convergence_walk(family, _WIDE, ladder, True)
+    assert [(r.h, r.metric.tobytes(), r.cubic.tobytes(), r.metric_error, r.cubic_error) for r in rep.rungs] == [
+        (h, m.tobytes(), c.tobytes(), m_err, c_err) for h, m, c, m_err, c_err in rungs]
+    assert (rep.metric_order, rep.cubic_order) == (metric_order, cubic_order)
+
+
+def test_a_refused_call_past_the_point_budget_raises_the_walk_s_first_error():
+    # rungs 12 and 14, in the second call, meet a NoisePanic and a stencil
+    # that leaves the domain; the call checks the domain first, the walk
+    # meets the noise first, and walks the second call's rows alone
+    family, ladder = Categorical(13), [0.01] * 20
+    ladder[12], ladder[14] = 1e-5, 0.1
+    walk = _outcome(lambda: _convergence_walk(family, _WIDE, ladder, True))
+    assert walk == (NoisePanic, "rounding-noise estimate 6.400e+00 exceeds 1% of the largest component "
+                    "3.416e+02; increase h")
+    assert _outcome(lambda: convergence_report(family, _WIDE, ladder, richardson=True)) == walk
+    div = _CountingRows(family)
+    assert _outcome(lambda: convergence_report(div, _WIDE, ladder, richardson=True)) == walk
+    alone = [len(_stencil_plan(12, (order,), True)[0]) for order in (2, 3)]
+    assert div.rows == [10 * _WIDE_ROWS] + alone * 3
+
+
 @pytest.mark.parametrize("richardson", [False, True], ids=["plain", "richardson"])
 @pytest.mark.parametrize("d, union", [(1, (5, 9)), (2, (13, 29)), (3, (33, 85))], ids=["d1", "d2", "d3"])
 def test_a_joint_plan_evaluates_each_point_of_every_order_once(d, union, richardson):

@@ -214,6 +214,25 @@ def test_a_replaced_leg_is_checked_too():
         LegDistribution._make(["gaussian", 0.0, 0.01, 2.0])
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("bogus", (1.0,), (0.1,)), "unknown sampler kind 'bogus'"),
+        (("fixed", (1.0,), (0.1, 0.1, 0.1)), "fixed sampler takes a step of 1 number(s), not 3"),
+        (("signflip", (1.0, 2.0), (0.1,)), "signflip sampler takes a step of 2 number(s), not 1"),
+        (("gauss", (1.0,), (0.1, 0.2)), "gauss sampler takes a step of 1 number(s), not 2"),
+    ],
+)
+def test_a_trade_sampler_is_checked_where_it_is_built(args, message):
+    # checked where it is built, as a leg is, and not first where it is sampled
+    with pytest.raises(ValueError) as refused:
+        TradeSampler(*args)
+    assert str(refused.value) == message
+    with pytest.raises(ValueError) as replaced:
+        TradeSampler("fixed", (1.0,), (0.1,))._replace(**dict(zip(("kind", "point", "step"), args)))
+    assert str(replaced.value) == message
+
+
 def test_jsonable_still_serializes_a_dataclass_and_an_exact_rational():
     import dataclasses
     from fractions import Fraction

@@ -25,6 +25,7 @@ from infogeo import (
     NoisePanic,
     RejectionOverflow,
     TradeSampler,
+    UnsupportedFamily,
     demon_work,
     make_chart_divergence,
     natural_view,
@@ -286,6 +287,17 @@ def test_triangle_leg_without_mass_above_minus_one_overflows(leg):
         triangle_simulate(legs, samples=1_000, seed=1)
 
 
+def test_a_ladder_too_wide_for_a_stencil_is_refused_before_its_closed_forms():
+    # Categorical(k)'s closed forms take time like d^5: 0.72 s at d = 60, and
+    # minutes at d = 200; the steps are checked first, then the width
+    family, p = Categorical(201), [0.001] * 200
+    with _deadline(1), pytest.raises(ValueError, match=r"^step size must be positive and finite, got -0.0001$"):
+        convergence_report(family, p, [1e-4, -1e-4])
+    too_wide = r"^categorical:201: finite-difference stencils take at most 12 coordinates, not 200$"
+    with _deadline(1), pytest.raises(UnsupportedFamily, match=too_wide):
+        convergence_report(family, p, [1e-4])
+
+
 def test_triangle_validation():
     with pytest.raises(ValueError):
         triangle_simulate(["gaussian:0,0.01"] * 2, samples=2_000, seed=1)
@@ -463,10 +475,12 @@ def test_demon_fd_path_is_one_divergence_call():
 
 
 def test_a_long_demon_path_is_extracted_in_batches():
+    # a kernel call takes at most 2^16 stencil points: 2340 of the path's
+    # 5000 distinct waypoints, with 28 points each
     family = _CountingGaussianFull()
-    path = _ellipse(601)
+    path = _ellipse(5001)
     rep = demon_work(family, path, method="fd")
-    assert family.rows == [256 * 28, 256 * 28, 88 * 28]
+    assert family.rows == [2340 * 28, 2340 * 28, 320 * 28]
     assert (rep.per_step, rep.total, rep.reversed_total) == _demon_by_waypoints(GaussianFull(), path, "start")
 
 
