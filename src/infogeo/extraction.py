@@ -554,8 +554,15 @@ def asymmetry_probe(div, p, v, steps) -> AsymmetryProbe:
 
 def _oracle(div, X, orders: tuple) -> list | None:
     """The closed forms of each order in ``orders`` at the checked (n, d) rows
-    X, from the divergence's unchecked kernel ``_closed_rows``, or None."""
-    return div._closed_rows(X, orders) if hasattr(div, "_closed_rows") else None
+    X, from the divergence's unchecked kernel ``_closed_rows``, or None; rows
+    wider than a stencil's are refused (a cubic of d = 200 is 64 MB a row)."""
+    if not hasattr(div, "_closed_rows"):
+        return None
+    if X.shape[1] > _MAX_DIMENSION:
+        raise UnsupportedFamily(
+            f"{div.family_id}: closed-form tensors take at most {_MAX_DIMENSION} coordinates, not {X.shape[1]}"
+        )
+    return div._closed_rows(X, orders)
 
 
 def _tensor_errors(measured: np.ndarray, oracle: np.ndarray | None) -> list:
@@ -584,8 +591,8 @@ def convergence_report(div, p, ladder, richardson: bool = False) -> ConvergenceR
     p = np.atleast_1d(np.asarray(p, dtype=float))
     ladder = np.asarray(ladder, dtype=float)
     # before the closed forms, which may divide by zero outside the domain,
-    # overflow where the finest step's cube underflows, and take time like
-    # d^5 past the widest stencil
+    # overflow where the finest step's cube underflows, and refuse in their
+    # own words a point too wide for a stencil
     div._refuse_outside(p[None], "base point")
     hs = []
     if ladder.size:

@@ -14,8 +14,8 @@ which is the identity the tests use as an oracle.
 In a default chart x, with eta = eta(x) and mu = grad psi(eta), it reads
 D(x || x + u) = psi(eta(x + u)) - psi(eta) - mu . (eta(x + u) - eta).  The
 grad psi terms cancel at u = 0, so with J = d eta / dx and H = d^2 eta / dx^2
-(natural index first) the chain rule gives the Taylor coefficients (Amari &
-Nagaoka, Methods of Information Geometry, 2000, ch. 2-3)
+(natural index first) the chain rule relates the Taylor coefficients of the
+two charts (Amari & Nagaoka, Methods of Information Geometry, 2000, ch. 2-3):
 
     g_ij  = psi''_ab J_ai J_bj
     T_ijk = psi'''_abc J_ai J_bj J_ck
@@ -23,7 +23,10 @@ Nagaoka, Methods of Information Geometry, 2000, ch. 2-3)
 
 The second term of T, from a chart not affine in eta, is why T is not a
 tensor across charts: in the Bernoulli mean chart it is -3 times the first,
-so T is -2 times the transported score moment.
+so T is -2 times the transported score moment.  Each family writes its
+default-chart g and T as read off the expansion of its own divergence, and
+the tests check that they satisfy this relation, with psi'' and psi''' from
+the natural view.
 
 All operations are pure functions of their arguments; instances hold only
 immutable configuration and are safe to share across threads.
@@ -31,7 +34,6 @@ immutable configuration and are safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -111,16 +113,15 @@ def _tensor(entries: list, shape: tuple) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(entries[0].shape + shape)
 
 
+def _one_coordinate(orders: tuple, g: np.ndarray, t: np.ndarray) -> list:
+    """The closed forms of each order in ``orders`` of a one-coordinate chart
+    whose g and T at n rows are the (n, 1) columns ``g`` and ``t``."""
+    return [(g if order == 2 else t).reshape((-1,) + (1,) * order) for order in orders]
+
+
 def _simplex(X: np.ndarray) -> np.ndarray:
     """(..., k) simplex coordinates completed to (..., k + 1) probabilities."""
     return np.concatenate([X, 1.0 - X.sum(axis=-1, keepdims=True)], axis=-1)
-
-
-@functools.lru_cache(maxsize=None)
-def _sorted_entries(d: int, order: int) -> np.ndarray:
-    """For each entry of a (d,)*order tensor in C order, the flat index of
-    the entry with the same indices sorted."""
-    return np.ravel_multi_index(np.sort(np.indices((d,) * order).reshape(order, -1), axis=0), (d,) * order)
 
 
 class DivergenceFamily(RowDomain):
@@ -216,9 +217,10 @@ class _ClosedForms(DivergenceFamily):
 
     A subclass writes them once as ``_closed(X, orders)``, over (n, d) rows
     checked against the domain: in one pass, g (n, d, d) for each order 2
-    and T (n, d, d, d) for each order 3 in ``orders``.  ``_closed_rows`` is
-    the one unchecked kernel: it makes them exactly symmetric and refuses
-    the first, in the order given, where a row overflows with NumericalError.
+    and T (n, d, d, d) for each order 3 in ``orders``.  Each is exactly
+    symmetric as written: an entry and its permutations are one computation.
+    ``_closed_rows`` is the one unchecked kernel: it refuses the first
+    tensor, in the order given, where a row overflows with NumericalError.
     The engines call it on rows they have checked; the public ``fisher(x)``
     and ``forward_cubic(x)`` are its checked one-row case.
     """
@@ -231,16 +233,12 @@ class _ClosedForms(DivergenceFamily):
     def _closed_rows(self, X: np.ndarray, orders: tuple) -> list:
         with np.errstate(all="ignore"):
             tensors = self._closed(X, orders)
-        symmetric = []
-        for order, t in zip(orders, tensors):
-            # each entry taken from its sorted index, which leaves a symmetric t as it is
-            flat = t.reshape(len(t), -1)[:, _sorted_entries(self.dimension, order)]
-            finite = np.isfinite(flat).all(axis=1)
+        for t in tensors:
+            finite = np.isfinite(t.reshape(len(t), -1)).all(axis=1)
             if not finite.all():
                 x = _format_point(X[finite.argmin()])
                 raise NumericalError(f"{self.family_id}: the closed-form tensor at {x} overflows the float range")
-            symmetric.append(flat.reshape(t.shape))
-        return symmetric
+        return tensors
 
     def fisher(self, x) -> np.ndarray:
         """Quadratic Taylor coefficient g of D(x || x + u)."""
@@ -254,17 +252,15 @@ class _ClosedForms(DivergenceFamily):
 class ExponentialFamily(_ClosedForms):
     """A family with a natural chart eta(x) and a log-partition function psi.
 
-    Its closed forms in the default chart, g = J^T psi'' J and T =
-    psi'''(J, J, J) + 3 Sym psi''(H, J), are written here once, by the module
-    docstring's rule.  A family supplies ``_inside``, ``_divergence``, the
-    unchecked inverse chart ``from_natural``, whose preimage of the family's
-    domain is the natural domain, and these unchecked bodies, all over the
-    last axis, on default-chart rows x that their caller has coerced and
-    checked against the family's domain (a (d,) point is one row):
+    A family supplies ``_inside``, ``_divergence``, its default-chart closed
+    forms ``_closed`` (``_ClosedForms``), the unchecked inverse chart
+    ``from_natural``, whose preimage of the family's domain is the natural
+    domain, and these unchecked bodies, all over the last axis, on
+    default-chart rows x that their caller has coerced and checked against
+    the family's domain (a (d,) point is one row):
 
         _to_natural(x)           eta
         _natural_jacobian(x)     J = d eta / dx, (d, d), natural index first
-        _natural_hessian(x)      H = d^2 eta / dx^2, (d, d, d), likewise
         _natural_fisher(x)       psi'' at eta(x), (d, d)
         _score_moment(x)         psi''' at eta(x), (d, d, d)
 
@@ -280,21 +276,6 @@ class ExponentialFamily(_ClosedForms):
     def natural_jacobian(self, x) -> np.ndarray:
         """d(natural)/d(default chart), shape (dim, dim)."""
         return self._natural_jacobian(self._point(x))
-
-    def _closed(self, X, orders):
-        jac, psi2 = self._natural_jacobian(X), self._natural_fisher(X)
-        tensors = []
-        for order in orders:
-            if order == 2:
-                tensors.append(np.swapaxes(jac, 1, 2) @ psi2 @ jac)
-                continue
-            t = self._score_moment(X)
-            for _ in range(3):  # psi'''(J, J, J), one natural index at a time
-                t = np.einsum("nabc,nai->nbci", t, jac)
-            # psi''_ab H_aij J_bk, added once for each index that J carries
-            m = np.einsum("naij,nab,nbk->nijk", self._natural_hessian(X), psi2, jac)
-            tensors.append(t + m + m.transpose(0, 1, 3, 2) + m.transpose(0, 3, 1, 2))
-        return tensors
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +306,10 @@ class GaussianFixedSigma(ExponentialFamily):
     def _divergence(self, P, Q):
         return (Q.T[0] - P.T[0]) ** 2 / (2.0 * self.sigma**2)
 
+    def _closed(self, X, orders):
+        # D(x || x + u) = u^2 / (2 sigma^2): g = 1 / sigma^2 and T = 0
+        return _one_coordinate(orders, np.full(X.shape, 1.0 / self.sigma**2), np.zeros(X.shape))
+
     # natural chart: eta = mu / sigma^2, psi(eta) = sigma^2 eta^2 / 2
     def _to_natural(self, x):
         return x / self.sigma**2
@@ -334,9 +319,6 @@ class GaussianFixedSigma(ExponentialFamily):
 
     def _natural_jacobian(self, x):
         return np.full(x.shape[:-1] + (1, 1), 1.0 / self.sigma**2)
-
-    def _natural_hessian(self, x):
-        return np.zeros(x.shape[:-1] + (1, 1, 1))
 
     def _log_partition(self, eta):
         return 0.5 * self.sigma**2 * eta[0] ** 2
@@ -370,6 +352,10 @@ class ExponentialScale(ExponentialFamily):
         a, b = P.T[0], Q.T[0]
         return np.log(a / b) + b / a - 1.0
 
+    def _closed(self, X, orders):
+        # D(x || x + u) = u/x - log(1 + u/x): g = 1/x^2 and T = -2/x^3
+        return _one_coordinate(orders, 1.0 / X**2, -2.0 / X**3)
+
     # natural chart: eta = -theta, psi(eta) = -log(-eta)
     def _to_natural(self, x):
         return -x
@@ -379,9 +365,6 @@ class ExponentialScale(ExponentialFamily):
 
     def _natural_jacobian(self, x):
         return np.full(x.shape[:-1] + (1, 1), -1.0)
-
-    def _natural_hessian(self, x):
-        return np.zeros(x.shape[:-1] + (1, 1, 1))
 
     def _log_partition(self, eta):
         return -math.log(-eta[0])
@@ -425,6 +408,12 @@ class Bernoulli(ExponentialFamily):
         a, b = P.T[0], Q.T[0]
         return a * np.log(a / b) + (1.0 - a) * np.log((1.0 - a) / (1.0 - b))
 
+    def _closed(self, X, orders):
+        # D(x || x + u) = -x log(1 + u/x) - (1 - x) log(1 - u/(1 - x)), so with
+        # w = x (1 - x), g = 1/w and T = 2/(1 - x)^2 - 2/x^2 = 2 (2x - 1)/w^2
+        w = X * (1.0 - X)
+        return _one_coordinate(orders, 1.0 / w, 2.0 * (2.0 * X - 1.0) / w**2)
+
     def _to_natural(self, x):
         return np.log(x / (1.0 - x))
 
@@ -436,9 +425,6 @@ class Bernoulli(ExponentialFamily):
 
     def _natural_jacobian(self, x):
         return (1.0 / (x * (1.0 - x)))[..., None]
-
-    def _natural_hessian(self, x):
-        return ((2.0 * x - 1.0) / (x * (1.0 - x)) ** 2)[..., None, None]
 
     def _log_partition(self, eta):
         return np.logaddexp(0.0, eta[0])
@@ -478,6 +464,22 @@ class Categorical(ExponentialFamily):
         fp, fq = _simplex(P), _simplex(Q)
         return np.sum(fp * np.log(fp / fq), axis=-1)
 
+    def _closed(self, X, orders):
+        # D(x || x + u) = -sum_i p_i log(1 + u_i/p_i) - p_k log(1 - sum u/p_k), p_k
+        # = 1 - sum x: g_ij = delta_ij/p_i + 1/p_k, T_ijk = 2/p_k^2 - delta_ijk 2/p_i^2,
+        # its diagonal a product that keeps its digits where p_i is near p_k
+        full = _simplex(X)
+        p, last = full[:, :-1], full[:, -1:]
+        tensors = []
+        for order in orders:
+            if order == 2:
+                tensors.append(np.eye(self.dimension) / p[:, None, :] + (1.0 / last)[..., None])
+                continue
+            t = np.full((len(X),) + (self.dimension,) * 3, (2.0 / last**2)[..., None, None])
+            t[(slice(None),) + (np.arange(self.dimension),) * 3] = 2.0 * (p - last) * (p + last) / (p * last) ** 2
+            tensors.append(t)
+        return tensors
+
     def _to_natural(self, x):
         full = _simplex(x)
         return np.log(full[..., :-1] / full[..., -1:])
@@ -493,12 +495,6 @@ class Categorical(ExponentialFamily):
         full = _simplex(x)
         return np.eye(self.dimension) * (1.0 / full[..., None, :-1]) + (1.0 / full[..., -1:])[..., None]
 
-    def _natural_hessian(self, x):
-        full = _simplex(x)
-        h = np.full(x.shape + (self.dimension,) * 2, (1.0 / full[..., -1:] ** 2)[..., None, None])
-        h[(...,) + (np.arange(self.dimension),) * 3] -= 1.0 / full[..., :-1] ** 2
-        return h
-
     def _log_partition(self, eta):
         m = max(0.0, float(eta.max()))
         return m + math.log(math.exp(-m) + np.exp(eta - m).sum())
@@ -509,14 +505,15 @@ class Categorical(ExponentialFamily):
         return np.eye(self.dimension) * p[..., None, :] - p[..., :, None] * p[..., None, :]
 
     def _score_moment(self, p):
-        # third joint cumulant of the one-hot indicator vector
-        eye = np.eye(self.dimension)
-        t = 2.0 * np.einsum("...i,...j,...k->...ijk", p, p, p)
-        t -= np.einsum("ij,...i,...k->...ijk", eye, p, p)
-        t -= np.einsum("jk,...j,...i->...ijk", eye, p, p)
-        t -= np.einsum("ik,...i,...j->...ijk", eye, p, p)
-        t[(...,) + (np.arange(self.dimension),) * 3] += p
-        return t
+        # third joint cumulant of the one-hot indicator vector, each entry taken
+        # at its sorted index a <= b <= c, so exactly symmetric: 2 p_a p_b p_c, less
+        # p_a p_c, p_b p_a and p_a p_b where a = b, b = c and a = c, plus p_a where a = c
+        i, j, k = np.ogrid[: self.dimension, : self.dimension, : self.dimension]
+        a, c = np.minimum(np.minimum(i, j), k), np.maximum(np.maximum(i, j), k)
+        b = i + j + k - a - c
+        pa, pb, pc = p[..., a], p[..., b], p[..., c]
+        t = 2.0 * (pa * pb * pc) - (a == b) * (pa * pc) - (b == c) * (pb * pa) - (a == c) * (pa * pb)
+        return t + (a == c) * pa
 
     def random_interior(self, rng, n):
         raw = rng.dirichlet(np.ones(self.k), size=n)
@@ -524,7 +521,8 @@ class Categorical(ExponentialFamily):
         return mixed[:, : self.dimension]
 
 
-# g and T of GaussianFull at (m, s) = (0, 1), by the module docstring's rule
+# g and T of GaussianFull at (m, s) = (0, 1), read off D((0, 1) || (u, 1 + v))
+# = log(1 + v) + (1 + u^2) / (2 (1 + v)^2) - 1/2
 _UNIT_GAUSSIAN = {2: np.diag([1.0, 2.0]), 3: np.array([[[0.0, -2.0], [-2.0, 0.0]], [[-2.0, 0.0], [0.0, -10.0]]])}
 
 
@@ -558,15 +556,10 @@ class GaussianFull(ExponentialFamily):
         s3 = s**3
         return _tensor([1.0 / s**2, -2.0 * m / s3, 0.0, 1.0 / s3], (2, 2))
 
-    def _natural_hessian(self, x):
-        m, s = x[..., 0], x[..., 1]
-        h, s4 = -2.0 / s**3, s**4
-        return _tensor([0.0, h, h, 6.0 * m / s4, 0.0, 0.0, 0.0, -3.0 / s4], (2, 2, 2))
-
     # the family is location-scale, so g(m, s) = g(0, 1) / s^2 and
-    # T(m, s) = T(0, 1) / s^3 exactly; the generic rule at (m, s) adds terms
-    # of size (m/s)^2 that cancel, and its powers of s leave the float range
-    # long before the tensor does, while at (0, 1) it does neither
+    # T(m, s) = T(0, 1) / s^3 exactly; a form written at (m, s) would add
+    # terms of size (m/s)^2 that cancel, and its powers of s would leave the
+    # float range long before the tensor does
     def _closed(self, X, orders):
         return [_UNIT_GAUSSIAN[order] / (X[:, 1] ** order).reshape((-1,) + (1,) * order) for order in orders]
 
@@ -655,14 +648,12 @@ def natural_view(family: ExponentialFamily) -> NaturalView:
 def score_moment_tensor(family: ExponentialFamily, p) -> np.ndarray:
     """Third score moment E[d_i l d_j l d_k l] in natural coordinates, in
     closed form: the third cumulant of the sufficient statistic, exactly
-    symmetric, with each entry taken from its sorted index as the closed
-    forms take theirs."""
+    symmetric."""
     if not isinstance(family, ExponentialFamily):
         raise UnsupportedFamily(
             f"{getattr(family, 'family_id', family)!r} has no score-moment oracle"
         )
-    t = family._score_moment(family._point(p))
-    return t.ravel()[_sorted_entries(family.dimension, 3)].reshape(t.shape)
+    return family._score_moment(family._point(p))
 
 
 def bregman_divergence(family: ExponentialFamily, p, q) -> float:

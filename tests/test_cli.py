@@ -115,6 +115,17 @@ def test_tensor_natural_chart_view(capsys):
     assert abs(rep["result"]["components"][0][0][0]) < 1e-6  # p = 1/2 point
 
 
+@pytest.mark.parametrize(
+    "family, at, chart",
+    [("bernoulli", "0.3", "default"), ("natural:bernoulli", "0.3", "natural"), ("qre:bloch", "0.1,0.2,0.3", "bloch")],
+)
+def test_a_tensor_report_names_its_chart_and_has_an_oracle_where_one_is_known(capsys, family, at, chart):
+    result = run_json(capsys, ["tensor", "--family", family, "--at", at, "--order", "cubic"])["result"]
+    assert result["chart"] == chart
+    # a quantum chart has no closed forms
+    assert ("oracle" in result) == ("oracle_delta" in result) == (chart != "bloch")
+
+
 def test_convergence_plot_csv(capsys):
     code = main(
         ["convergence", "--family", "exponential", "--at", "1",
@@ -287,6 +298,19 @@ USAGE_ERRORS = [
     ["spread", "--family", "exponential", "--sampler", "gauss:1.2,0.05", "--samples", "100000001", "--seed", "5"],
     ["triangle", "--legs", "skewnormal:0,0.01,1", "gaussian:0,0.01", "gaussian:0,0.01",
      "--samples", "1000000", "--seed", "1", "--sweep-shape", "0,1,101"],
+    # a sweep whose first leg has no shape, a demon with no path, and a margin
+    # that leaves no categorical point
+    ["triangle", "--legs", "gaussian:0,0.01", "gaussian:0,0.01", "gaussian:0,0.01",
+     "--samples", "1000", "--seed", "1", "--sweep-shape", "0,1,3"],
+    ["demon", "--family", "exponential"],
+    ["divergence", "--family", "categorical:3", "--margin", "0.5", "--p", "0.2,0.3", "--q", "0.3,0.3"],
+    # closed forms past the widest stencil, refused before they are built: an
+    # oracle demon and spread, and an empty ladder
+    ["demon", "--family", "categorical:201", "--method", "oracle",
+     "--waypoints", ",".join(["0.001"] * 200) + ";" + ",".join(["0.0011"] * 200)],
+    ["spread", "--family", "categorical:201", "--method", "oracle",
+     "--sampler", "fixed:" + ",".join(["0.001"] * 200 + ["0.0001"] * 200), "--samples", "1000", "--seed", "1"],
+    ["convergence", "--family", "categorical:201", "--at", ",".join(["0.001"] * 200), "--steps="],
 ]
 
 
@@ -562,6 +586,20 @@ def test_every_subcommand_replays_byte_identically(tmp_path, capsys, name):
     assert main(["replay", str(first), "--out", str(second)]) == 0
     assert json.loads(first.read_text())["config"]["subcommand"] == name
     assert strip_timestamp(first.read_text()) == strip_timestamp(second.read_text())
+
+
+def test_a_report_with_no_table_is_key_value_csv_and_replays_in_the_format_asked(tmp_path, capsys):
+    argv = ["divergence", "--family", "exponential", "--p", "1", "--q", "2"]
+    assert main(argv + ["--format", "csv"]) == 0
+    direct = capsys.readouterr().out.splitlines()
+    assert direct[0] == "key,value" and "result.value,0.3068528194400546" in direct
+    path = tmp_path / "div.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert main(["replay", str(path), "--format", "csv"]) == 0
+    replayed = capsys.readouterr().out.splitlines()
+    assert [line for line in replayed if not line.startswith("generated_at,")] == [
+        line for line in direct if not line.startswith("generated_at,")
+    ]
 
 
 def test_replay_missing_file_exits_1(capsys):

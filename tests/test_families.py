@@ -159,18 +159,30 @@ def test_natural_chart_round_trip_and_jacobian():
             back = family.from_natural(eta)
             assert np.allclose(back, x, rtol=1e-10, atol=1e-12)
             jac = family.natural_jacobian(x)
-            hess = family._natural_hessian(x)
-            assert jac.shape == (d, d) and hess.shape == (d, d, d)
-            fd_jac = np.empty((d, d))
-            fd_hess = np.empty((d, d, d))
-            h = 1e-6
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = h
-                fd_jac[:, j] = (family.to_natural(x + e) - family.to_natural(x - e)) / (2 * h)
-                fd_hess[:, :, j] = (family.natural_jacobian(x + e) - family.natural_jacobian(x - e)) / (2 * h)
-            assert np.allclose(jac, fd_jac, rtol=1e-5, atol=1e-7)
-            assert np.allclose(hess, fd_hess, rtol=1e-5, atol=1e-7)
+            assert jac.shape == (d, d)
+            assert np.allclose(jac, _central_difference(family.to_natural, x), rtol=1e-5, atol=1e-7)
+
+
+def _central_difference(f, x, h=1e-6):
+    """d f / dx at x by central differences, the derivative's index last."""
+    steps = h * np.eye(len(x))
+    return np.stack([(f(x + e) - f(x - e)) / (2 * h) for e in steps], axis=-1)
+
+
+def test_default_chart_forms_are_the_chain_rule_of_the_natural_ones():
+    # the module docstring's relation between the charts: g = psi''(J, J) and
+    # T = psi'''(J, J, J) + 3 Sym psi''(H, J), with psi'' and psi''' the
+    # natural view's closed forms and H the derivative of J
+    for family in ALL_FAMILIES:
+        for x in _interior_points(family, 4, seed=2):
+            eta, jac = family.to_natural(x), family.natural_jacobian(x)
+            hess = _central_difference(family.natural_jacobian, x)
+            view = natural_view(family)
+            psi2, psi3 = view.fisher(eta), view.forward_cubic(eta)
+            assert np.allclose(family.fisher(x), jac.T @ psi2 @ jac, rtol=1e-5, atol=1e-7)
+            m = np.einsum("aij,ab,bk->ijk", hess, psi2, jac)
+            chain = np.einsum("abc,ai,bj,ck->ijk", psi3, jac, jac, jac) + m + m.transpose(0, 2, 1) + m.transpose(2, 0, 1)
+            assert np.allclose(family.forward_cubic(x), chain, rtol=1e-5, atol=1e-7)
 
 
 def test_natural_chart_examples():
@@ -429,14 +441,31 @@ def test_forward_cubic_matches_third_derivative_of_divergence():
                 assert t[idx] == pytest.approx(expected, rel=1e-7, abs=1e-9)
 
 
+# where the closed forms cancel: T of one coordinate vanishes at 0.5003605321800448,
+# near 1/2, and g and T grow like 1/p^2 near an edge.  The last probability
+# 1 - sum x stays large, since it rounds, and a tiny one would measure the
+# input, not the form
+_EDGE = [[0.5003605321800448], [1e-6], [1.0 - 1e-6]]
+_EDGE_POINTS = {
+    "bernoulli": _EDGE,
+    "categorical:2": _EDGE,
+    "categorical:3": [[1e-6, 0.3], [0.3, 1e-6]],
+    "categorical:5": [[1e-6, 0.2, 0.1, 0.3], [0.2, 0.1, 0.3, 1e-6]],
+    "exponential": [[1e-3], [1e9]],
+}
+
+
 @pytest.mark.parametrize(
-    "family", [Bernoulli(), Categorical(2), Categorical(3), Categorical(5)], ids=lambda f: f.family_id
+    "family, edge",
+    [pytest.param(f, False, id=f.family_id) for f in [Bernoulli(), *map(Categorical, (2, 3, 5))]]
+    + [pytest.param(f, True, id=f"{f.family_id}-edge") for f in [Bernoulli(), *map(Categorical, (2, 3, 5)), ExponentialScale()]],
 )
-def test_default_chart_closed_forms_are_accurate_to_rounding(family):
+def test_default_chart_closed_forms_are_accurate_to_rounding(family, edge):
     # psi'' and psi''' are taken at the point itself, with no round trip
     # through the natural chart
     d = family.dimension
-    for x in family.random_interior(np.random.default_rng(31), 3):
+    points = _EDGE_POINTS[family.family_id] if edge else family.random_interior(np.random.default_rng(31), 3)
+    for x in points:
         f = lambda *q: _mp_divergence(family, x, q)
         for tensor in (family.fisher(x), family.forward_cubic(x)):
             exact = np.array(

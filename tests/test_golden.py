@@ -79,8 +79,7 @@ def _tensor_bounds(div, P, h, order, richardson):
 
 def _closed_bounds(div, P, order):
     """The bound of a closed-form tensor at each row of P: a sum of
-    products of order + 1 factors (psi's derivative and a Jacobian per
-    index), which may cancel to half their size."""
+    products of order + 1 factors, which may cancel to half their size."""
     [t] = div._closed_rows(P, (order,))
     return bound(2.0 * (order + 1) * np.abs(t).reshape(len(P), -1).max(axis=1))
 

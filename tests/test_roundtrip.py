@@ -288,14 +288,33 @@ def test_triangle_leg_without_mass_above_minus_one_overflows(leg):
 
 
 def test_a_ladder_too_wide_for_a_stencil_is_refused_before_its_closed_forms():
-    # Categorical(k)'s closed forms take time like d^5: 0.72 s at d = 60, and
-    # minutes at d = 200; the steps are checked first, then the width
+    # the steps are checked first, then the width
     family, p = Categorical(201), [0.001] * 200
     with _deadline(1), pytest.raises(ValueError, match=r"^step size must be positive and finite, got -0.0001$"):
         convergence_report(family, p, [1e-4, -1e-4])
     too_wide = r"^categorical:201: finite-difference stencils take at most 12 coordinates, not 200$"
     with _deadline(1), pytest.raises(UnsupportedFamily, match=too_wide):
         convergence_report(family, p, [1e-4])
+
+
+def test_closed_forms_wider_than_a_stencil_are_refused():
+    # a cubic of d = 200 is 8e6 floats a row, and the engines build one per
+    # distinct point: each refuses the width before building any
+    family, p = Categorical(201), np.full(200, 0.001)
+    too_wide = r"^categorical:201: closed-form tensors take at most 12 coordinates, not 200$"
+    sampler = TradeSampler("fixed", tuple(p), (1e-4,) * 200)
+    for run in (
+        lambda: convergence_report(family, p, []),
+        lambda: demon_work(family, [p, 1.1 * p], method="oracle"),
+        lambda: spread_estimate(family, sampler, samples=1_000, seed=1, method="oracle"),
+    ):
+        with _deadline(2), pytest.raises(UnsupportedFamily, match=too_wide):
+            run()
+    # a spread refuses its first chunk's end points before the closed forms
+    with _deadline(2), pytest.raises(DomainError, match=r"^categorical:201: sampled trade leaves the domain$"):
+        spread_estimate(family, sampler._replace(step=(-0.01,) * 200), samples=1_000, seed=1, method="oracle")
+    # the public closed forms stay unbounded: there the caller asked for the tensor
+    assert Categorical(14).forward_cubic(np.full(13, 0.05)).shape == (13, 13, 13)
 
 
 def test_triangle_validation():
